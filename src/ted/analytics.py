@@ -96,23 +96,29 @@ def _subject_series(
     dynamics: dict[tuple[str, str], SequenceDynamics],
     window: int,
     orientation: str,
-) -> dict[str, tuple[list[float], list[float]]]:
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per subject: aligned (ted, pspi) frame series in (sequence, frame) order.
 
     Frames whose tracking failed are excluded from the correlation.
     """
-    series: dict[str, tuple[list[float], list[float]]] = {}
+    parts: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for rec in sorted(records, key=lambda r: r.key):
         if rec.pspi is None:
             raise ComputeError(f"sequence {rec.key} has no PSPI labels")
         dyn = dynamics[rec.key]
-        ted = dyn.ted_scores(window, orientation)
-        ts, ps = series.setdefault(rec.subject_id, ([], []))
-        for i, ok in enumerate(dyn.tracking_ok):
-            if ok:
-                ts.append(float(ted[i]))
-                ps.append(rec.pspi[i])
-    return series
+        ok = dyn.tracking_ok
+        if len(rec.pspi) != ok.size:
+            raise ComputeError(
+                f"sequence {rec.key} has {len(rec.pspi)} PSPI labels "
+                f"for {ok.size} frames"
+            )
+        ts, ps = parts.setdefault(rec.subject_id, ([], []))
+        ts.append(dyn.ted_scores(window, orientation)[ok])
+        ps.append(np.asarray(rec.pspi, dtype=float)[ok])
+    return {
+        subject: (np.concatenate(ts), np.concatenate(ps))
+        for subject, (ts, ps) in parts.items()
+    }
 
 
 def evaluate_dataset(

@@ -67,7 +67,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         default=",".join(FEATURE_SETS),
         help="comma-separated subset of L,Ho,Hr,Gl,Gr,I",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=int, default=1, help="workers (stages run serially)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +199,7 @@ def _write_metadata(args, cfg: TedConfig, out_dir: Path, extra: dict) -> None:
     manifest_path = Path(args.manifest)
     digests = {manifest_path.name: _file_digest(manifest_path)}
     manifest = load_manifest(manifest_path)
-    base = Path(getattr(manifest, "base_dir", "."))
+    base = manifest.base_dir
     for entry in manifest.entries:
         for rel in (
             entry.feature_file_path,
@@ -233,24 +233,25 @@ def _dump_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _ted_by_key(records, cfg, jobs):
-    results, failures = score_dataset(records, cfg, jobs=jobs)
+def _ted_by_key(records, cfg):
+    """Scores per sequence, and per (subject, sequence, frame)."""
+    results, failures = score_dataset(records, cfg)
     if failures:
         key, message = failures[0]
         raise ComputeError(f"sequence {key[0]}/{key[1]}: {message}")
-    table = {}
-    series = {}
-    for (subject, sequence), scored in results.items():
-        series[(subject, sequence)] = [sf.ted_score for sf in scored]
-        for sf in scored:
-            table[(subject, sequence, sf.frame_index)] = sf.ted_score
-    return results, series, table
+    series = {key: scores.ted for key, scores in results.items()}
+    table = {
+        (subject, sequence, frame): ted
+        for (subject, sequence), scores in results.items()
+        for frame, ted in zip(scores.frame_index.tolist(), scores.ted.tolist())
+    }
+    return series, table
 
 
 def cmd_score(args) -> int:
     records, cfg = _load(args)
     out_dir = _resolve_out_dir(args)
-    results, failures = score_dataset(records, cfg, jobs=args.jobs)
+    results, failures = score_dataset(records, cfg)
     if failures:
         for key, message in failures:
             print(f"error: {key[0]}/{key[1]}: {message}", file=sys.stderr)
@@ -291,7 +292,7 @@ def cmd_evaluate(args) -> int:
 def cmd_summarize(args) -> int:
     records, cfg = _load(args)
     out_dir = _resolve_out_dir(args)
-    _, series, _ = _ted_by_key(records, cfg, args.jobs)
+    series, _ = _ted_by_key(records, cfg)
     report = summarize(records, series, scale=args.scale, transform=args.transform)
     _dump_json(report.to_dict(), out_dir / "summary.json")
     with open(out_dir / "summary.txt", "w", encoding="utf-8") as fh:
@@ -306,7 +307,7 @@ def cmd_summarize(args) -> int:
 def cmd_interpret(args) -> int:
     records, cfg = _load(args)
     out_dir = _resolve_out_dir(args)
-    _, _, ted_by_key = _ted_by_key(records, cfg, args.jobs)
+    _, ted_by_key = _ted_by_key(records, cfg)
     table = build_frame_table(records, cfg.profile, pspi_threshold=args.pspi_threshold)
     thresholds = AgreementThresholds(
         ted_high=args.ted_high,

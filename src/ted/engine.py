@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,6 +28,37 @@ from .model import (
 )
 
 
+def _static_scores(levels: np.ndarray) -> np.ndarray:
+    """S per row of an (n, m) AU-level matrix: sum of e^level (exponential weighting)."""
+    return np.exp(levels).sum(axis=1)
+
+
+def _row_var(mat: np.ndarray) -> np.ndarray:
+    """Unbiased variance of each row of a 2-d matrix."""
+    var = mat.var(axis=1, ddof=1)
+    # a constant row has variance exactly 0; the float computation can miss
+    # by an ulp of the mean, which would poison the guarded ratio below
+    var[mat.max(axis=1) == mat.min(axis=1)] = 0.0
+    return var
+
+
+def _relative_changes(mat: np.ndarray) -> np.ndarray:
+    """C_r between consecutive rows of an (n, d) feature matrix (length n-1).
+
+    var(f_next - f_prev) / (var(f_prev) + var(f_next)) with unbiased sample
+    variance over vector components, and 0 when both input variances vanish.
+    """
+    var = _row_var(mat)
+    denom = var[:-1] + var[1:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom == 0.0, 0.0, _row_var(np.diff(mat, axis=0)) / denom)
+
+
+def _direction_signs(mat: np.ndarray) -> np.ndarray:
+    """D_s between consecutive rows: +1 if the summed displacement is >= 0, else -1."""
+    return np.where(np.diff(mat, axis=0).sum(axis=1) >= 0.0, 1.0, -1.0)
+
+
 def static_score(au_levels: Sequence[float], profile: AuProfile) -> float:
     """Sum of e^level over the profile's action units (exponential weighting)."""
     if len(au_levels) != len(profile.au_ids):
@@ -38,50 +69,30 @@ def static_score(au_levels: Sequence[float], profile: AuProfile) -> float:
     for level in au_levels:
         if not 0.0 <= level <= 5.0:
             raise ComputeError(f"AU level {level} outside [0, 5]")
-    return sum(math.exp(v) for v in au_levels)
+    return float(_static_scores(np.asarray([au_levels], dtype=float))[0])
 
 
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ComputeError(f"{name} must be a 1-d vector")
-    return arr
-
-
-def _exact_var(arr: np.ndarray) -> float:
-    # a constant vector has variance exactly 0; the float computation can
-    # miss by an ulp of the mean, which would poison the guarded ratio below
-    if arr.max() == arr.min():
-        return 0.0
-    return float(arr.var(ddof=1))
+def _vector_pair(f_prev, f_next) -> np.ndarray:
+    a = np.asarray(f_prev, dtype=float)
+    b = np.asarray(f_next, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ComputeError("feature vectors must be 1-d")
+    if a.size != b.size:
+        raise ComputeError(f"vector length mismatch: {a.size} vs {b.size}")
+    return np.stack([a, b])
 
 
 def relative_change(f_prev, f_next) -> float:
-    """Variance-ratio change between consecutive feature vectors.
-
-    Returns var(f_next - f_prev) / (var(f_prev) + var(f_next)) with unbiased
-    sample variance over vector components, and 0 when both input variances
-    vanish. Always nonnegative.
-    """
-    a = _as_vector(f_prev, "f_prev")
-    b = _as_vector(f_next, "f_next")
-    if a.size != b.size:
-        raise ComputeError(f"vector length mismatch: {a.size} vs {b.size}")
-    if a.size < 2:
+    """Variance-ratio change between consecutive feature vectors; always >= 0."""
+    pair = _vector_pair(f_prev, f_next)
+    if pair.shape[1] < 2:
         raise ComputeError("relative change needs vectors of length >= 2")
-    denom = _exact_var(a) + _exact_var(b)
-    if denom == 0.0:
-        return 0.0
-    return float(_exact_var(b - a) / denom)
+    return float(_relative_changes(pair)[0])
 
 
 def direction_sign(f_prev, f_next) -> int:
     """+1 if the summed element-wise displacement is >= 0, else -1."""
-    a = _as_vector(f_prev, "f_prev")
-    b = _as_vector(f_next, "f_next")
-    if a.size != b.size:
-        raise ComputeError(f"vector length mismatch: {a.size} vs {b.size}")
-    return 1 if float((b - a).sum()) >= 0.0 else -1
+    return int(_direction_signs(_vector_pair(f_prev, f_next))[0])
 
 
 class DynamicsState:
@@ -161,6 +172,27 @@ def _forward_means(products: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class SequenceScores:
+    """Scored output of one sequence as per-frame columns."""
+
+    frame_index: np.ndarray  # (n,) int
+    static: np.ndarray  # (n,) S
+    dynamics: np.ndarray  # (n, 6) M_* in FEATURE_SETS order; 0 for disabled streams and frame 1
+    ted: np.ndarray  # (n,) score
+    tracking_ok: np.ndarray  # (n,) bool
+
+    def rows(self):
+        """Per frame: (frame, S, [M_*], score, tracking_ok) as Python values."""
+        return zip(
+            self.frame_index.tolist(),
+            self.static.tolist(),
+            self.dynamics.tolist(),
+            self.ted.tolist(),
+            self.tracking_ok.tolist(),
+        )
+
+
 class SequenceDynamics:
     """Window-independent intermediates for one sequence.
 
@@ -172,30 +204,22 @@ class SequenceDynamics:
         frames = seq.frames
         if not frames:
             raise ComputeError(f"sequence {seq.key} has no frames")
-        self.key = seq.key
-        self.frame_indices = [f.frame_index for f in frames]
-        self.tracking_ok = [f.tracking_ok for f in frames]
+        self.frame_indices = np.array([f.frame_index for f in frames])
+        self.tracking_ok = np.array([f.tracking_ok for f in frames], dtype=bool)
         self.enabled = sorted(cfg.feature_sets, key=FEATURE_SETS.index)
-        n = len(frames)
 
         levels = _feature_matrix(frames, "I", cfg.profile)
         bad = (levels < 0.0) | (levels > 5.0) | ~np.isfinite(levels)
         if bad.any():
             frame = frames[int(np.argwhere(bad)[0][0])].frame_index
             raise ComputeError(f"AU level outside [0, 5] at frame {frame}")
-        self.static = np.exp(levels).sum(axis=1)
+        self.static = _static_scores(levels)
 
         # Failed-tracking frames reuse the last valid frame's features for
         # dynamics so tracker garbage cannot spike the change measure.
-        eff = np.empty(n, dtype=int)
-        last_ok = 0
-        for i, frame in enumerate(frames):
-            if frame.tracking_ok:
-                last_ok = i
-            eff[i] = last_ok if not frame.tracking_ok else i
+        positions = np.arange(len(frames))
+        eff = np.maximum.accumulate(np.where(self.tracking_ok, positions, 0))
 
-        self.relative: dict[str, np.ndarray] = {}
-        self.direction: dict[str, np.ndarray] = {}
         self.products: dict[str, np.ndarray] = {}
         for fs in self.enabled:
             mat = _feature_matrix(frames, fs, cfg.profile)[eff]
@@ -207,92 +231,63 @@ class SequenceDynamics:
             if not np.isfinite(mat).all():
                 frame = frames[int(np.argwhere(~np.isfinite(mat))[0][0])].frame_index
                 raise ComputeError(f"non-finite {fs} feature at frame {frame}")
-            var = mat.var(axis=1, ddof=1)
-            var[mat.max(axis=1) == mat.min(axis=1)] = 0.0
-            diff = np.diff(mat, axis=0)
-            dvar = diff.var(axis=1, ddof=1)
-            dvar[diff.max(axis=1) == diff.min(axis=1)] = 0.0
-            denom = var[:-1] + var[1:]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cr = np.where(denom == 0.0, 0.0, dvar / denom)
-            ds = np.where(diff.sum(axis=1) >= 0.0, 1.0, -1.0)
-            self.relative[fs] = cr
-            self.direction[fs] = ds
-            self.products[fs] = ds * cr
+            self.products[fs] = _direction_signs(mat) * _relative_changes(mat)
 
     def dynamics_means(self, window: int, orientation: str) -> dict[str, np.ndarray]:
         roll = _trailing_means if orientation == "trailing" else _forward_means
         return {fs: roll(self.products[fs], window) for fs in self.enabled}
 
-    def ted_scores(self, window: int, orientation: str) -> np.ndarray:
-        means = self.dynamics_means(window, orientation)
+    def _compose(self, means: dict[str, np.ndarray]) -> np.ndarray:
         prod = np.ones(len(self.static))
         for fs in self.enabled:
             prod *= means[fs]
         prod[0] = 0.0  # reference frame has no dynamics
         return self.static * (1.0 + prod)
 
+    def ted_scores(self, window: int, orientation: str) -> np.ndarray:
+        return self._compose(self.dynamics_means(window, orientation))
+
+    def scores(self, window: int, orientation: str) -> SequenceScores:
+        means = self.dynamics_means(window, orientation)
+        dynamics = np.zeros((len(self.static), len(FEATURE_SETS)))
+        for fs in self.enabled:
+            dynamics[1:, FEATURE_SETS.index(fs)] = means[fs][1:]
+        return SequenceScores(
+            frame_index=self.frame_indices,
+            static=self.static,
+            dynamics=dynamics,
+            ted=self._compose(means),
+            tracking_ok=self.tracking_ok,
+        )
+
 
 def score_sequence(seq: SequenceRecord, cfg: TedConfig) -> list[ScoredFrame]:
-    """Score every frame of one sequence; output length equals input length."""
-    dyn = SequenceDynamics(seq, cfg)
-    means = dyn.dynamics_means(cfg.window, cfg.window_orientation)
-    prod = np.ones(len(dyn.static))
-    for fs in dyn.enabled:
-        prod *= means[fs]
-    prod[0] = 0.0
-    ted = dyn.static * (1.0 + prod)
-
-    scored = []
-    for i, frame_index in enumerate(dyn.frame_indices):
-        dynamics = {fs: 0.0 for fs in FEATURE_SETS}
-        rel = {fs: 0.0 for fs in FEATURE_SETS}
-        sign = {fs: 1 for fs in FEATURE_SETS}
-        for fs in dyn.enabled:
-            dynamics[fs] = float(means[fs][i])
-            if i > 0:
-                rel[fs] = float(dyn.relative[fs][i - 1])
-                sign[fs] = int(dyn.direction[fs][i - 1])
-        if i == 0:
-            dynamics = {fs: 0.0 for fs in FEATURE_SETS}
-        scored.append(
-            ScoredFrame(
-                frame_index=frame_index,
-                static_score=float(dyn.static[i]),
-                dynamics=dynamics,
-                relative_change=rel,
-                direction=sign,
-                ted_score=float(ted[i]),
-                tracking_ok=dyn.tracking_ok[i],
-            )
+    """Per-frame view of one sequence's scores; output length equals input length."""
+    scores = SequenceDynamics(seq, cfg).scores(cfg.window, cfg.window_orientation)
+    return [
+        ScoredFrame(
+            frame_index=frame,
+            static_score=static,
+            dynamics=dict(zip(FEATURE_SETS, dynamics)),
+            ted_score=ted,
+            tracking_ok=ok,
         )
-    return scored
+        for frame, static, dynamics, ted, ok in scores.rows()
+    ]
 
 
 def score_dataset(
-    records: Sequence[SequenceRecord], cfg: TedConfig, jobs: int = 1
-) -> tuple[dict[tuple[str, str], list[ScoredFrame]], list[tuple[tuple[str, str], str]]]:
+    records: Sequence[SequenceRecord], cfg: TedConfig
+) -> tuple[dict[tuple[str, str], SequenceScores], list[tuple[tuple[str, str], str]]]:
     """Score each sequence independently; per-sequence failures are collected."""
-
-    def worker(rec: SequenceRecord):
-        try:
-            return rec.key, score_sequence(rec, cfg), None
-        except ComputeError as exc:
-            return rec.key, None, str(exc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(worker, records))
-    else:
-        outcomes = [worker(rec) for rec in records]
-
-    results: dict[tuple[str, str], list[ScoredFrame]] = {}
+    results: dict[tuple[str, str], SequenceScores] = {}
     failures: list[tuple[tuple[str, str], str]] = []
-    for key, scored, error in sorted(outcomes, key=lambda o: o[0]):
-        if error is None:
-            results[key] = scored
-        else:
-            failures.append((key, error))
+    for rec in sorted(records, key=lambda r: r.key):
+        try:
+            dyn = SequenceDynamics(rec, cfg)
+            results[rec.key] = dyn.scores(cfg.window, cfg.window_orientation)
+        except ComputeError as exc:
+            failures.append((rec.key, str(exc)))
     return results, failures
 
 
@@ -316,39 +311,13 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_scores_csv(results: dict[tuple[str, str], list[ScoredFrame]], path) -> None:
+def write_scores_csv(results: dict[tuple[str, str], SequenceScores], path) -> None:
     """Deterministic scored-output CSV, ordered by (subject, sequence, frame)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for (subject, sequence) in sorted(results):
-            for sf in results[(subject, sequence)]:
-                writer.writerow(
-                    [
-                        subject,
-                        sequence,
-                        sf.frame_index,
-                        _fmt(sf.static_score),
-                        *[_fmt(sf.dynamics[fs]) for fs in FEATURE_SETS],
-                        _fmt(sf.ted_score),
-                        int(sf.tracking_ok),
-                    ]
-                )
-
-
-def read_scores_csv(path) -> dict[tuple[str, str], list[ScoredFrame]]:
-    results: dict[tuple[str, str], list[ScoredFrame]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            sf = ScoredFrame(
-                frame_index=int(row["frame"]),
-                static_score=float(row["S"]),
-                dynamics={fs: float(row[f"M_{fs}"]) for fs in FEATURE_SETS},
-                relative_change={fs: 0.0 for fs in FEATURE_SETS},
-                direction={fs: 1 for fs in FEATURE_SETS},
-                ted_score=float(row["ted_score"]),
-                tracking_ok=bool(int(row["tracking_ok"])),
+            writer.writerows(
+                [subject, sequence, frame, _fmt(static), *map(_fmt, dynamics), _fmt(ted), int(ok)]
+                for frame, static, dynamics, ted, ok in results[(subject, sequence)].rows()
             )
-            results.setdefault((row["subject"], row["sequence"]), []).append(sf)
-    return results

@@ -1,22 +1,19 @@
 """Random forest for binary pain/neutral frame classification.
 
-Built from scratch so that training is fully deterministic for a given seed
-and models persist to a versioned JSON tree dump: axis-aligned Gini splits
-over a random feature subset per node, bootstrap sampling per tree, and
-per-tree majority votes aggregated into a positive-class confidence.
+Built from scratch so that training is fully deterministic for a given seed:
+axis-aligned Gini splits over a random feature subset per node, bootstrap
+sampling per tree, and per-tree majority votes aggregated into a
+positive-class confidence.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ComputeError, ParseError
-
-MODEL_FORMAT_VERSION = 1
+from .errors import ComputeError
 
 
 @dataclass
@@ -30,27 +27,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.counts is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"counts": list(self.counts)}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TreeNode":
-        if "counts" in raw:
-            return cls(counts=tuple(raw["counts"]))
-        return cls(
-            feature=raw["feature"],
-            threshold=raw["threshold"],
-            left=cls.from_dict(raw["left"]),
-            right=cls.from_dict(raw["right"]),
-        )
 
 
 def _gini_best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
@@ -128,14 +104,6 @@ class ForestHyperparams:
     min_samples_leaf: int = 1
     stratified_bootstrap: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "stratified_bootstrap": self.stratified_bootstrap,
-        }
-
 
 class RandomForest:
     """Bagged Gini decision trees with deterministic seeded training."""
@@ -203,32 +171,3 @@ class RandomForest:
     def predict_confidences(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return np.array([self.predict_confidence(row) for row in X])
-
-    def save(self, path) -> None:
-        payload = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "seed": self.seed,
-            "n_features": self.n_features,
-            "hyperparams": self.hyperparams.to_dict(),
-            "trees": [t.to_dict() for t in self.trees],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "RandomForest":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        version = payload.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise ParseError(f"unsupported model format version {version!r}")
-        hp = ForestHyperparams(
-            n_trees=payload["hyperparams"]["n_trees"],
-            max_depth=payload["hyperparams"]["max_depth"],
-            min_samples_leaf=payload["hyperparams"]["min_samples_leaf"],
-            stratified_bootstrap=payload["hyperparams"]["stratified_bootstrap"],
-        )
-        forest = cls(hyperparams=hp, seed=payload["seed"])
-        forest.n_features = payload["n_features"]
-        forest.trees = [TreeNode.from_dict(t) for t in payload["trees"]]
-        return forest

@@ -309,11 +309,9 @@ def load_manifest(path) -> DatasetManifest:
         except KeyError as exc:
             raise ManifestError(f"manifest entry {i} missing field {exc}") from None
     try:
-        manifest = DatasetManifest(entries)
+        return DatasetManifest(entries, base_dir=path.parent)
     except Exception as exc:
         raise ManifestError(str(exc)) from None
-    manifest.base_dir = path.parent  # type: ignore[attr-defined]
-    return manifest
 
 
 def manifest_to_json(manifest: DatasetManifest) -> dict:
@@ -347,7 +345,7 @@ def load_dataset(
     profile: Optional[AuProfile] = None,
 ) -> tuple[list[SequenceRecord], list[str]]:
     """Materialize all manifest entries; soft problems come back as findings."""
-    base = Path(getattr(manifest, "base_dir", "."))
+    base = manifest.base_dir
     records: list[SequenceRecord] = []
     findings: list[str] = []
     for entry in manifest.entries:
@@ -371,6 +369,10 @@ def load_dataset(
             if not pspi_path.exists():
                 raise ManifestError(f"missing PSPI file: {pspi_path}")
             pspi = parse_pspi_file(pspi_path)
+            if len(pspi) != len(frames):
+                raise ParseError(
+                    f"{pspi_path}: {len(pspi)} PSPI values for {len(frames)} frames"
+                )
         record = SequenceRecord(
             subject_id=entry.subject_id,
             sequence_id=entry.sequence_id,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConfigError
@@ -139,8 +140,6 @@ class ScoredFrame:
     frame_index: int
     static_score: float
     dynamics: Mapping[str, float]
-    relative_change: Mapping[str, float]
-    direction: Mapping[str, int]
     ted_score: float
     tracking_ok: bool = True
 
@@ -194,6 +193,7 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
+    base_dir: Path = Path(".")  # manifest file paths are relative to this
 
     def __post_init__(self):
         keys = [(e.subject_id, e.sequence_id) for e in self.entries]

@@ -150,6 +150,13 @@ class TestEvaluate:
         with pytest.raises(ComputeError, match="PSPI"):
             evaluate_dataset([rec], TedConfig(window=2))
 
+    @pytest.mark.parametrize("n_labels", [8, 12])
+    def test_pspi_length_mismatch_rejected(self, n_labels):
+        rec = make_random_sequence(10)
+        rec.pspi = [1.0] * n_labels
+        with pytest.raises(ComputeError, match=f"{n_labels} PSPI labels for 10 frames"):
+            evaluate_dataset([rec], TedConfig(window=2))
+
 
 def _labeled_records(n_subjects=3, n_frames=30):
     records = []
@@ -205,9 +212,7 @@ class TestSummarize:
     def _report(self, transform="log", scale="VAS"):
         records = _labeled_records()
         results, _ = score_dataset(records, TedConfig(window=5))
-        series = {
-            key: [sf.ted_score for sf in scored] for key, scored in results.items()
-        }
+        series = {key: scores.ted for key, scores in results.items()}
         return records, series, summarize(records, series, scale, transform)
 
     def test_group_stats_against_brute_force(self):
@@ -242,7 +247,7 @@ class TestSummarize:
         records = _labeled_records()
         records[0].labels = None
         results, _ = score_dataset(records, TedConfig(window=5))
-        series = {k: [sf.ted_score for sf in v] for k, v in results.items()}
+        series = {k: v.ted for k, v in results.items()}
         with pytest.raises(ComputeError, match="label"):
             summarize(records, series)
 

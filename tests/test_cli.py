@@ -1,8 +1,13 @@
+import csv
+import dataclasses
 import json
 
 import pytest
 
 from ted.cli import main
+from ted.engine import score_sequence
+from ted.ingestion import load_dataset, load_manifest
+from ted.model import FEATURE_SETS, PAIN_PROFILE, TedConfig
 from ted.synthetic import make_separable_dataset, write_dataset
 
 
@@ -51,6 +56,40 @@ class TestScore:
         meta_b.pop("timestamp")
         assert meta_a == meta_b
 
+    def test_scores_csv_rows_match_score_sequence(self, tmp_path):
+        records = make_separable_dataset(n_subjects=2, n_sequences=2, n_frames=15, seed=3)
+        frames = records[1].frames
+        frames[6] = dataclasses.replace(frames[6], tracking_ok=False)
+        manifest = write_dataset(records, tmp_path / "ds")
+        code, out = run(manifest, tmp_path, "score", "--feature-sets", "L,I")
+        assert code == 0
+
+        loaded, _ = load_dataset(
+            load_manifest(manifest), au_source="manual", profile=PAIN_PROFILE
+        )
+        cfg = TedConfig(feature_sets=frozenset({"L", "I"}))
+        fmt = lambda x: format(x, ".17g")
+        expected = []
+        for rec in sorted(loaded, key=lambda r: r.key):
+            for sf in score_sequence(rec, cfg):
+                expected.append(
+                    [rec.subject_id, rec.sequence_id, str(sf.frame_index), fmt(sf.static_score)]
+                    + [fmt(sf.dynamics[fs]) for fs in FEATURE_SETS]
+                    + [fmt(sf.ted_score), str(int(sf.tracking_ok))]
+                )
+        with open(out / "scores.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["subject", "sequence", "frame", "S"] + [
+            f"M_{fs}" for fs in FEATURE_SETS
+        ] + ["ted_score", "tracking_ok"]
+        assert rows[1:] == expected
+        # one failed-tracking frame; no dynamics at frame 1 or for Ho..Gr
+        assert sum(row[-1] == "0" for row in rows[1:]) == 1
+        first_frames = [row for row in rows[1:] if row[2] == "1"]
+        assert len(first_frames) == 4
+        assert all(row[4:10] == ["0"] * 6 for row in first_frames)
+        assert all(row[5:9] == ["0"] * 4 for row in rows[1:])
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, dataset, tmp_path):
@@ -86,6 +125,22 @@ class TestExitCodes:
         schema.write_text("{\"frame\": \"frame\"}", encoding="utf-8")
         code, _ = run(dataset, tmp_path, "score", "--schema", str(schema))
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["evaluate", "interpret"])
+    @pytest.mark.parametrize("delta", [-5, 5])
+    def test_pspi_length_mismatch_is_3(self, tmp_path, capsys, command, delta):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        pspi = manifest.parent / "P001_01_pspi.csv"
+        lines = pspi.read_text(encoding="utf-8").splitlines()
+        lines = lines[:delta] if delta < 0 else lines + lines[1 : 1 + delta]
+        pspi.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        extra = ("--trees", "3") if command == "interpret" else ()
+        code, _ = run(manifest, tmp_path, command, *extra)
+        assert code == 3
+        message = capsys.readouterr().err
+        assert "P001_01_pspi.csv" in message
+        assert f"{40 + delta} PSPI values for 40 frames" in message
 
     def test_compute_error_is_4(self, dataset, tmp_path):
         # external predictions referencing frames outside the dataset

@@ -16,7 +16,6 @@ from ted.engine import (
     DynamicsState,
     SequenceDynamics,
     direction_sign,
-    read_scores_csv,
     relative_change,
     score_dataset,
     score_sequence,
@@ -309,36 +308,8 @@ class TestScoreDataset:
         assert len(failures) == 1
         assert failures[0][0] == ("S2", "01")
 
-    def test_parallel_matches_serial(self):
-        records = [
-            make_random_sequence(40, seed=s, subject=f"S{s}") for s in range(6)
-        ]
-        cfg = TedConfig(window=8)
-        serial, _ = score_dataset(records, cfg, jobs=1)
-        parallel, _ = score_dataset(records, cfg, jobs=4)
-        assert serial.keys() == parallel.keys()
-        for key in serial:
-            assert [sf.ted_score for sf in serial[key]] == [
-                sf.ted_score for sf in parallel[key]
-            ]
-
 
 class TestScoresCsv:
-    def test_round_trip(self, tmp_path):
-        records = [make_random_sequence(15, seed=s, subject=f"S{s}") for s in range(3)]
-        results, _ = score_dataset(records, TedConfig(window=4))
-        path = tmp_path / "scores.csv"
-        write_scores_csv(results, path)
-        loaded = read_scores_csv(path)
-        assert loaded.keys() == results.keys()
-        for key in results:
-            for orig, back in zip(results[key], loaded[key]):
-                assert back.frame_index == orig.frame_index
-                assert back.static_score == orig.static_score
-                assert back.ted_score == orig.ted_score
-                assert back.dynamics == dict(orig.dynamics)
-                assert back.tracking_ok == orig.tracking_ok
-
     def test_rewrite_is_byte_identical(self, tmp_path):
         records = [make_random_sequence(10, seed=2)]
         results, _ = score_dataset(records, TedConfig(window=3))

@@ -1,15 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
-from ted.errors import ComputeError, ParseError
-from ted.forest import (
-    ForestHyperparams,
-    MODEL_FORMAT_VERSION,
-    RandomForest,
-    TreeNode,
-)
+from ted.errors import ComputeError
+from ted.forest import ForestHyperparams, RandomForest, TreeNode
 
 
 def xor_like_data(n=200, seed=0):
@@ -51,13 +44,13 @@ class TestFit:
         X, y = xor_like_data()
         a = RandomForest(ForestHyperparams(n_trees=10), seed=3).fit(X, y)
         b = RandomForest(ForestHyperparams(n_trees=10), seed=3).fit(X, y)
-        assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
+        assert a.trees == b.trees
 
     def test_different_seed_changes_trees(self):
         X, y = xor_like_data()
         a = RandomForest(ForestHyperparams(n_trees=10), seed=3).fit(X, y)
         b = RandomForest(ForestHyperparams(n_trees=10), seed=4).fit(X, y)
-        assert [t.to_dict() for t in a.trees] != [t.to_dict() for t in b.trees]
+        assert a.trees != b.trees
 
     def test_max_depth_limits_tree(self):
         X, y = xor_like_data()
@@ -115,31 +108,3 @@ class TestVoting:
         forest.trees = [TreeNode(counts=(3, 3))]
         assert forest.predict_confidence([0.0]) == 1.0
 
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        X, y = xor_like_data()
-        forest = RandomForest(ForestHyperparams(n_trees=6, max_depth=4), seed=5)
-        forest.fit(X, y)
-        path = tmp_path / "model.json"
-        forest.save(path)
-        loaded = RandomForest.load(path)
-        assert loaded.hyperparams == forest.hyperparams
-        assert loaded.seed == forest.seed
-        assert np.array_equal(
-            loaded.predict_confidences(X), forest.predict_confidences(X)
-        )
-
-    def test_unknown_format_version_rejected(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({"format_version": MODEL_FORMAT_VERSION + 1}))
-        with pytest.raises(ParseError, match="format version"):
-            RandomForest.load(path)
-
-    def test_saved_model_is_stable_bytes(self, tmp_path):
-        X, y = xor_like_data()
-        forest = RandomForest(ForestHyperparams(n_trees=4), seed=1).fit(X, y)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        forest.save(a)
-        forest.save(b)
-        assert a.read_bytes() == b.read_bytes()
