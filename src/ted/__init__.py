@@ -8,6 +8,7 @@ from .model import (
     BUILTIN_PROFILES,
     DatasetManifest,
     Finding,
+    FrameColumns,
     FrameFeatures,
     HAPPY_PROFILE,
     ManifestEntry,

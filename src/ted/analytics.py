@@ -91,45 +91,36 @@ def evaluate_subject(subject_id: str, ted, pspi) -> SubjectCorrelation:
     )
 
 
-def _subject_series(
+def _subject_correlations(
     records: Sequence[SequenceRecord],
     dynamics: dict[tuple[str, str], SequenceDynamics],
     window: int,
     orientation: str,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per subject: aligned (ted, pspi) frame series in (sequence, frame) order.
+) -> list[SubjectCorrelation]:
+    """Score-vs-PSPI correlation per subject, in subject order.
 
-    Frames whose tracking failed are excluded from the correlation.
+    Each subject's frames are taken in (sequence, frame) order; frames whose
+    tracking failed are excluded from the correlation.
     """
     parts: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for rec in sorted(records, key=lambda r: r.key):
-        if rec.pspi is None:
-            raise ComputeError(f"sequence {rec.key} has no PSPI labels")
+        pspi = rec.pspi_array()
         dyn = dynamics[rec.key]
         ok = dyn.tracking_ok
-        if len(rec.pspi) != ok.size:
-            raise ComputeError(
-                f"sequence {rec.key} has {len(rec.pspi)} PSPI labels "
-                f"for {ok.size} frames"
-            )
         ts, ps = parts.setdefault(rec.subject_id, ([], []))
         ts.append(dyn.ted_scores(window, orientation)[ok])
-        ps.append(np.asarray(rec.pspi, dtype=float)[ok])
-    return {
-        subject: (np.concatenate(ts), np.concatenate(ps))
-        for subject, (ts, ps) in parts.items()
-    }
+        ps.append(pspi[ok])
+    return [
+        evaluate_subject(subject, np.concatenate(ts), np.concatenate(ps))
+        for subject, (ts, ps) in sorted(parts.items())
+    ]
 
 
 def evaluate_dataset(
     records: Sequence[SequenceRecord], cfg: TedConfig
 ) -> list[SubjectCorrelation]:
     dynamics = {rec.key: SequenceDynamics(rec, cfg) for rec in records}
-    series = _subject_series(records, dynamics, cfg.window, cfg.window_orientation)
-    return [
-        evaluate_subject(subject, ted, pspi)
-        for subject, (ted, pspi) in sorted(series.items())
-    ]
+    return _subject_correlations(records, dynamics, cfg.window, cfg.window_orientation)
 
 
 @dataclass(frozen=True)
@@ -188,10 +179,8 @@ def window_ablation(
     dynamics = {rec.key: SequenceDynamics(rec, cfg) for rec in records}
     results = []
     for window in sorted(set(windows)):
-        series = _subject_series(records, dynamics, window, cfg.window_orientation)
         subjects = tuple(
-            evaluate_subject(subject, ted, pspi)
-            for subject, (ted, pspi) in sorted(series.items())
+            _subject_correlations(records, dynamics, window, cfg.window_orientation)
         )
         pccs = np.array([s.pcc for s in subjects])
         results.append(

@@ -153,20 +153,11 @@ def _resolve_profile(name: str, records) -> AuProfile:
     return AuProfile("custom", au_ids)
 
 
-def _profile_for_loading(args):
-    # Named profiles are resolvable before the dataset is read; 'overall'
-    # and manual merging then need the loaded records.
-    if args.profile in BUILTIN_PROFILES:
-        return BUILTIN_PROFILES[args.profile]
-    if args.profile == "overall":
-        return None
-    return _resolve_profile(args.profile, [])
-
-
 def _load(args):
     schema = FeatureCsvSchema.from_json(args.schema) if args.schema else None
     manifest = load_manifest(args.manifest)
-    profile = _profile_for_loading(args)
+    # every profile but 'overall' resolves before the dataset is read
+    profile = None if args.profile == "overall" else _resolve_profile(args.profile, [])
     if args.au_source == "manual" and profile is None:
         raise ConfigError("the overall profile requires --au-source predicted")
     records, findings = load_dataset(
@@ -222,9 +213,7 @@ def _write_metadata(args, cfg: TedConfig, out_dir: Path, extra: dict) -> None:
         "input_digests": digests,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(out_dir / "run_metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(metadata, out_dir / "run_metadata.json")
 
 
 def _dump_json(payload: dict, path: Path) -> None:

@@ -21,7 +21,6 @@ from .errors import ComputeError
 from .model import (
     FEATURE_SETS,
     AuProfile,
-    FrameFeatures,
     ScoredFrame,
     SequenceRecord,
     TedConfig,
@@ -119,30 +118,6 @@ class DynamicsState:
         return sum(buf) / len(buf)
 
 
-def _feature_matrix(frames: Sequence[FrameFeatures], fs: str, profile: AuProfile) -> np.ndarray:
-    if fs == "L":
-        pts = np.asarray([f.landmarks for f in frames], dtype=float)
-        if pts.ndim != 3:
-            raise ComputeError(
-                "landmark streams must be non-empty and constant-length"
-            )
-        # all x coordinates, then all y coordinates
-        return np.concatenate([pts[:, :, 0], pts[:, :, 1]], axis=1)
-    if fs == "Ho":
-        return np.asarray([f.head_translation for f in frames], dtype=float)
-    if fs == "Hr":
-        return np.asarray([f.head_rotation for f in frames], dtype=float)
-    if fs == "Gl":
-        return np.asarray([f.gaze_left for f in frames], dtype=float)
-    if fs == "Gr":
-        return np.asarray([f.gaze_right for f in frames], dtype=float)
-    if fs == "I":
-        return np.asarray(
-            [[f.au_level(au) for au in profile.au_ids] for f in frames], dtype=float
-        )
-    raise ComputeError(f"unknown feature set {fs!r}")
-
-
 def _trailing_means(products: np.ndarray, window: int) -> np.ndarray:
     """M per frame (length len(products)+1, index 0 is the reference frame)."""
     m = products.size
@@ -201,35 +176,35 @@ class SequenceDynamics:
     """
 
     def __init__(self, seq: SequenceRecord, cfg: TedConfig):
-        frames = seq.frames
-        if not frames:
+        cols = seq.frames
+        if not len(cols):
             raise ComputeError(f"sequence {seq.key} has no frames")
-        self.frame_indices = np.array([f.frame_index for f in frames])
-        self.tracking_ok = np.array([f.tracking_ok for f in frames], dtype=bool)
+        self.frame_indices = cols.frame_index
+        self.tracking_ok = cols.tracking_ok
         self.enabled = sorted(cfg.feature_sets, key=FEATURE_SETS.index)
 
-        levels = _feature_matrix(frames, "I", cfg.profile)
+        levels = cols.stream("I", cfg.profile.au_ids)
         bad = (levels < 0.0) | (levels > 5.0) | ~np.isfinite(levels)
         if bad.any():
-            frame = frames[int(np.argwhere(bad)[0][0])].frame_index
+            frame = cols.frame_index[np.argwhere(bad)[0][0]]
             raise ComputeError(f"AU level outside [0, 5] at frame {frame}")
         self.static = _static_scores(levels)
 
         # Failed-tracking frames reuse the last valid frame's features for
         # dynamics so tracker garbage cannot spike the change measure.
-        positions = np.arange(len(frames))
+        positions = np.arange(len(cols))
         eff = np.maximum.accumulate(np.where(self.tracking_ok, positions, 0))
 
         self.products: dict[str, np.ndarray] = {}
         for fs in self.enabled:
-            mat = _feature_matrix(frames, fs, cfg.profile)[eff]
+            mat = cols.stream(fs, cfg.profile.au_ids)[eff]
             if mat.shape[1] < 2:
                 raise ComputeError(
                     f"feature set {fs} has {mat.shape[1]} component(s); "
                     "relative change needs at least 2"
                 )
             if not np.isfinite(mat).all():
-                frame = frames[int(np.argwhere(~np.isfinite(mat))[0][0])].frame_index
+                frame = cols.frame_index[np.argwhere(~np.isfinite(mat))[0][0]]
                 raise ComputeError(f"non-finite {fs} feature at frame {frame}")
             self.products[fs] = _direction_signs(mat) * _relative_changes(mat)
 

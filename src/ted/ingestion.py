@@ -10,16 +10,17 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .errors import ManifestError, ParseError, SchemaError
+import numpy as np
+
+from .errors import ConfigError, ManifestError, ParseError, SchemaError
 from .model import (
-    AuIntensity,
     AuProfile,
     DatasetManifest,
-    FrameFeatures,
+    FrameColumns,
     GENDERS,
     ManifestEntry,
     SequenceLabels,
@@ -29,9 +30,6 @@ from .model import (
 
 _AU_COLUMN = re.compile(r"^AU(\d+)_r$")
 _LETTER_LEVELS = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0, "E": 5.0}
-
-# AUs whose intensity maps directly onto PSPI, plus binary eye closure.
-_PSPI_AUS = (4, 6, 7, 9, 10, 43)
 
 
 @dataclass(frozen=True)
@@ -94,18 +92,8 @@ class FeatureCsvSchema:
             raise SchemaError(f"schema file {path} missing key {exc}") from None
 
 
-def _cell(row: Mapping[str, str], column: str, line: int, path) -> float:
-    raw = row[column].strip()
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(
-            f"{path}: non-numeric value {raw!r} in column {column!r}, line {line}"
-        ) from None
-
-
-def parse_feature_csv(path, schema: Optional[FeatureCsvSchema] = None) -> list[FrameFeatures]:
-    """Parse one tracker-export CSV into per-frame features, in file order."""
+def parse_feature_csv(path, schema: Optional[FeatureCsvSchema] = None) -> FrameColumns:
+    """Parse one tracker-export CSV into frame columns, in file order."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -114,52 +102,74 @@ def parse_feature_csv(path, schema: Optional[FeatureCsvSchema] = None) -> list[F
             raise ParseError(f"{path}: empty file") from None
         if schema is None:
             schema = FeatureCsvSchema.infer(header)
-        for column in schema.bound_columns():
+        bound = schema.bound_columns()
+        for column in bound:
             count = header.count(column)
             if count == 0:
                 raise SchemaError(f"{path}: missing bound column {column!r}")
             if count > 1:
                 raise SchemaError(f"{path}: column {column!r} appears {count} times")
-        index = {name: i for i, name in enumerate(header)}
+        cols = [header.index(column) for column in bound]
 
-        frames: list[FrameFeatures] = []
+        rows: list[list[float]] = []
         for line, cells in enumerate(reader, start=2):
-            row = {name: cells[i] for name, i in index.items()}
-
-            def num(column: str) -> float:
-                return _cell(row, column, line, path)
-
-            def vec3(columns) -> tuple[float, float, float]:
-                return (num(columns[0]), num(columns[1]), num(columns[2]))
-
-            landmarks = tuple(
-                (num(xc), num(yc))
-                for xc, yc in zip(schema.landmark_x, schema.landmark_y)
-            )
-            aus = {
-                au: AuIntensity(au, min(5.0, max(0.0, num(col))))
-                for au, col in schema.au_intensity.items()
-            }
-            frames.append(
-                FrameFeatures(
-                    frame_index=int(num(schema.frame)),
-                    landmarks=landmarks,
-                    head_translation=vec3(schema.pose_translation),
-                    head_rotation=vec3(schema.pose_rotation),
-                    gaze_left=vec3(schema.gaze_left),
-                    gaze_right=vec3(schema.gaze_right),
-                    au_intensities=aus,
-                    tracking_ok=num(schema.success) != 0.0,
+            if len(cells) < len(header):
+                raise ParseError(
+                    f"{path}: line {line} has {len(cells)} cells, "
+                    f"the header has {len(header)}"
                 )
-            )
-    if not frames:
+            try:
+                rows.append([float(cells[i]) for i in cols])
+            except ValueError:
+                for column, i in zip(bound, cols):
+                    raw = cells[i].strip()
+                    try:
+                        float(raw)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric value {raw!r} in column {column!r}, "
+                            f"line {line}"
+                        ) from None
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    return frames
+
+    values = np.array(rows)
+    position = {column: j for j, column in enumerate(bound)}
+
+    def block(columns: Sequence[str]) -> np.ndarray:
+        return values[:, [position[c] for c in columns]]
+
+    frame = values[:, position[schema.frame]]
+    bad = np.flatnonzero(~(np.abs(frame) < 2.0**63))
+    if bad.size:
+        raise ParseError(
+            f"{path}: frame number {frame[bad[0]]} in column {schema.frame!r}, "
+            f"line {bad[0] + 2} is not finite"
+        )
+    # a schema's x column without a y partner (or the reverse) is not read
+    n_landmarks = min(len(schema.landmark_x), len(schema.landmark_y))
+    au_ids = tuple(sorted(schema.au_intensity))
+    levels = block([schema.au_intensity[au] for au in au_ids])
+    return FrameColumns(
+        frame_index=frame.astype(np.int64),
+        tracking_ok=values[:, position[schema.success]] != 0.0,
+        landmarks=np.stack(
+            [block(schema.landmark_x[:n_landmarks]), block(schema.landmark_y[:n_landmarks])],
+            axis=2,
+        ),
+        head_translation=block(schema.pose_translation),
+        head_rotation=block(schema.pose_rotation),
+        gaze_left=block(schema.gaze_left),
+        gaze_right=block(schema.gaze_right),
+        au_ids=au_ids,
+        # predicted levels clamp into [0, 5]; NaN reads 0, as max(0.0, nan) does
+        au_levels=np.where(levels > 0.0, np.minimum(levels, 5.0), 0.0),
+    )
 
 
-def parse_manual_au_file(path) -> dict[int, dict[int, AuIntensity]]:
+def parse_manual_au_file(path) -> dict[int, dict[int, float]]:
     """Parse frame,au,level rows; letter grades A-E map to 1-5."""
-    table: dict[int, dict[int, AuIntensity]] = {}
+    table: dict[int, dict[int, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -173,6 +183,8 @@ def parse_manual_au_file(path) -> dict[int, dict[int, AuIntensity]]:
                 au_id = int(row["au"])
             except (TypeError, ValueError):
                 raise ParseError(f"{path}: bad frame/au on line {line}") from None
+            if not 1 <= au_id <= 64:
+                raise ConfigError(f"au_id {au_id} outside FACS range 1..64")
             raw = (row["level"] or "").strip().upper()
             if raw in _LETTER_LEVELS:
                 level = _LETTER_LEVELS[raw]
@@ -192,44 +204,35 @@ def parse_manual_au_file(path) -> dict[int, dict[int, AuIntensity]]:
                 raise ParseError(
                     f"{path}: duplicate entry for frame {frame}, AU {au_id}"
                 )
-            per_frame[au_id] = AuIntensity(au_id, level)
+            per_frame[au_id] = level
     return table
 
 
 def merge_au_source(
-    frames: Sequence[FrameFeatures],
-    manual: Mapping[int, Mapping[int, AuIntensity]],
+    frames: FrameColumns,
+    manual: Mapping[int, Mapping[int, float]],
     mode: str,
     profile: AuProfile,
-) -> list[FrameFeatures]:
-    """Substitute manually coded intensities for the profile AUs (manual mode)."""
+) -> FrameColumns:
+    """Substitute manually coded intensities for the profile AUs (manual mode).
+
+    A profile AU without a coding on some frame reads 0 there; AUs outside
+    the profile keep their predicted levels.
+    """
     if mode == "predicted":
-        return list(frames)
+        return frames
     if mode != "manual":
         raise ParseError(f"unknown AU source {mode!r}")
-    merged = []
-    for frame in frames:
-        if frame.frame_index not in manual:
-            raise ParseError(
-                f"manual coding does not cover frame {frame.frame_index}"
-            )
-        coded = manual[frame.frame_index]
-        aus = dict(frame.au_intensities)
-        for au in profile.au_ids:
-            aus[au] = coded.get(au, AuIntensity(au, 0.0))
-        merged.append(
-            FrameFeatures(
-                frame_index=frame.frame_index,
-                landmarks=frame.landmarks,
-                head_translation=frame.head_translation,
-                head_rotation=frame.head_rotation,
-                gaze_left=frame.gaze_left,
-                gaze_right=frame.gaze_right,
-                au_intensities=aus,
-                tracking_ok=frame.tracking_ok,
-            )
-        )
-    return merged
+    try:
+        coded = [manual[frame] for frame in frames.frame_index.tolist()]
+    except KeyError as exc:
+        raise ParseError(f"manual coding does not cover frame {exc.args[0]}") from None
+    au_ids = tuple(sorted(set(frames.au_ids) | set(profile.au_ids)))
+    levels = frames.stream("I", au_ids)
+    levels[:, [au_ids.index(au) for au in profile.au_ids]] = np.array(
+        [[coding.get(au, 0.0) for au in profile.au_ids] for coding in coded]
+    ).reshape(len(frames), len(profile))
+    return replace(frames, au_ids=au_ids, au_levels=levels)
 
 
 def parse_pspi_file(path) -> list[float]:
@@ -253,20 +256,6 @@ def parse_pspi_file(path) -> list[float]:
             )
         values.append(value)
     return values
-
-
-def compute_pspi(frame: FrameFeatures) -> float:
-    """Prkachin-Solomon pain intensity from a frame's AU intensities."""
-    for au in _PSPI_AUS:
-        if au not in frame.au_intensities:
-            raise ParseError(f"frame {frame.frame_index}: missing AU {au} for PSPI")
-    au43 = 1.0 if frame.au_level(43) > 0 else 0.0
-    return (
-        frame.au_level(4)
-        + max(frame.au_level(6), frame.au_level(7))
-        + max(frame.au_level(9), frame.au_level(10))
-        + au43
-    )
 
 
 def load_manifest(path) -> DatasetManifest:

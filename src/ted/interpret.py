@@ -9,7 +9,7 @@ confidence should rise and fall with the expressiveness score.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -49,10 +49,9 @@ class Prediction:
 class FrameTable:
     """Feature matrix of profile AU intensities plus pain labels per frame."""
 
-    keys: list[FrameKey]
+    keys: list[FrameKey]  # (subject, sequence, frame) per row
     X: np.ndarray
     y: np.ndarray  # 1 = pain
-    subjects: list[str]
 
 
 def build_frame_table(
@@ -61,25 +60,19 @@ def build_frame_table(
     pspi_threshold: float = 0.0,
 ) -> FrameTable:
     """Label each frame pain iff its PSPI exceeds the threshold."""
-    keys: list[FrameKey] = []
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    subjects: list[str] = []
-    for rec in sorted(records, key=lambda r: r.key):
-        if rec.pspi is None:
-            raise ComputeError(f"sequence {rec.key} has no PSPI labels")
-        for frame, pspi in zip(rec.frames, rec.pspi):
-            keys.append((rec.subject_id, rec.sequence_id, frame.frame_index))
-            rows.append([frame.au_level(au) for au in profile.au_ids])
-            labels.append(1 if pspi > pspi_threshold else 0)
-            subjects.append(rec.subject_id)
+    records = sorted(records, key=lambda r: r.key)
+    pspi = [rec.pspi_array() for rec in records]
+    keys: list[FrameKey] = [
+        (rec.subject_id, rec.sequence_id, frame)
+        for rec in records
+        for frame in rec.frames.frame_index.tolist()
+    ]
     if not keys:
         raise ComputeError("no labeled frames")
     return FrameTable(
         keys=keys,
-        X=np.asarray(rows, dtype=float),
-        y=np.asarray(labels, dtype=int),
-        subjects=subjects,
+        X=np.concatenate([rec.frames.stream("I", profile.au_ids) for rec in records]),
+        y=(np.concatenate(pspi) > pspi_threshold).astype(int),
     )
 
 
@@ -98,7 +91,6 @@ class LosoResult:
     per_subject_f1: dict[str, float]
     mean_f1: float
     predictions: list[Prediction]
-    findings: list[str] = field(default_factory=list)
 
 
 def loso_validate(
@@ -107,18 +99,14 @@ def loso_validate(
     seed: int = 0,
 ) -> LosoResult:
     """Hold out each subject in turn, training on all others."""
-    subjects = sorted(set(table.subjects))
+    subject_arr = np.array([key[0] for key in table.keys])
+    subjects = sorted(set(subject_arr.tolist()))
     if len(subjects) < 2:
         raise ComputeError("leave-one-subject-out needs at least 2 subjects")
-    subject_arr = np.array(table.subjects)
     per_subject_f1: dict[str, float] = {}
     predictions: list[Prediction] = []
-    findings: list[str] = []
     for subject in subjects:
         held = subject_arr == subject
-        if not held.any():
-            findings.append(f"subject {subject} has no frames; skipped")
-            continue
         forest = RandomForest(hyperparams=hyperparams, seed=seed)
         forest.fit(table.X[~held], table.y[~held])
         conf = forest.predict_confidences(table.X[held])
@@ -139,7 +127,6 @@ def loso_validate(
         per_subject_f1=per_subject_f1,
         mean_f1=mean_f1,
         predictions=predictions,
-        findings=findings,
     )
 
 
@@ -294,7 +281,7 @@ def interpret_dataset(
         predictions = loso.predictions
         per_subject_f1 = loso.per_subject_f1
         mean_f1 = loso.mean_f1
-        findings = list(loso.findings)
+        findings = []
 
     agreement = agreement_analysis(predictions, ted_by_key, thresholds)
     buckets = scenario_partition(predictions)

@@ -1,4 +1,4 @@
-"""Shared domain types: frame features, profiles, configs, scored frames.
+"""Shared domain types: frame columns, profiles, configs, scored frames.
 
 All types are immutable (or treated as such) after construction and carry
 their own invariant checks. No I/O and no scoring logic lives here.
@@ -6,18 +6,27 @@ their own invariant checks. No I/O and no scoring logic lives here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ComputeError, ConfigError
 
 # Canonical ordering of the six per-frame feature streams: landmarks, head
 # translation, head rotation, left gaze, right gaze, action-unit intensities.
 FEATURE_SETS = ("L", "Ho", "Hr", "Gl", "Gr", "I")
 
 GENDERS = ("male", "female", "unspecified")
+
+# The 3-vector feature sets and the FrameColumns fields that hold them.
+_VECTOR_FIELDS = {
+    "Ho": "head_translation",
+    "Hr": "head_rotation",
+    "Gl": "gaze_left",
+    "Gr": "gaze_right",
+}
 
 
 @dataclass(frozen=True)
@@ -64,10 +73,7 @@ BUILTIN_PROFILES = {
 
 def overall_profile(records: Sequence["SequenceRecord"]) -> AuProfile:
     """Profile covering every action unit present anywhere in the input."""
-    ids: set[int] = set()
-    for rec in records:
-        for frame in rec.frames:
-            ids.update(frame.au_intensities)
+    ids = {au for rec in records for au in rec.frames.au_ids}
     if not ids:
         raise ConfigError("input carries no action-unit intensities")
     return AuProfile("overall", tuple(sorted(ids)))
@@ -89,6 +95,84 @@ class FrameFeatures:
     def au_level(self, au_id: int) -> float:
         au = self.au_intensities.get(au_id)
         return au.level if au is not None else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class FrameColumns:
+    """A sequence's frames as aligned columns; row t holds frame t."""
+
+    frame_index: np.ndarray  # (n,) int
+    tracking_ok: np.ndarray  # (n,) bool
+    landmarks: np.ndarray  # (n, k, 2) x, y
+    head_translation: np.ndarray  # (n, 3)
+    head_rotation: np.ndarray  # (n, 3)
+    gaze_left: np.ndarray  # (n, 3)
+    gaze_right: np.ndarray  # (n, 3)
+    au_ids: tuple[int, ...]
+    au_levels: np.ndarray  # (n, m); column j is action unit au_ids[j]
+
+    def __post_init__(self):
+        for au in self.au_ids:
+            if not 1 <= au <= 64:
+                raise ConfigError(f"au_id {au} outside FACS range 1..64")
+
+    @classmethod
+    def from_frames(cls, frames: Sequence[FrameFeatures]) -> "FrameColumns":
+        """Columns of per-frame objects; an AU missing from a frame reads 0."""
+        n = len(frames)
+        sizes = {len(f.landmarks) for f in frames}
+        if len(sizes) > 1:
+            raise ComputeError(
+                f"landmark streams must be constant-length, got lengths {sorted(sizes)}"
+            )
+        au_ids = tuple(sorted({au for f in frames for au in f.au_intensities}))
+        return cls(
+            frame_index=np.array([f.frame_index for f in frames], dtype=np.int64),
+            tracking_ok=np.array([f.tracking_ok for f in frames], dtype=bool),
+            landmarks=np.array([f.landmarks for f in frames], dtype=float).reshape(
+                n, sizes.pop() if sizes else 0, 2
+            ),
+            au_ids=au_ids,
+            au_levels=np.array(
+                [[f.au_level(au) for au in au_ids] for f in frames], dtype=float
+            ).reshape(n, len(au_ids)),
+            **{
+                name: np.array([getattr(f, name) for f in frames], dtype=float).reshape(n, 3)
+                for name in _VECTOR_FIELDS.values()
+            },
+        )
+
+    def __len__(self) -> int:
+        return self.frame_index.size
+
+    def __getitem__(self, i: int) -> FrameFeatures:
+        """Frame i as one FrameFeatures, for per-frame reference code."""
+        i = range(len(self))[i]
+        return FrameFeatures(
+            frame_index=int(self.frame_index[i]),
+            landmarks=tuple(map(tuple, self.landmarks[i].tolist())),
+            au_intensities={
+                au: AuIntensity(au, level)
+                for au, level in zip(self.au_ids, self.au_levels[i].tolist())
+            },
+            tracking_ok=bool(self.tracking_ok[i]),
+            **{name: tuple(getattr(self, name)[i].tolist()) for name in _VECTOR_FIELDS.values()},
+        )
+
+    def stream(self, fs: str, au_ids: Sequence[int] = ()) -> np.ndarray:
+        """(n, d) matrix of one feature set; may be a view of the columns.
+
+        Landmarks give all x coordinates, then all y coordinates. The `I`
+        stream has one column per entry of `au_ids`, with absent AUs at 0.
+        """
+        if fs == "L":
+            return np.concatenate([self.landmarks[:, :, 0], self.landmarks[:, :, 1]], axis=1)
+        if fs == "I":
+            padded = np.concatenate([self.au_levels, np.zeros((len(self), 1))], axis=1)
+            return padded[:, [self.au_ids.index(au) if au in self.au_ids else -1 for au in au_ids]]
+        if fs not in _VECTOR_FIELDS:
+            raise ComputeError(f"unknown feature set {fs!r}")
+        return getattr(self, _VECTOR_FIELDS[fs])
 
 
 @dataclass(frozen=True)
@@ -165,18 +249,36 @@ class SequenceLabels:
 
 @dataclass
 class SequenceRecord:
-    """One video sequence: ordered frames plus optional labels."""
+    """One video sequence: ordered frames plus optional labels.
+
+    A list of FrameFeatures passed as `frames` is converted to columns.
+    """
 
     subject_id: str
     sequence_id: str
-    frames: list[FrameFeatures]
+    frames: FrameColumns
     pspi: Optional[list[float]] = None
     labels: Optional[SequenceLabels] = None
     gender: str = "unspecified"
 
+    def __post_init__(self):
+        if not isinstance(self.frames, FrameColumns):
+            self.frames = FrameColumns.from_frames(self.frames)
+
     @property
     def key(self) -> tuple[str, str]:
         return (self.subject_id, self.sequence_id)
+
+    def pspi_array(self) -> np.ndarray:
+        """PSPI labels aligned with the frames."""
+        if self.pspi is None:
+            raise ComputeError(f"sequence {self.key} has no PSPI labels")
+        if len(self.pspi) != len(self.frames):
+            raise ComputeError(
+                f"sequence {self.key} has {len(self.pspi)} PSPI labels "
+                f"for {len(self.frames)} frames"
+            )
+        return np.asarray(self.pspi, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -215,54 +317,36 @@ class Finding:
         return f"{self.field}{where}: {self.message}"
 
 
-def _finite(values) -> bool:
-    return all(math.isfinite(v) for v in values)
-
-
 def validate_sequence(seq: SequenceRecord) -> list[Finding]:
     """Check all sequence invariants; returns an empty list iff they hold."""
-    findings: list[Finding] = []
-    if not seq.frames:
-        findings.append(Finding("frames", "sequence has no frames"))
-        return findings
+    cols = seq.frames
+    n = len(cols)
+    if not n:
+        return [Finding("frames", "sequence has no frames")]
 
-    n_landmarks = len(seq.frames[0].landmarks)
-    prev_index = None
-    for frame in seq.frames:
-        idx = frame.frame_index
-        if prev_index is not None and idx <= prev_index:
-            findings.append(
-                Finding("frame_index", f"not strictly increasing after {prev_index}", idx)
-            )
-        prev_index = idx
-        if len(frame.landmarks) != n_landmarks:
-            findings.append(
-                Finding(
-                    "landmarks",
-                    f"length {len(frame.landmarks)} != {n_landmarks} of frame "
-                    f"{seq.frames[0].frame_index}",
-                    idx,
-                )
-            )
-        if frame.tracking_ok:
-            flat = [c for point in frame.landmarks for c in point]
-            flat += list(frame.head_translation) + list(frame.head_rotation)
-            flat += list(frame.gaze_left) + list(frame.gaze_right)
-            flat += [au.level for au in frame.au_intensities.values()]
-            if not _finite(flat):
-                findings.append(Finding("features", "non-finite value", idx))
+    idx = cols.frame_index.tolist()
+    steps_back = cols.frame_index[1:] <= cols.frame_index[:-1]
+    per_frame = [
+        (p + 1, Finding("frame_index", f"not strictly increasing after {idx[p]}", idx[p + 1]))
+        for p in np.flatnonzero(steps_back).tolist()
+    ]
+    finite = np.ones(n, dtype=bool)
+    for values in (cols.landmarks, cols.au_levels, *map(cols.stream, _VECTOR_FIELDS)):
+        finite &= np.isfinite(values.reshape(n, -1)).all(axis=1)
+    per_frame += [
+        (p, Finding("features", "non-finite value", idx[p]))
+        for p in np.flatnonzero(cols.tracking_ok & ~finite).tolist()
+    ]
+    findings = [f for _, f in sorted(per_frame, key=lambda pf: pf[0])]
 
     if seq.pspi is not None:
-        if len(seq.pspi) != len(seq.frames):
+        if len(seq.pspi) != n:
             findings.append(
-                Finding(
-                    "pspi",
-                    f"length {len(seq.pspi)} != frame count {len(seq.frames)}",
-                )
+                Finding("pspi", f"length {len(seq.pspi)} != frame count {n}")
             )
-        for frame, value in zip(seq.frames, seq.pspi):
-            if not (math.isfinite(value) and 0.0 <= value <= 16.0):
-                findings.append(
-                    Finding("pspi", f"value {value} outside [0, 16]", frame.frame_index)
-                )
+        pspi = np.asarray(seq.pspi, dtype=float)[:n]
+        findings += [
+            Finding("pspi", f"value {seq.pspi[p]} outside [0, 16]", idx[p])
+            for p in np.flatnonzero(~((pspi >= 0.0) & (pspi <= 16.0))).tolist()
+        ]
     return findings

@@ -14,11 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ingestion import manifest_to_json
+from .ingestion import FeatureCsvSchema, manifest_to_json
 from .model import (
-    AuIntensity,
+    FEATURE_SETS,
     DatasetManifest,
-    FrameFeatures,
+    FrameColumns,
     ManifestEntry,
     PAIN_PROFILE,
     SequenceLabels,
@@ -106,33 +106,21 @@ def make_correlated_dataset(
                 0.0,
                 5.0,
             )
-            streams = {
-                "L": _motion_stream(rng, env, 2 * n_landmarks, turbulence=1.0),
-                "Ho": _motion_stream(rng, env, 3, turbulence=1.0),
-                "Hr": _motion_stream(rng, env, 3, turbulence=1.0),
-                "Gl": _motion_stream(rng, env, 3, turbulence=1.0),
-                "Gr": _motion_stream(rng, env, 3, turbulence=1.0),
-            }
-            frames = []
-            for t in range(n_frames):
-                lm = streams["L"][t]
-                frames.append(
-                    FrameFeatures(
-                        frame_index=t + 1,
-                        landmarks=tuple(
-                            (float(lm[i]), float(lm[n_landmarks + i]))
-                            for i in range(n_landmarks)
-                        ),
-                        head_translation=tuple(streams["Ho"][t]),
-                        head_rotation=tuple(streams["Hr"][t]),
-                        gaze_left=tuple(streams["Gl"][t]),
-                        gaze_right=tuple(streams["Gr"][t]),
-                        au_intensities={
-                            au: AuIntensity(au, float(levels[t, j]))
-                            for j, au in enumerate(PAIN_PROFILE.au_ids)
-                        },
-                    )
-                )
+            # the streams draw in FEATURE_SETS order: arguments evaluate left to right
+            landmarks = _motion_stream(rng, env, 2 * n_landmarks, turbulence=1.0)
+            frames = FrameColumns(
+                frame_index=np.arange(1, n_frames + 1),
+                tracking_ok=np.ones(n_frames, dtype=bool),
+                landmarks=np.stack(
+                    [landmarks[:, :n_landmarks], landmarks[:, n_landmarks:]], axis=2
+                ),
+                head_translation=_motion_stream(rng, env, 3, turbulence=1.0),
+                head_rotation=_motion_stream(rng, env, 3, turbulence=1.0),
+                gaze_left=_motion_stream(rng, env, 3, turbulence=1.0),
+                gaze_right=_motion_stream(rng, env, 3, turbulence=1.0),
+                au_ids=PAIN_PROFILE.au_ids,
+                au_levels=levels,
+            )
             peak = float(env.max())
             labels = SequenceLabels(
                 vas=min(10, int(round(peak * 10))),
@@ -161,7 +149,6 @@ def make_separable_dataset(
     """Pain frames are separable on AU4 (level >= 3) with noisy other AUs."""
     rng = np.random.default_rng(seed)
     records = []
-    other_aus = [au for au in PAIN_PROFILE.au_ids if au != 4]
     for s in range(n_subjects):
         subject = f"P{s + 1:03d}"
         for q in range(n_sequences):
@@ -170,23 +157,27 @@ def make_separable_dataset(
                 pain, rng.uniform(3.1, 5.0, n_frames), rng.uniform(0.0, 2.4, n_frames)
             )
             pspi = np.where(pain, rng.uniform(1.0, 12.0, n_frames), 0.0)
-            frames = []
+            levels = np.zeros((n_frames, len(PAIN_PROFILE.au_ids)))
+            levels[:, 0] = au4  # AU 4 leads the sorted profile
+            landmarks = np.empty((n_frames, n_landmarks, 2))
+            vectors = np.empty((4, n_frames, 3))
+            # one frame's draws at a time, in the order that fixes the random stream
             for t in range(n_frames):
-                aus = {4: AuIntensity(4, float(au4[t]))}
-                for au in other_aus:
-                    aus[au] = AuIntensity(au, float(rng.uniform(0.0, 2.0)))
-                lm = rng.normal(0.0, 1.0, (n_landmarks, 2))
-                frames.append(
-                    FrameFeatures(
-                        frame_index=t + 1,
-                        landmarks=tuple((float(x), float(y)) for x, y in lm),
-                        head_translation=tuple(rng.normal(0.0, 1.0, 3)),
-                        head_rotation=tuple(rng.normal(0.0, 0.1, 3)),
-                        gaze_left=tuple(rng.normal(0.0, 0.2, 3)),
-                        gaze_right=tuple(rng.normal(0.0, 0.2, 3)),
-                        au_intensities=aus,
-                    )
-                )
+                levels[t, 1:] = rng.uniform(0.0, 2.0, levels.shape[1] - 1)
+                landmarks[t] = rng.normal(0.0, 1.0, (n_landmarks, 2))
+                for v, scale in enumerate((1.0, 0.1, 0.2, 0.2)):
+                    vectors[v, t] = rng.normal(0.0, scale, 3)
+            frames = FrameColumns(
+                frame_index=np.arange(1, n_frames + 1),
+                tracking_ok=np.ones(n_frames, dtype=bool),
+                landmarks=landmarks,
+                head_translation=vectors[0],
+                head_rotation=vectors[1],
+                gaze_left=vectors[2],
+                gaze_right=vectors[3],
+                au_ids=PAIN_PROFILE.au_ids,
+                au_levels=levels,
+            )
             records.append(
                 SequenceRecord(
                     subject_id=subject,
@@ -211,43 +202,35 @@ def write_dataset(records: Sequence[SequenceRecord], out_dir) -> Path:
     entries = []
     for rec in records:
         stem = f"{rec.subject_id}_{rec.sequence_id}"
-        n_landmarks = len(rec.frames[0].landmarks)
-        au_ids = sorted({au for f in rec.frames for au in f.au_intensities})
+        cols = rec.frames
+        au_ids = sorted(cols.au_ids)
+        levels = cols.stream("I", au_ids)
+        # the default schema's column order: L (x then y), Ho, Hr, Gl, Gr, I
+        values = np.concatenate([cols.stream(fs, au_ids) for fs in FEATURE_SETS], axis=1)
+        frame_index = cols.frame_index.tolist()
 
         feature_file = f"{stem}_features.csv"
         with open(out_dir / feature_file, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            header = ["frame", "success"]
-            header += [f"x_{i}" for i in range(n_landmarks)]
-            header += [f"y_{i}" for i in range(n_landmarks)]
-            header += ["pose_Tx", "pose_Ty", "pose_Tz", "pose_Rx", "pose_Ry", "pose_Rz"]
-            header += ["gaze_0_x", "gaze_0_y", "gaze_0_z"]
-            header += ["gaze_1_x", "gaze_1_y", "gaze_1_z"]
-            header += [f"AU{au:02d}_r" for au in au_ids]
-            writer.writerow(header)
-            for frame in rec.frames:
-                row = [frame.frame_index, int(frame.tracking_ok)]
-                row += [format(p[0], ".17g") for p in frame.landmarks]
-                row += [format(p[1], ".17g") for p in frame.landmarks]
-                for vec in (
-                    frame.head_translation,
-                    frame.head_rotation,
-                    frame.gaze_left,
-                    frame.gaze_right,
-                ):
-                    row += [format(v, ".17g") for v in vec]
-                row += [format(frame.au_level(au), ".17g") for au in au_ids]
-                writer.writerow(row)
+            writer.writerow(
+                FeatureCsvSchema.default(cols.landmarks.shape[1], au_ids).bound_columns()
+            )
+            writer.writerows(
+                [frame, int(ok), *(format(v, ".17g") for v in row)]
+                for frame, ok, row in zip(
+                    frame_index, cols.tracking_ok.tolist(), values.tolist()
+                )
+            )
 
         manual_file = f"{stem}_manual_aus.csv"
         with open(out_dir / manual_file, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["frame", "au", "level"])
-            for frame in rec.frames:
-                for au in au_ids:
-                    writer.writerow(
-                        [frame.frame_index, au, int(round(frame.au_level(au)))]
-                    )
+            writer.writerows(
+                [frame, au, level]
+                for frame, row in zip(frame_index, np.rint(levels).astype(int).tolist())
+                for au, level in zip(au_ids, row)
+            )
 
         pspi_file = None
         if rec.pspi is not None:

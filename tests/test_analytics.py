@@ -138,10 +138,9 @@ class TestEvaluate:
         assert 0.0 < sc.p_value <= 1.0
 
     def test_dataset_excludes_failed_tracking_frames(self):
-        frames = [make_frame(i + 1) for i in range(6)]
-        object.__setattr__(frames[2], "tracking_ok", False)
         pspi = [0.0, 1.0, 16.0, 3.0, 0.0, 2.0]
-        rec = SequenceRecord("S1", "01", frames, pspi=pspi)
+        rec = SequenceRecord("S1", "01", [make_frame(i + 1) for i in range(6)], pspi=pspi)
+        rec.frames.tracking_ok[2] = False
         result = evaluate_dataset([rec], TedConfig(window=2))
         assert result[0].n_frames == 5
 

@@ -1,8 +1,14 @@
 import csv
 import dataclasses
 import json
+import shutil
+import string
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ted.cli import main
 from ted.engine import score_sequence
@@ -58,8 +64,7 @@ class TestScore:
 
     def test_scores_csv_rows_match_score_sequence(self, tmp_path):
         records = make_separable_dataset(n_subjects=2, n_sequences=2, n_frames=15, seed=3)
-        frames = records[1].frames
-        frames[6] = dataclasses.replace(frames[6], tracking_ok=False)
+        records[1].frames.tracking_ok[6] = False
         manifest = write_dataset(records, tmp_path / "ds")
         code, out = run(manifest, tmp_path, "score", "--feature-sets", "L,I")
         assert code == 0
@@ -142,6 +147,20 @@ class TestExitCodes:
         assert "P001_01_pspi.csv" in message
         assert f"{40 + delta} PSPI values for 40 frames" in message
 
+    @pytest.mark.parametrize("row", ["", "1,1,0.5"])
+    def test_blank_or_short_feature_row_is_3(self, tmp_path, capsys, row):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        features = manifest.parent / "P002_01_features.csv"
+        lines = features.read_text(encoding="utf-8").splitlines()
+        lines.insert(5, row)
+        features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _ = run(manifest, tmp_path, "score")
+        assert code == 3
+        message = capsys.readouterr().err
+        assert "P002_01_features.csv: line 6 has" in message
+        assert "the header has 30" in message
+
     def test_compute_error_is_4(self, dataset, tmp_path):
         # external predictions referencing frames outside the dataset
         preds = tmp_path / "preds.csv"
@@ -204,3 +223,82 @@ class TestInterpret:
         payload = json.loads((out2 / "interpret.json").read_text())
         assert payload["per_subject_f1"] == {}
         assert not (out2 / "predictions.csv").exists()
+
+
+_FUZZ_TEXT = st.text(
+    alphabet=string.ascii_letters + string.digits + string.punctuation + " ", max_size=6
+)
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def feature_file_mutations(draw, n_rows, n_cols):
+    """One malformed edit to a feature CSV: (kind, data row, column, text)."""
+    kind = draw(
+        st.sampled_from(
+            ["blank", "truncate", "extra", "non_numeric", "duplicate_header"]
+        )
+    )
+    row = draw(st.integers(1, n_rows))
+    col = draw(st.integers(0, n_cols - 1))
+    text = draw(_FUZZ_TEXT.filter(lambda t: not _is_float(t)))
+    return kind, row, col, text
+
+
+class TestFeatureCsvFuzz:
+    """Malformed feature CSVs end in a documented exit code, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=12, seed=5)
+        manifest = write_dataset(
+            [dataclasses.replace(rec, pspi=None) for rec in records],
+            tmp_path_factory.mktemp("fuzz-ds"),
+        )
+        # a trailing column no schema binds, as real tracker exports have
+        path = manifest.parent / "P001_01_features.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + ",confidence"] + [line + ",0.98" for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return manifest.parent, lines
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, clean, data):
+        source, lines = clean
+        header = lines[0].split(",")
+        kind, row, col, text = data.draw(
+            feature_file_mutations(len(lines) - 1, len(header))
+        )
+        cells = [line.split(",") for line in lines]
+        if kind == "blank":
+            cells[row] = []
+        elif kind == "truncate":
+            cells[row] = cells[row][:col]
+        elif kind == "extra":
+            cells[row].append(text)
+        elif kind == "non_numeric":
+            cells[row][col] = text  # the last column is unbound, the others bound
+        else:
+            cells[0][-1] = header[col]
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = Path(tmp) / "ds"
+            shutil.copytree(source, ds)
+            (ds / "P001_01_features.csv").write_text(
+                "\n".join(",".join(r) for r in cells) + "\n", encoding="utf-8"
+            )
+            code = main(
+                [
+                    "score", "--manifest", str(ds / "manifest.json"),
+                    "--out", str(Path(tmp) / "out"),
+                    "--au-source", "predicted", "--profile", "pain_predicted",
+                ]
+            )
+        assert code in (0, 2, 3, 4)

@@ -1,14 +1,12 @@
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import make_frame
-from ted.errors import ManifestError, ParseError, SchemaError
+from ted.errors import ConfigError, ManifestError, ParseError, SchemaError
 from ted.ingestion import (
     FeatureCsvSchema,
-    compute_pspi,
     load_dataset,
     load_manifest,
     manifest_to_json,
@@ -18,8 +16,8 @@ from ted.ingestion import (
     parse_pspi_file,
 )
 from ted.model import (
-    AuIntensity,
     DatasetManifest,
+    FrameColumns,
     ManifestEntry,
     PAIN_PROFILE,
     SequenceLabels,
@@ -97,6 +95,34 @@ class TestParseFeatureCsv:
         assert frames[0].au_level(4) == 0.0
         assert frames[0].au_level(6) == 5.0
 
+    def test_nan_intensity_reads_inactive(self, tmp_path):
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row(au=("nan", "inf"))])
+        frames = parse_feature_csv(path)
+        assert frames.au_levels.tolist() == [[0.0, 5.0]]
+
+    @pytest.mark.parametrize(
+        "cells, count", [([], 0), (feature_row()[:-3], 17), (feature_row()[:1], 1)]
+    )
+    def test_blank_or_short_row_names_location(self, tmp_path, cells, count):
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(2)])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, ",".join(str(c) for c in cells))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 3 has {count} cells, the header has 20"):
+            parse_feature_csv(path)
+
+    def test_extra_trailing_cell_is_ignored(self, tmp_path):
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row() + [9.9]])
+        assert parse_feature_csv(path)[0] == parse_feature_csv(
+            write_feature_csv(tmp_path / "g.csv", [feature_row()])
+        )[0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])
+    def test_non_finite_frame_number(self, tmp_path, value):
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(value)])
+        with pytest.raises(ParseError, match="'frame', line 3"):
+            parse_feature_csv(path)
+
     def test_failed_tracking_row(self, tmp_path):
         path = write_feature_csv(tmp_path / "f.csv", [feature_row(success=0)])
         assert parse_feature_csv(path)[0].tracking_ok is False
@@ -133,10 +159,7 @@ class TestParseManualAuFile:
             "frame,au,level\n1,4,C\n1,6,0\n2,4,e\n2,43,1\n", encoding="utf-8"
         )
         table = parse_manual_au_file(path)
-        assert table[1][4].level == 3.0
-        assert table[1][6].level == 0.0
-        assert table[2][4].level == 5.0  # lower-case letters accepted
-        assert table[2][43].level == 1.0
+        assert table == {1: {4: 3.0, 6: 0.0}, 2: {4: 5.0, 43: 1.0}}  # a-e accepted too
 
     def test_duplicate_entry(self, tmp_path):
         path = tmp_path / "aus.csv"
@@ -156,6 +179,12 @@ class TestParseManualAuFile:
         with pytest.raises(ParseError, match="unknown intensity"):
             parse_manual_au_file(path)
 
+    def test_au_outside_facs_range(self, tmp_path):
+        path = tmp_path / "aus.csv"
+        path.write_text("frame,au,level\n1,70,2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="au_id 70"):
+            parse_manual_au_file(path)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "aus.csv"
         path.write_text("frame,au\n1,4\n", encoding="utf-8")
@@ -163,32 +192,44 @@ class TestParseManualAuFile:
             parse_manual_au_file(path)
 
 
+def frame_columns(*frames):
+    return FrameColumns.from_frames(list(frames))
+
+
 class TestMergeAuSource:
     def test_manual_substitutes_profile_aus(self):
-        frame = make_frame(1, au_levels={4: 1.1, 6: 2.2, 12: 3.3})
-        manual = {1: {4: AuIntensity(4, 5.0)}}
-        merged = merge_au_source([frame], manual, "manual", PAIN_PROFILE)
+        cols = frame_columns(make_frame(1, au_levels={4: 1.1, 6: 2.2, 12: 3.3}))
+        merged = merge_au_source(cols, {1: {4: 5.0}}, "manual", PAIN_PROFILE)
         assert merged[0].au_level(4) == 5.0
         # profile AUs without manual coding become inactive
         assert merged[0].au_level(6) == 0.0
         # AUs outside the profile keep their predicted values
         assert merged[0].au_level(12) == 3.3
+        assert merged.au_ids == (4, 6, 9, 10, 12, 25, 43)
+        assert cols.au_levels.tolist() == [[1.1, 2.2, 3.3]]  # input untouched
+
+    def test_matches_frames_by_index_not_position(self):
+        cols = frame_columns(make_frame(7), make_frame(3))
+        manual = {3: {4: 1.0}, 5: {4: 2.0}, 7: {4: 4.0, 43: 1.0}}
+        merged = merge_au_source(cols, manual, "manual", PAIN_PROFILE)
+        assert merged.stream("I", (4, 43)).tolist() == [[4.0, 1.0], [1.0, 0.0]]
 
     def test_manual_mode_requires_full_coverage(self):
-        frames = [make_frame(1), make_frame(2)]
+        cols = frame_columns(make_frame(1), make_frame(2))
         with pytest.raises(ParseError, match="frame 2"):
-            merge_au_source(frames, {1: {}}, "manual", PAIN_PROFILE)
+            merge_au_source(cols, {1: {}}, "manual", PAIN_PROFILE)
 
     def test_predicted_mode_is_identity(self):
-        frames = [make_frame(1)]
-        assert merge_au_source(frames, {}, "predicted", PAIN_PROFILE) == frames
+        cols = frame_columns(make_frame(1))
+        assert merge_au_source(cols, {}, "predicted", PAIN_PROFILE) is cols
 
     def test_merge_is_idempotent(self):
-        frame = make_frame(1)
-        manual = {1: {4: AuIntensity(4, 3.0), 25: AuIntensity(25, 1.0)}}
-        once = merge_au_source([frame], manual, "manual", PAIN_PROFILE)
+        cols = frame_columns(make_frame(1))
+        manual = {1: {4: 3.0, 25: 1.0}}
+        once = merge_au_source(cols, manual, "manual", PAIN_PROFILE)
         twice = merge_au_source(once, manual, "manual", PAIN_PROFILE)
-        assert once == twice
+        assert once.au_ids == twice.au_ids
+        assert np.array_equal(once.au_levels, twice.au_levels)
 
 
 class TestParsePspiFile:
@@ -219,46 +260,6 @@ class TestParsePspiFile:
         path.write_text("pspi\n", encoding="utf-8")
         with pytest.raises(ParseError, match="empty"):
             parse_pspi_file(path)
-
-
-PSPI_AUS = (4, 6, 7, 9, 10, 43)
-
-
-class TestComputePspi:
-    def test_neutral_frame(self):
-        frame = make_frame(1, au_levels={au: 0.0 for au in PSPI_AUS})
-        assert compute_pspi(frame) == 0.0
-
-    def test_hand_fixture(self):
-        levels = {4: 5.0, 6: 3.0, 7: 4.0, 9: 1.0, 10: 2.0, 43: 1.0}
-        # 5 + max(3,4) + max(1,2) + 1{43 active}
-        assert compute_pspi(make_frame(1, au_levels=levels)) == 12.0
-
-    def test_eye_closure_contributes_binary(self):
-        levels = {au: 0.0 for au in PSPI_AUS}
-        levels[43] = 4.0
-        assert compute_pspi(make_frame(1, au_levels=levels)) == 1.0
-
-    def test_missing_au_rejected(self):
-        frame = make_frame(1, au_levels={4: 1.0})
-        with pytest.raises(ParseError, match="AU 6"):
-            compute_pspi(frame)
-
-    @given(
-        st.fixed_dictionaries(
-            {au: st.floats(min_value=0, max_value=5) for au in PSPI_AUS}
-        )
-    )
-    def test_matches_formula_and_bounds(self, levels):
-        got = compute_pspi(make_frame(1, au_levels=levels))
-        want = (
-            levels[4]
-            + max(levels[6], levels[7])
-            + max(levels[9], levels[10])
-            + (1.0 if levels[43] > 0 else 0.0)
-        )
-        assert got == want
-        assert 0.0 <= got <= 16.0
 
 
 class TestManifest:

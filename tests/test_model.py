@@ -1,15 +1,18 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_frame, make_random_sequence
-from ted.errors import ConfigError
+from ted.errors import ComputeError, ConfigError
 from ted.model import (
     AuIntensity,
     AuProfile,
     BUILTIN_PROFILES,
     DatasetManifest,
     FEATURE_SETS,
+    FrameColumns,
     HAPPY_PROFILE,
     ManifestEntry,
     PAIN_PREDICTED_PROFILE,
@@ -72,9 +75,8 @@ class TestAuProfile:
         assert set(profile.au_ids) == set(PAIN_PROFILE.au_ids)
 
     def test_overall_profile_rejects_au_free_input(self):
-        frame = make_frame(1, au_levels={4: 0.0})
-        record = SequenceRecord("S1", "01", [frame])
-        object.__setattr__(record.frames[0], "au_intensities", {})
+        record = SequenceRecord("S1", "01", [make_frame(1, au_levels={})])
+        assert record.frames.au_ids == ()
         with pytest.raises(ConfigError):
             overall_profile([record])
 
@@ -84,6 +86,53 @@ class TestFrameFeatures:
         frame = make_frame(1, au_levels={4: 2.5})
         assert frame.au_level(4) == 2.5
         assert frame.au_level(12) == 0.0
+
+
+class TestFrameColumns:
+    def test_adapter_returns_the_original_frames(self):
+        frames = [make_frame(1), make_frame(2, tracking_ok=False), make_frame(3)]
+        cols = SequenceRecord("S1", "01", frames).frames
+        assert isinstance(cols, FrameColumns)
+        assert len(cols) == 3
+        assert [cols[i] for i in range(3)] == frames
+        assert cols[-1] == frames[-1]
+        assert list(cols) == frames
+        assert cols[1].tracking_ok is False
+        with pytest.raises(IndexError):
+            cols[3]
+
+    def test_au_missing_from_some_frames_comes_back_as_zero(self):
+        frames = [make_frame(1, au_levels={4: 2.0, 6: 1.0}), make_frame(2, au_levels={4: 3.0})]
+        cols = FrameColumns.from_frames(frames)
+        assert cols.au_ids == (4, 6)
+        assert cols.au_levels.tolist() == [[2.0, 1.0], [3.0, 0.0]]
+        assert cols[1].au_intensities == {4: AuIntensity(4, 3.0), 6: AuIntensity(6, 0.0)}
+        assert cols[0] == frames[0]
+
+    def test_ragged_landmarks_raise(self):
+        frames = [make_frame(1, n_landmarks=4), make_frame(2, n_landmarks=5)]
+        with pytest.raises(ComputeError, match="constant-length"):
+            SequenceRecord("S1", "01", frames)
+
+    def test_empty_frame_list(self):
+        cols = SequenceRecord("S1", "01", []).frames
+        assert len(cols) == 0
+        assert cols.landmarks.shape == (0, 0, 2)
+
+    def test_stream_layout(self):
+        frame = make_frame(1, au_levels={4: 2.0, 25: 1.5})
+        object.__setattr__(frame, "landmarks", ((1.0, 2.0), (3.0, 4.0)))
+        cols = FrameColumns.from_frames([frame])
+        assert cols.stream("L").tolist() == [[1.0, 3.0, 2.0, 4.0]]
+        assert cols.stream("Ho").tolist() == [list(frame.head_translation)]
+        assert cols.stream("I", (25, 9, 4)).tolist() == [[1.5, 0.0, 2.0]]
+        with pytest.raises(ComputeError, match="unknown feature set"):
+            cols.stream("Z")
+
+    def test_rejects_au_outside_facs_range(self):
+        cols = FrameColumns.from_frames([make_frame(1)])
+        with pytest.raises(ConfigError, match="FACS"):
+            dataclasses.replace(cols, au_ids=(4, 70))
 
 
 class TestTedConfig:
@@ -161,20 +210,26 @@ class TestValidateSequence:
         findings = validate_sequence(SequenceRecord("S1", "01", frames))
         assert any(f.field == "frame_index" and f.frame_index == 2 for f in findings)
 
-    def test_inconsistent_landmark_count(self):
-        frames = [make_frame(1, n_landmarks=4), make_frame(2, n_landmarks=5)]
-        findings = validate_sequence(SequenceRecord("S1", "01", frames))
-        assert any(f.field == "landmarks" for f in findings)
-
     def test_non_finite_feature_flagged_only_when_tracking_ok(self):
-        good = make_frame(1)
-        bad = make_frame(2)
-        object.__setattr__(bad, "head_translation", (float("nan"), 0.0, 0.0))
-        findings = validate_sequence(SequenceRecord("S1", "01", [good, bad]))
+        seq = SequenceRecord("S1", "01", [make_frame(1), make_frame(2)])
+        seq.frames.head_translation[1, 0] = float("nan")
+        findings = validate_sequence(seq)
         assert any(f.field == "features" and f.frame_index == 2 for f in findings)
 
-        object.__setattr__(bad, "tracking_ok", False)
-        assert validate_sequence(SequenceRecord("S1", "01", [good, bad])) == []
+        seq.frames.tracking_ok[1] = False
+        assert validate_sequence(seq) == []
+
+    def test_frame_findings_come_in_frame_order(self):
+        seq = SequenceRecord("S1", "01", [make_frame(i) for i in (1, 3, 2, 4)])
+        seq.frames.landmarks[1, 0, 0] = float("inf")
+        seq.frames.au_levels[3, 0] = float("nan")
+        findings = validate_sequence(seq)
+        assert [(f.field, f.frame_index) for f in findings] == [
+            ("features", 3),
+            ("frame_index", 2),
+            ("features", 4),
+        ]
+        assert str(findings[1]) == "frame_index (frame 2): not strictly increasing after 3"
 
     def test_pspi_length_mismatch(self):
         seq = SequenceRecord("S1", "01", [make_frame(1), make_frame(2)], pspi=[1.0])
