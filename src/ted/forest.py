@@ -3,98 +3,97 @@
 Built from scratch so that training is fully deterministic for a given seed:
 axis-aligned Gini splits over a random feature subset per node, bootstrap
 sampling per tree, and per-tree majority votes aggregated into a
-positive-class confidence.
+positive-class confidence. Rows with equal features and label always travel
+together, so `fit` groups them once and each bootstrap becomes an integer
+weight per group; split costs use the same integers and float expressions as
+a per-row search, so the trees do not depend on the grouping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ComputeError
 
 
-@dataclass
-class TreeNode:
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    counts: Optional[tuple[int, int]] = None  # (neutral, pain) at a leaf
+class Tree(NamedTuple):
+    """One fitted tree as parallel node arrays in pre-order (node 0 is the root).
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.counts is not None
+    A row at inner node i goes to `left[i]` when `row[feature[i]] < threshold[i]`
+    and to `right[i]` otherwise. Leaves have feature, left and right -1 and
+    threshold 0. `counts[i]` is the (neutral, pain) bootstrap rows reaching i.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
 
 
-def _gini_best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
-    """Best (feature, threshold) by weighted Gini over candidate midpoints."""
-    n = y.size
-    best = (np.inf, None, None)
-    for f in features:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        # splits only between distinct consecutive values
-        distinct = np.nonzero(xs[1:] > xs[:-1])[0]
-        if distinct.size == 0:
+def _best_split(codes, rows, total):
+    """Lowest weighted-Gini cut of a node: (candidate, group below, group above) or None.
+
+    `codes` is (candidates, groups) rank codes, `rows` the (rows, pain rows) per
+    group and `total` their sum. Ties keep the first candidate, then the lowest cut.
+    """
+    order = np.argsort(codes, axis=1, kind="stable")
+    cs = np.sort(codes, axis=1)
+    # cuts only between distinct consecutive values, in (candidate, value) order
+    j, i = np.nonzero(cs[:, 1:] > cs[:, :-1])
+    if not j.size:
+        return None
+    left = np.cumsum(rows[order], axis=1)[j, i]
+    # (rows, pain rows) on the left of each cut, then on its right
+    sides = np.concatenate((left, total - left))
+    n_side, pos_side = sides[:, 0], sides[:, 1]
+    p1 = pos_side / n_side
+    gini = 1.0 - p1**2 - (1.0 - p1) ** 2
+    weighted = n_side * gini
+    cost = (weighted[: j.size] + weighted[j.size :]) / total[0]
+    b = int(cost.argmin())
+    return j[b], order[j[b], i[b]], order[j[b], i[b] + 1]
+
+
+def _build_tree(codes, values, labels, weight, rng, hp, n_subset) -> Tree:
+    """Grow depth first in a recursive grower's pre-order, left before right,
+    calling `rng.permutation` at the same nodes, so a seed gives the same tree.
+    """
+    rows = np.column_stack((weight, weight * labels))  # (rows, pain rows) per group
+    nodes = []  # [feature, threshold, left, right, neutral, pain]
+    # (groups, (rows, pain rows), depth, parent, side 2 = left / 3 = right)
+    stack = [(np.nonzero(weight)[0], rows.sum(axis=0), 0, -1, 2)]
+    while stack:
+        members, total, depth, parent, side = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][side] = node
+        n, pos = total.tolist()
+        nodes.append([-1, 0.0, -1, -1, n - pos, pos])
+        if pos in (0, n) or n < 2 * hp.min_samples_leaf or (
+            hp.max_depth is not None and depth >= hp.max_depth
+        ):
             continue
-        pos_left = np.cumsum(ys)[distinct]
-        n_left = distinct + 1
-        n_right = n - n_left
-        pos_right = int(ys.sum()) - pos_left
-        p1l = pos_left / n_left
-        p1r = pos_right / n_right
-        gini_left = 1.0 - p1l**2 - (1.0 - p1l) ** 2
-        gini_right = 1.0 - p1r**2 - (1.0 - p1r) ** 2
-        cost = (n_left * gini_left + n_right * gini_right) / n
-        i = int(np.argmin(cost))
-        if cost[i] < best[0]:
-            thr = (xs[distinct[i]] + xs[distinct[i] + 1]) / 2.0
-            best = (float(cost[i]), int(f), thr)
-    return best
-
-
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    depth: int,
-    max_depth: Optional[int],
-    min_samples_leaf: int,
-    n_subset: int,
-) -> TreeNode:
-    counts = (int((y == 0).sum()), int((y == 1).sum()))
-    if (
-        counts[0] == 0
-        or counts[1] == 0
-        or (max_depth is not None and depth >= max_depth)
-        or y.size < 2 * min_samples_leaf
-    ):
-        return TreeNode(counts=counts)
-    features = rng.permutation(X.shape[1])[:n_subset]
-    cost, feature, threshold = _gini_best_split(X, y, features)
-    if feature is None:
-        return TreeNode(counts=counts)
-    mask = X[:, feature] < threshold
-    if mask.sum() < min_samples_leaf or (~mask).sum() < min_samples_leaf:
-        return TreeNode(counts=counts)
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(X[mask], y[mask], rng, depth + 1, max_depth, min_samples_leaf, n_subset),
-        right=_grow(X[~mask], y[~mask], rng, depth + 1, max_depth, min_samples_leaf, n_subset),
-    )
-
-
-def _tree_vote(node: TreeNode, row: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] < node.threshold else node.right
-    neutral, pain = node.counts
-    # leaf majority; ties go to the positive (pain) class
-    return 1 if pain >= neutral else 0
+        features = rng.permutation(codes.shape[0])[:n_subset]
+        node_rows = rows[members]
+        split = _best_split(codes[features[:, None], members], node_rows, total)
+        if split is None:
+            continue
+        j, below, above = split
+        f = int(features[j])
+        thr = (values[members[below], f] + values[members[above], f]) / 2.0
+        go_left = values[members, f] < thr
+        total_left = node_rows[go_left].sum(axis=0)
+        if not hp.min_samples_leaf <= total_left[0] <= n - hp.min_samples_leaf:
+            continue
+        nodes[node][:2] = f, thr
+        stack.append((members[~go_left], total - total_left, depth + 1, node, 3))
+        stack.append((members[go_left], total_left, depth + 1, node, 2))
+    feature, threshold, left, right, neutral, pain = map(np.array, zip(*nodes))
+    return Tree(feature, threshold, left, right, np.column_stack((neutral, pain)))
 
 
 @dataclass
@@ -111,7 +110,7 @@ class RandomForest:
     def __init__(self, hyperparams: Optional[ForestHyperparams] = None, seed: int = 0):
         self.hyperparams = hyperparams or ForestHyperparams()
         self.seed = seed
-        self.trees: list[TreeNode] = []
+        self.trees: list[Tree] = []
         self.n_features = 0
 
     def fit(self, X, y) -> "RandomForest":
@@ -119,7 +118,11 @@ class RandomForest:
         y = np.asarray(y, dtype=int)
         if X.ndim != 2 or X.shape[0] != y.size:
             raise ComputeError("X must be 2-d with one label per row")
+        if not np.isfinite(X).all():
+            raise ComputeError("X contains non-finite values")
         classes = np.unique(y)
+        if not set(classes.tolist()) <= {0, 1}:
+            raise ComputeError("labels must be 0 (neutral) or 1 (pain)")
         if classes.size < 2:
             raise ComputeError(
                 "training data contains a single class; cannot fit a classifier"
@@ -127,47 +130,53 @@ class RandomForest:
         hp = self.hyperparams
         self.n_features = X.shape[1]
         n_subset = max(1, int(round(np.sqrt(self.n_features))))
+        # one group per distinct (rank codes, label) row
+        table = np.column_stack([np.unique(col, return_inverse=True)[1] for col in X.T] + [y])
+        _, first, row_group = np.unique(table, axis=0, return_index=True, return_inverse=True)
+        row_group = row_group.reshape(-1)
+        codes, values, labels = table[first, :-1].T.copy(), X[first], y[first]
         n = y.size
+        by_class = [(np.nonzero(y == c)[0], k) for c, k in ((0, n // 2), (1, n - n // 2))]
         self.trees = []
         for seq in np.random.SeedSequence(self.seed).spawn(hp.n_trees):
             rng = np.random.default_rng(seq)
-            if hp.stratified_bootstrap:
-                idx0 = np.nonzero(y == 0)[0]
-                idx1 = np.nonzero(y == 1)[0]
-                half = n // 2
-                boot = np.concatenate(
-                    [
-                        idx0[rng.integers(0, idx0.size, half)],
-                        idx1[rng.integers(0, idx1.size, n - half)],
-                    ]
-                )
+            if hp.stratified_bootstrap:  # half the rows from each class, neutral first
+                boot = np.concatenate([i[rng.integers(0, i.size, k)] for i, k in by_class])
             else:
                 boot = rng.integers(0, n, n)
-            self.trees.append(
-                _grow(
-                    X[boot],
-                    y[boot],
-                    rng,
-                    depth=0,
-                    max_depth=hp.max_depth,
-                    min_samples_leaf=hp.min_samples_leaf,
-                    n_subset=n_subset,
-                )
-            )
+            weight = np.bincount(row_group[boot], minlength=first.size)
+            self.trees.append(_build_tree(codes, values, labels, weight, rng, hp, n_subset))
         return self
 
     def predict_confidence(self, row) -> float:
         """Fraction of trees voting for the positive (pain) class."""
-        if not self.trees:
-            raise ComputeError("forest is not fitted")
-        row = np.asarray(row, dtype=float)
-        if row.size != self.n_features:
-            raise ComputeError(
-                f"expected {self.n_features} features, got {row.size}"
-            )
-        votes = sum(_tree_vote(tree, row) for tree in self.trees)
-        return votes / len(self.trees)
+        return float(self.predict_confidences(np.reshape(row, (1, -1)))[0])
 
     def predict_confidences(self, X) -> np.ndarray:
+        """Per-row fraction of trees voting pain; equal rows walk the trees once."""
+        if not self.trees:
+            raise ComputeError("forest is not fitted")
         X = np.asarray(X, dtype=float)
-        return np.array([self.predict_confidence(row) for row in X])
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ComputeError(
+                f"expected {self.n_features} features per row, got shape {X.shape}"
+            )
+        trees = self.trees
+        rows, inverse = np.unique(X, axis=0, return_inverse=True)
+        sizes = [tree.feature.size for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        # node ids below index the trees' concatenated arrays
+        feature, threshold, left, right, counts = map(np.concatenate, zip(*trees))
+        left, right = left + np.repeat(roots, sizes), right + np.repeat(roots, sizes)
+        # walk every (tree, distinct row) pair at once, one level per step
+        node = np.repeat(roots, len(rows))
+        walking = np.arange(node.size)
+        while walking.size:
+            at = node[walking]
+            inner = feature[at] >= 0
+            walking, at = walking[inner], at[inner]
+            go_left = rows[walking % len(rows), feature[at]] < threshold[at]
+            node[walking] = np.where(go_left, left[at], right[at])
+        # leaf majority votes, ties to pain
+        pain = (counts[node, 1] >= counts[node, 0]).reshape(len(trees), -1).sum(axis=0)
+        return (pain / len(trees))[inverse.reshape(-1)]

@@ -9,7 +9,7 @@ confidence should rise and fall with the expressiveness score.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -88,9 +88,10 @@ def f1_pain(labels: np.ndarray, predicted: np.ndarray) -> float:
 
 @dataclass
 class LosoResult:
-    per_subject_f1: dict[str, float]
+    per_subject_f1: dict[str, float]  # folds that ran
     mean_f1: float
     predictions: list[Prediction]
+    findings: list[str]
 
 
 def loso_validate(
@@ -98,35 +99,41 @@ def loso_validate(
     hyperparams: Optional[ForestHyperparams] = None,
     seed: int = 0,
 ) -> LosoResult:
-    """Hold out each subject in turn, training on all others."""
+    """Hold out each subject in turn, training on all others.
+
+    A fold whose training set has a single class is skipped with a finding,
+    and `mean_f1` covers the folds that ran.
+    """
     subject_arr = np.array([key[0] for key in table.keys])
     subjects = sorted(set(subject_arr.tolist()))
     if len(subjects) < 2:
         raise ComputeError("leave-one-subject-out needs at least 2 subjects")
     per_subject_f1: dict[str, float] = {}
     predictions: list[Prediction] = []
+    findings: list[str] = []
     for subject in subjects:
         held = subject_arr == subject
-        forest = RandomForest(hyperparams=hyperparams, seed=seed)
-        forest.fit(table.X[~held], table.y[~held])
+        if np.unique(table.y[~held]).size < 2:
+            findings.append(f"subject {subject}: training set has a single class; fold skipped")
+            continue
+        forest = RandomForest(hyperparams, seed).fit(table.X[~held], table.y[~held])
         conf = forest.predict_confidences(table.X[held])
         labels = table.y[held]
-        predicted = (conf >= CONFIDENCE_THRESHOLD).astype(int)
-        per_subject_f1[subject] = f1_pain(labels, predicted)
-        for i, idx in enumerate(np.nonzero(held)[0]):
-            predictions.append(
-                Prediction(
-                    key=table.keys[idx],
-                    confidence_pain=float(conf[i]),
-                    label_pain=bool(labels[i]),
-                )
-            )
-    mean_f1 = sum(per_subject_f1.values()) / len(per_subject_f1)
+        per_subject_f1[subject] = f1_pain(labels, (conf >= CONFIDENCE_THRESHOLD).astype(int))
+        predictions += [
+            Prediction(key=table.keys[idx], confidence_pain=float(c), label_pain=bool(label))
+            for idx, c, label in zip(np.nonzero(held)[0], conf, labels)
+        ]
+    if not per_subject_f1:
+        raise ComputeError("every LOSO training set has a single class; no fold ran")
+    if findings:
+        findings.append(f"mean F1 covers {len(per_subject_f1)} of {len(subjects)} folds")
     predictions.sort(key=lambda p: p.key)
     return LosoResult(
         per_subject_f1=per_subject_f1,
-        mean_f1=mean_f1,
+        mean_f1=sum(per_subject_f1.values()) / len(per_subject_f1),
         predictions=predictions,
+        findings=findings,
     )
 
 
@@ -218,13 +225,7 @@ def agreement_analysis(
             reason = "low score, high confidence"
         if reason is not None:
             flags.append(
-                DisagreementFlag(
-                    key=pred.key,
-                    ted_score=ted,
-                    confidence_pain=pred.confidence_pain,
-                    scenario=pred.scenario,
-                    reason=reason,
-                )
+                DisagreementFlag(pred.key, ted, pred.confidence_pain, pred.scenario, reason)
             )
     return AgreementResult(
         scenario_correlation=correlations, flags=flags, findings=findings
@@ -266,13 +267,7 @@ def interpret_dataset(
         for pred in external_predictions:
             if pred.key not in label_by_key:
                 raise ComputeError(f"external prediction {pred.key} not in dataset")
-            predictions.append(
-                Prediction(
-                    key=pred.key,
-                    confidence_pain=pred.confidence_pain,
-                    label_pain=label_by_key[pred.key],
-                )
-            )
+            predictions.append(replace(pred, label_pain=label_by_key[pred.key]))
         per_subject_f1: dict[str, float] = {}
         mean_f1 = float("nan")
         findings = ["external predictions: no LOSO F1 computed"]
@@ -281,7 +276,7 @@ def interpret_dataset(
         predictions = loso.predictions
         per_subject_f1 = loso.per_subject_f1
         mean_f1 = loso.mean_f1
-        findings = []
+        findings = loso.findings
 
     agreement = agreement_analysis(predictions, ted_by_key, thresholds)
     buckets = scenario_partition(predictions)
@@ -322,14 +317,17 @@ def read_predictions_csv(path) -> list[Prediction]:
         for line, row in enumerate(reader, start=2):
             try:
                 confidence = float(row["confidence_pain"])
-            except ValueError:
+            except (TypeError, ValueError):
                 raise ParseError(f"{path}: bad confidence on line {line}") from None
             if not 0.0 <= confidence <= 1.0:
                 raise ParseError(f"{path}: confidence outside [0, 1] on line {line}")
+            try:
+                frame = int(row["frame"])
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"{path}: frame {row['frame']!r} on line {line} is not an integer"
+                ) from None
             predictions.append(
-                Prediction(
-                    key=(row["subject"], row["sequence"], int(row["frame"])),
-                    confidence_pain=confidence,
-                )
+                Prediction(key=(row["subject"], row["sequence"], frame), confidence_pain=confidence)
             )
     return predictions

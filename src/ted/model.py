@@ -207,15 +207,6 @@ class TedConfig:
                 "use the pain_predicted profile"
             )
 
-    def with_window(self, window: int) -> "TedConfig":
-        return TedConfig(
-            window=window,
-            window_orientation=self.window_orientation,
-            profile=self.profile,
-            au_source=self.au_source,
-            feature_sets=self.feature_sets,
-        )
-
 
 @dataclass(frozen=True)
 class ScoredFrame:

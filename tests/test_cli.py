@@ -161,6 +161,24 @@ class TestExitCodes:
         assert "P002_01_features.csv: line 6 has" in message
         assert "the header has 30" in message
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("P001,01,1.5,0.5", "frame '1.5' on line 3 is not an integer"),
+            ("P001,01,,0.5", "frame '' on line 3 is not an integer"),
+            ("P001,01", "bad confidence on line 3"),
+        ],
+    )
+    def test_bad_predictions_row_is_3(self, dataset, tmp_path, capsys, row, message):
+        preds = tmp_path / "preds.csv"
+        preds.write_text(
+            f"subject,sequence,frame,confidence_pain\nP001,01,1,0.5\n{row}\n",
+            encoding="utf-8",
+        )
+        code, _ = run(dataset, tmp_path, "interpret", "--predictions", str(preds))
+        assert code == 3
+        assert f"{preds}: {message}" in capsys.readouterr().err
+
     def test_compute_error_is_4(self, dataset, tmp_path):
         # external predictions referencing frames outside the dataset
         preds = tmp_path / "preds.csv"
@@ -212,6 +230,37 @@ class TestInterpret:
         assert sum(payload["scenario_counts"].values()) == 3 * 40
         lines = (out / "predictions.csv").read_text().strip().splitlines()
         assert len(lines) == 3 * 40 + 1
+
+    def test_single_class_training_fold_is_skipped(self, tmp_path):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        pain_free = {rec.subject_id for rec in records[1:]}
+        records = [
+            dataclasses.replace(rec, pspi=[0.0] * 40) if rec.subject_id in pain_free else rec
+            for rec in records
+        ]
+        manifest = write_dataset(records, tmp_path / "ds")
+        code, out = run(manifest, tmp_path, "interpret", "--trees", "5")
+        assert code == 0
+        payload = json.loads((out / "interpret.json").read_text())
+        # only the subject with pain sees a pain-free training set
+        skipped = records[0].subject_id
+        assert sorted(payload["per_subject_f1"]) == sorted(pain_free)
+        assert payload["mean_f1"] == sum(payload["per_subject_f1"].values()) / 2
+        assert payload["findings"][:2] == [
+            f"subject {skipped}: training set has a single class; fold skipped",
+            "mean F1 covers 2 of 3 folds",
+        ]
+        lines = (out / "predictions.csv").read_text().strip().splitlines()
+        assert len(lines) == 2 * 40 + 1
+        assert not any(line.startswith(f"{skipped},") for line in lines)
+
+    def test_every_fold_single_class_is_4(self, tmp_path, capsys):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        records = [dataclasses.replace(rec, pspi=[0.0] * 40) for rec in records]
+        manifest = write_dataset(records, tmp_path / "ds")
+        code, _ = run(manifest, tmp_path, "interpret", "--trees", "5")
+        assert code == 4
+        assert "no fold ran" in capsys.readouterr().err
 
     def test_external_predictions_audit(self, dataset, tmp_path):
         code, out = run(dataset, tmp_path, "interpret", "--trees", "5")

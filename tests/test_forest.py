@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import forest_oracle
 from ted.errors import ComputeError
-from ted.forest import ForestHyperparams, RandomForest, TreeNode
+from ted.forest import ForestHyperparams, RandomForest, Tree
 
 
 def xor_like_data(n=200, seed=0):
@@ -15,6 +18,28 @@ def xor_like_data(n=200, seed=0):
     return X, y
 
 
+def same_trees(a: Tree, b: Tree) -> bool:
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in Tree._fields)
+
+
+def depths(tree: Tree) -> np.ndarray:
+    """Depth per node; pre-order puts every parent before its children."""
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for i in np.nonzero(tree.feature >= 0)[0]:
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return depth
+
+
+def leaf(neutral, pain) -> Tree:
+    return Tree(
+        feature=np.array([-1]),
+        threshold=np.array([0.0]),
+        left=np.array([-1]),
+        right=np.array([-1]),
+        counts=np.array([[neutral, pain]]),
+    )
+
+
 class TestFit:
     def test_single_class_rejected(self):
         with pytest.raises(ComputeError, match="single class"):
@@ -24,15 +49,31 @@ class TestFit:
         with pytest.raises(ComputeError):
             RandomForest().fit(np.zeros((5, 2)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        X, y = xor_like_data(n=20)
+        X[3, 1] = bad
+        with pytest.raises(ComputeError, match="non-finite"):
+            RandomForest().fit(X, y)
+
+    def test_labels_other_than_0_1_rejected(self):
+        X, y = xor_like_data(n=20)
+        with pytest.raises(ComputeError, match="labels"):
+            RandomForest().fit(X, 2 * y)
+
     def test_unfitted_predict_rejected(self):
         with pytest.raises(ComputeError, match="not fitted"):
             RandomForest().predict_confidence([0.0, 0.0])
+        with pytest.raises(ComputeError, match="not fitted"):
+            RandomForest().predict_confidences(np.zeros((0, 2)))
 
     def test_feature_count_checked_at_predict(self):
         X, y = xor_like_data()
         forest = RandomForest(ForestHyperparams(n_trees=3)).fit(X, y)
         with pytest.raises(ComputeError, match="features"):
             forest.predict_confidence([0.5])
+        with pytest.raises(ComputeError, match="features"):
+            forest.predict_confidences(X[:, :1])
 
     def test_learns_separable_structure(self):
         X, y = xor_like_data()
@@ -44,41 +85,29 @@ class TestFit:
         X, y = xor_like_data()
         a = RandomForest(ForestHyperparams(n_trees=10), seed=3).fit(X, y)
         b = RandomForest(ForestHyperparams(n_trees=10), seed=3).fit(X, y)
-        assert a.trees == b.trees
+        assert all(same_trees(s, t) for s, t in zip(a.trees, b.trees, strict=True))
 
     def test_different_seed_changes_trees(self):
         X, y = xor_like_data()
         a = RandomForest(ForestHyperparams(n_trees=10), seed=3).fit(X, y)
         b = RandomForest(ForestHyperparams(n_trees=10), seed=4).fit(X, y)
-        assert a.trees != b.trees
+        assert not all(same_trees(s, t) for s, t in zip(a.trees, b.trees, strict=True))
 
     def test_max_depth_limits_tree(self):
         X, y = xor_like_data()
         forest = RandomForest(
             ForestHyperparams(n_trees=5, max_depth=1), seed=0
         ).fit(X, y)
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert all(depth(t) <= 1 for t in forest.trees)
+        assert all(depths(t).max() <= 1 for t in forest.trees)
+        assert any(t.feature[0] >= 0 for t in forest.trees)
 
     def test_min_samples_leaf_respected(self):
         X, y = xor_like_data(n=60)
         forest = RandomForest(
             ForestHyperparams(n_trees=5, min_samples_leaf=10), seed=0
         ).fit(X, y)
-
-        def leaves(node):
-            if node.is_leaf:
-                yield sum(node.counts)
-            else:
-                yield from leaves(node.left)
-                yield from leaves(node.right)
-
-        assert all(size >= 10 for t in forest.trees for size in leaves(t))
+        for t in forest.trees:
+            assert (t.counts[t.feature < 0].sum(axis=1) >= 10).all()
 
     def test_stratified_bootstrap_runs_deterministically(self):
         X, y = xor_like_data()
@@ -86,6 +115,18 @@ class TestFit:
         a = RandomForest(hp, seed=2).fit(X, y)
         b = RandomForest(hp, seed=2).fit(X, y)
         assert np.array_equal(a.predict_confidences(X), b.predict_confidences(X))
+        # each class fills half of every bootstrap
+        assert all(tuple(t.counts[0]) == (100, 100) for t in a.trees)
+
+    def test_node_arrays_are_consistent(self):
+        X, y = xor_like_data()
+        for t in RandomForest(ForestHyperparams(n_trees=5), seed=0).fit(X, y).trees:
+            inner = np.nonzero(t.feature >= 0)[0]
+            leaves = t.feature < 0
+            assert (t.left[leaves] == -1).all() and (t.right[leaves] == -1).all()
+            assert (t.left[inner] == inner + 1).all()  # pre-order: left child next
+            assert (t.counts[inner] == t.counts[t.left[inner]] + t.counts[t.right[inner]]).all()
+            assert t.counts[0].sum() == y.size
 
 
 class TestVoting:
@@ -105,6 +146,85 @@ class TestVoting:
     def test_leaf_tie_votes_pain(self):
         forest = RandomForest()
         forest.n_features = 1
-        forest.trees = [TreeNode(counts=(3, 3))]
+        forest.trees = [leaf(3, 3)]
         assert forest.predict_confidence([0.0]) == 1.0
+        forest.trees = [leaf(3, 3), leaf(4, 3)]
+        assert forest.predict_confidence([0.0]) == 0.5
 
+    def test_row_and_batch_agree(self):
+        X, y = xor_like_data()
+        forest = RandomForest(ForestHyperparams(n_trees=9), seed=5).fit(X, y)
+        batch = forest.predict_confidences(X[:25])
+        assert [forest.predict_confidence(row) for row in X[:25]] == batch.tolist()
+        assert forest.predict_confidences(X[:0]).shape == (0,)
+
+
+def dataset(kind: str, seed: int, n: int = 120):
+    """Training data with the ties and value layouts the grower must handle."""
+    rng = np.random.default_rng(seed)
+    if kind == "levels":  # integer AU levels 0-5
+        X = rng.integers(0, 6, (n, 6)).astype(float)
+    elif kind == "continuous":
+        X = rng.uniform(0, 5, (n, 5))
+    elif kind == "duplicates":  # repeated rows, some with both labels
+        X = np.repeat(rng.integers(0, 3, (n // 6, 4)).astype(float), 6, axis=0)
+    elif kind == "mixed":  # tied levels next to continuous values and a constant column
+        X = np.column_stack(
+            [rng.integers(0, 2, n), rng.uniform(0, 1, n).round(1), np.full(n, 2.0)]
+        ).astype(float)
+    else:  # neighbouring doubles, whose midpoint rounds onto one of them
+        X = 1.0 + rng.integers(0, 4, (n, 2)) * np.finfo(float).eps
+    score = X[:, 0] + (X[:, 1] if X.shape[1] > 1 else 0) + rng.normal(0, 0.5 * X.std(), n)
+    y = (score > np.median(score)).astype(int)
+    y[:2] = (0, 1)
+    return X, y
+
+
+HYPERPARAMS = [
+    ForestHyperparams(n_trees=6),
+    ForestHyperparams(n_trees=6, max_depth=2),
+    ForestHyperparams(n_trees=6, min_samples_leaf=5),
+    ForestHyperparams(n_trees=6, stratified_bootstrap=True),
+    ForestHyperparams(n_trees=4, max_depth=4, min_samples_leaf=3, stratified_bootstrap=True),
+]
+
+
+def assert_matches_oracle(X, y, hp, seed):
+    forest = RandomForest(hp, seed=seed).fit(X, y)
+    oracle = forest_oracle.fit(X, y, hp, seed)
+    assert len(forest.trees) == len(oracle)
+    for tree, reference in zip(forest.trees, oracle):
+        flat = forest_oracle.flatten(reference)
+        for name in Tree._fields:
+            assert np.array_equal(getattr(tree, name), flat[name]), name
+    rng = np.random.default_rng(seed)
+    probe = np.vstack([X, X[rng.integers(0, len(X), 30)] + rng.normal(0, 0.3, (30, X.shape[1]))])
+    assert np.array_equal(
+        forest.predict_confidences(probe), forest_oracle.predict_confidences(oracle, probe)
+    )
+
+
+class TestMatchesOracle:
+    """The flat-array grower reproduces the recursive grower exactly."""
+
+    @pytest.mark.parametrize("hp", HYPERPARAMS, ids=lambda hp: repr(hp))
+    @pytest.mark.parametrize("kind", ["levels", "continuous", "duplicates", "mixed", "adjacent"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_same_trees_and_votes(self, kind, seed, hp):
+        X, y = dataset(kind, seed)
+        assert_matches_oracle(X, y, hp, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cells=st.lists(st.integers(0, 3), min_size=16, max_size=60),
+        labels=st.lists(st.integers(0, 1), min_size=8, max_size=30),
+        seed=st.integers(0, 2**16),
+        min_leaf=st.integers(1, 4),
+    )
+    def test_random_small_tables(self, cells, labels, seed, min_leaf):
+        n = min(len(cells) // 2, len(labels))
+        X = np.array(cells[: 2 * n], dtype=float).reshape(n, 2)
+        y = np.array(labels[:n])
+        y[:2] = (0, 1)
+        hp = ForestHyperparams(n_trees=3, min_samples_leaf=min_leaf)
+        assert_matches_oracle(X, y, hp, seed)

@@ -122,6 +122,19 @@ class TestLoso:
         with pytest.raises(ComputeError, match="2 subjects"):
             loso_validate(table)
 
+    def test_single_class_training_fold_skipped(self, separable):
+        table = build_frame_table(separable, PAIN_PROFILE)
+        subjects = sorted({key[0] for key in table.keys})
+        # pain only in the first subject: its fold trains on neutral frames alone
+        table.y[[key[0] != subjects[0] for key in table.keys]] = 0
+        result = loso_validate(table, ForestHyperparams(n_trees=5), seed=1)
+        assert sorted(result.per_subject_f1) == subjects[1:]
+        assert result.findings == [
+            f"subject {subjects[0]}: training set has a single class; fold skipped",
+            f"mean F1 covers {len(subjects) - 1} of {len(subjects)} folds",
+        ]
+        assert {p.key[0] for p in result.predictions} == set(subjects[1:])
+
     def test_deterministic_for_seed(self, separable):
         table = build_frame_table(separable, PAIN_PROFILE)
         a = loso_validate(table, ForestHyperparams(n_trees=10), seed=1)

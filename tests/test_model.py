@@ -168,13 +168,6 @@ class TestTedConfig:
             TedConfig(au_source="predicted", profile=PAIN_PROFILE)
         TedConfig(au_source="predicted", profile=PAIN_PREDICTED_PROFILE)
 
-    def test_with_window_preserves_other_fields(self):
-        cfg = TedConfig(window=5, feature_sets=frozenset({"L", "I"}))
-        other = cfg.with_window(20)
-        assert other.window == 20
-        assert other.feature_sets == cfg.feature_sets
-        assert other.profile is cfg.profile
-
 
 class TestSequenceLabels:
     def test_scale_bounds(self):
