@@ -4,12 +4,14 @@
 Scores every frame, sweeps the dynamics window, correlates scores against
 PSPI per subject, summarizes by label group, and trains/validates the pain
 classifier — each step into its own subdirectory of the output directory.
+The dataset is read once and shared by all five steps; each step writes what
+`ted <step>` would write and fails with the same exit code.
 """
 
 import argparse
 import sys
 
-from ted.cli import main as ted
+from ted.cli import build_parser, exit_code, load_inputs, run_command
 
 
 def main(argv=None) -> int:
@@ -47,9 +49,19 @@ def main(argv=None) -> int:
         ),
         ("interpret", ["--seed", str(args.seed)]),
     ]
+    loaded = []
+
+    def run_step(step_args) -> None:
+        if not loaded:
+            loaded.extend(load_inputs(step_args))
+        run_command(step_args, *loaded)
+
     for command, extra in steps:
         print(f"== {command} ==")
-        code = ted([command, *common, "--out", f"{args.out}/{command}", *extra])
+        step_args = build_parser().parse_args(
+            [command, *common, "--out", f"{args.out}/{command}", *extra]
+        )
+        code = exit_code(lambda: run_step(step_args))
         if code != 0:
             print(f"{command} failed with exit code {code}", file=sys.stderr)
             return code

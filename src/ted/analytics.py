@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .engine import SequenceDynamics
+from .engine import SequenceDynamics, dataset_dynamics
 from .errors import ComputeError
 from .model import SequenceRecord, TedConfig
 
@@ -119,7 +119,7 @@ def _subject_correlations(
 def evaluate_dataset(
     records: Sequence[SequenceRecord], cfg: TedConfig
 ) -> list[SubjectCorrelation]:
-    dynamics = {rec.key: SequenceDynamics(rec, cfg) for rec in records}
+    dynamics = dataset_dynamics(records, cfg)
     return _subject_correlations(records, dynamics, cfg.window, cfg.window_orientation)
 
 
@@ -176,7 +176,7 @@ def window_ablation(
     """Re-score the dataset at each window and correlate per subject."""
     if not windows:
         raise ComputeError("window sweep set is empty")
-    dynamics = {rec.key: SequenceDynamics(rec, cfg) for rec in records}
+    dynamics = dataset_dynamics(records, cfg)
     results = []
     for window in sorted(set(windows)):
         subjects = tuple(

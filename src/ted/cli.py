@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .analytics import (
@@ -17,7 +18,7 @@ from .analytics import (
     summarize,
     window_ablation,
 )
-from .engine import SequenceDynamics, score_dataset, write_scores_csv
+from .engine import score_dataset, write_scores_csv
 from .errors import ComputeError, ConfigError, ParseError
 from .ingestion import FeatureCsvSchema, load_dataset, load_manifest
 from .interpret import (
@@ -132,13 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out_dir(args) -> Path:
-    out = args.out or os.environ.get("TED_OUTPUT_DIR") or "ted-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _resolve_profile(name: str, records) -> AuProfile:
     if name in BUILTIN_PROFILES:
         return BUILTIN_PROFILES[name]
@@ -153,15 +147,17 @@ def _resolve_profile(name: str, records) -> AuProfile:
     return AuProfile("custom", au_ids)
 
 
-def _load(args):
-    schema = FeatureCsvSchema.from_json(args.schema) if args.schema else None
-    manifest = load_manifest(args.manifest)
+def load_inputs(args):
+    """Records, config and input digests (SHA-256 per path read) of one run."""
+    digests: dict[str, str] = {}
+    schema = FeatureCsvSchema.from_json(args.schema, digests) if args.schema else None
+    manifest = load_manifest(args.manifest, digests)
     # every profile but 'overall' resolves before the dataset is read
     profile = None if args.profile == "overall" else _resolve_profile(args.profile, [])
     if args.au_source == "manual" and profile is None:
         raise ConfigError("the overall profile requires --au-source predicted")
     records, findings = load_dataset(
-        manifest, schema=schema, au_source=args.au_source, profile=profile
+        manifest, schema=schema, au_source=args.au_source, profile=profile, digests=digests
     )
     for finding in findings:
         print(f"warning: {finding}", file=sys.stderr)
@@ -175,30 +171,16 @@ def _load(args):
             fs.strip() for fs in args.feature_sets.split(",") if fs.strip()
         ),
     )
-    return records, cfg
+    return records, cfg, digests
 
 
-def _file_digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_metadata(args, cfg: TedConfig, out_dir: Path, extra: dict) -> None:
-    manifest_path = Path(args.manifest)
-    digests = {manifest_path.name: _file_digest(manifest_path)}
-    manifest = load_manifest(manifest_path)
-    base = manifest.base_dir
-    for entry in manifest.entries:
-        for rel in (
-            entry.feature_file_path,
-            entry.pspi_file_path,
-            entry.manual_au_file_path,
-        ):
-            if rel:
-                digests[rel] = _file_digest(base / rel)
+def _write_metadata(args, cfg: TedConfig, out_dir: Path, extra: dict, digests: dict) -> None:
+    # inputs are named relative to the manifest's directory where they lie under it
+    base = Path(args.manifest).parent
+    names = {
+        str(Path(p).relative_to(base)) if Path(p).is_relative_to(base) else p: digest
+        for p, digest in digests.items()
+    }
     metadata = {
         "artifact_version": __version__,
         "command": args.command,
@@ -210,7 +192,7 @@ def _write_metadata(args, cfg: TedConfig, out_dir: Path, extra: dict) -> None:
             "feature_sets": sorted(cfg.feature_sets),
             **extra,
         },
-        "input_digests": digests,
+        "input_digests": names,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _dump_json(metadata, out_dir / "run_metadata.json")
@@ -222,81 +204,49 @@ def _dump_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _ted_by_key(records, cfg):
-    """Scores per sequence, and per (subject, sequence, frame)."""
-    results, failures = score_dataset(records, cfg)
-    if failures:
-        key, message = failures[0]
-        raise ComputeError(f"sequence {key[0]}/{key[1]}: {message}")
-    series = {key: scores.ted for key, scores in results.items()}
-    table = {
-        (subject, sequence, frame): ted
-        for (subject, sequence), scores in results.items()
-        for frame, ted in zip(scores.frame_index.tolist(), scores.ted.tolist())
-    }
-    return series, table
-
-
-def cmd_score(args) -> int:
-    records, cfg = _load(args)
-    out_dir = _resolve_out_dir(args)
-    results, failures = score_dataset(records, cfg)
-    if failures:
-        for key, message in failures:
-            print(f"error: {key[0]}/{key[1]}: {message}", file=sys.stderr)
-        return EXIT_COMPUTE
-    write_scores_csv(results, out_dir / "scores.csv")
-    _write_metadata(args, cfg, out_dir, {})
+def cmd_score(args, records, cfg, out_dir, digests) -> dict:
+    write_scores_csv(score_dataset(records, cfg), out_dir / "scores.csv")
     print(f"wrote {out_dir / 'scores.csv'}")
-    return EXIT_OK
+    return {}
 
 
-def cmd_sweep(args) -> int:
-    records, cfg = _load(args)
-    out_dir = _resolve_out_dir(args)
+def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
     windows = [int(tok) for tok in args.windows.split(",") if tok.strip()]
     report = window_ablation(records, cfg, windows)
     _dump_json(report.to_dict(), out_dir / "ablation.json")
-    with open(out_dir / "ablation.txt", "w", encoding="utf-8") as fh:
-        fh.write(report.to_text() + "\n")
-    _write_metadata(args, cfg, out_dir, {"windows": sorted(set(windows))})
+    (out_dir / "ablation.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     print(report.to_text())
-    return EXIT_OK
+    return {"windows": sorted(set(windows))}
 
 
-def cmd_evaluate(args) -> int:
-    records, cfg = _load(args)
-    out_dir = _resolve_out_dir(args)
+def cmd_evaluate(args, records, cfg, out_dir, digests) -> dict:
     correlations = evaluate_dataset(records, cfg)
     payload = {
         "subjects": [c.to_dict() for c in correlations],
         "mean_pcc": sum(c.pcc for c in correlations) / len(correlations),
     }
     _dump_json(payload, out_dir / "correlations.json")
-    _write_metadata(args, cfg, out_dir, {})
     print(f"mean PCC over {len(correlations)} subjects: {payload['mean_pcc']:.4f}")
-    return EXIT_OK
+    return {}
 
 
-def cmd_summarize(args) -> int:
-    records, cfg = _load(args)
-    out_dir = _resolve_out_dir(args)
-    series, _ = _ted_by_key(records, cfg)
+def cmd_summarize(args, records, cfg, out_dir, digests) -> dict:
+    series = {key: scores.ted for key, scores in score_dataset(records, cfg).items()}
     report = summarize(records, series, scale=args.scale, transform=args.transform)
     _dump_json(report.to_dict(), out_dir / "summary.json")
-    with open(out_dir / "summary.txt", "w", encoding="utf-8") as fh:
-        fh.write(report.to_text() + "\n")
+    (out_dir / "summary.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     if args.plot_data:
         report.write_plot_data(out_dir / args.plot_data)
-    _write_metadata(args, cfg, out_dir, {"scale": args.scale, "transform": args.transform})
     print(report.to_text())
-    return EXIT_OK
+    return {"scale": args.scale, "transform": args.transform}
 
 
-def cmd_interpret(args) -> int:
-    records, cfg = _load(args)
-    out_dir = _resolve_out_dir(args)
-    _, ted_by_key = _ted_by_key(records, cfg)
+def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
+    ted_by_key = {
+        (subject, sequence, frame): ted
+        for (subject, sequence), scores in score_dataset(records, cfg).items()
+        for frame, ted in zip(scores.frame_index.tolist(), scores.ted.tolist())
+    }
     table = build_frame_table(records, cfg.profile, pspi_threshold=args.pspi_threshold)
     thresholds = AgreementThresholds(
         ted_high=args.ted_high,
@@ -304,7 +254,7 @@ def cmd_interpret(args) -> int:
         ted_low=args.ted_low,
         conf_high=args.conf_high,
     )
-    external = read_predictions_csv(args.predictions) if args.predictions else None
+    external = read_predictions_csv(args.predictions, digests) if args.predictions else None
     hyperparams = ForestHyperparams(
         n_trees=args.trees,
         max_depth=args.max_depth,
@@ -322,26 +272,15 @@ def cmd_interpret(args) -> int:
     _dump_json(report.to_dict(), out_dir / "interpret.json")
     if external is None:
         write_predictions_csv(predictions, out_dir / "predictions.csv")
-    _write_metadata(
-        args,
-        cfg,
-        out_dir,
-        {
-            "seed": args.seed,
-            "trees": args.trees,
-            "pspi_threshold": args.pspi_threshold,
-            "thresholds": {
-                "ted_high": args.ted_high,
-                "conf_low": args.conf_low,
-                "ted_low": args.ted_low,
-                "conf_high": args.conf_high,
-            },
-        },
-    )
     if report.per_subject_f1:
         print(f"mean F1 over {len(report.per_subject_f1)} subjects: {report.mean_f1:.4f}")
     print(f"flagged disagreements: {len(report.flags)}")
-    return EXIT_OK
+    return {
+        "seed": args.seed,
+        "trees": args.trees,
+        "pspi_threshold": args.pspi_threshold,
+        "thresholds": dataclasses.asdict(thresholds),
+    }
 
 
 _COMMANDS = {
@@ -353,11 +292,18 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_command(args, records, cfg, digests) -> None:
+    """Run `args.command` on loaded inputs; write its outputs and run_metadata.json."""
+    out_dir = Path(args.out or os.environ.get("TED_OUTPUT_DIR") or "ted-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    extra = _COMMANDS[args.command](args, records, cfg, out_dir, digests)
+    _write_metadata(args, cfg, out_dir, extra, digests)
+
+
+def exit_code(step: Callable[[], None]) -> int:
+    """Run `step`; a package error becomes its exit code and one stderr message."""
     try:
-        return _COMMANDS[args.command](args)
+        step()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -367,6 +313,12 @@ def main(argv=None) -> int:
     except ComputeError as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    return EXIT_OK
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(lambda: run_command(args, *load_inputs(args)))
 
 
 if __name__ == "__main__":

@@ -178,7 +178,7 @@ class SequenceDynamics:
     def __init__(self, seq: SequenceRecord, cfg: TedConfig):
         cols = seq.frames
         if not len(cols):
-            raise ComputeError(f"sequence {seq.key} has no frames")
+            raise ComputeError("no frames")
         self.frame_indices = cols.frame_index
         self.tracking_ok = cols.tracking_ok
         self.enabled = sorted(cfg.feature_sets, key=FEATURE_SETS.index)
@@ -251,19 +251,30 @@ def score_sequence(seq: SequenceRecord, cfg: TedConfig) -> list[ScoredFrame]:
     ]
 
 
-def score_dataset(
+def dataset_dynamics(
     records: Sequence[SequenceRecord], cfg: TedConfig
-) -> tuple[dict[tuple[str, str], SequenceScores], list[tuple[tuple[str, str], str]]]:
-    """Score each sequence independently; per-sequence failures are collected."""
-    results: dict[tuple[str, str], SequenceScores] = {}
-    failures: list[tuple[tuple[str, str], str]] = []
+) -> dict[tuple[str, str], SequenceDynamics]:
+    """Dynamics of every sequence in key order; one ComputeError names each that fails."""
+    dynamics: dict[tuple[str, str], SequenceDynamics] = {}
+    failures: list[str] = []
     for rec in sorted(records, key=lambda r: r.key):
         try:
-            dyn = SequenceDynamics(rec, cfg)
-            results[rec.key] = dyn.scores(cfg.window, cfg.window_orientation)
+            dynamics[rec.key] = SequenceDynamics(rec, cfg)
         except ComputeError as exc:
-            failures.append((rec.key, str(exc)))
-    return results, failures
+            failures.append(f"sequence {rec.subject_id}/{rec.sequence_id}: {exc}")
+    if failures:
+        raise ComputeError("; ".join(failures))
+    return dynamics
+
+
+def score_dataset(
+    records: Sequence[SequenceRecord], cfg: TedConfig
+) -> dict[tuple[str, str], SequenceScores]:
+    """Score arrays of every sequence, in key order."""
+    return {
+        key: dyn.scores(cfg.window, cfg.window_orientation)
+        for key, dyn in dataset_dynamics(records, cfg).items()
+    }
 
 
 _CSV_COLUMNS = (

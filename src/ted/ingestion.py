@@ -8,6 +8,8 @@ gaze_0_*/gaze_1_*, AUxx_r) and is overridable via a JSON schema mapping.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -30,6 +32,20 @@ from .model import (
 
 _AU_COLUMN = re.compile(r"^AU(\d+)_r$")
 _LETTER_LEVELS = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0, "E": 5.0}
+
+
+def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> io.TextIOWrapper:
+    """The file as `open(path, encoding="utf-8", newline=newline)` reads it, from one
+    read of its bytes; their SHA-256 goes into `digests` (if given) under the path."""
+    data = Path(path).read_bytes()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
+    try:
+        data.decode("utf-8")  # a bad byte is reported here, with its offset
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+    # decoded chunk by chunk, as open() does; a StringIO holds 4 bytes per character
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
 
 
 @dataclass(frozen=True)
@@ -73,10 +89,10 @@ class FeatureCsvSchema:
         return cls.default(n_landmarks=n_landmarks, au_ids=au_ids)
 
     @classmethod
-    def from_json(cls, path) -> "FeatureCsvSchema":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+    def from_json(cls, path, digests: Optional[dict[str, str]] = None) -> "FeatureCsvSchema":
         try:
+            with read_input(path, digests) as fh:
+                raw = json.load(fh)
             return cls(
                 frame=raw["frame"],
                 success=raw["success"],
@@ -90,11 +106,16 @@ class FeatureCsvSchema:
             )
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            # not JSON, not an object, or a column list that is not a list
+            raise SchemaError(f"schema file {path} is malformed: {exc}") from None
 
 
-def parse_feature_csv(path, schema: Optional[FeatureCsvSchema] = None) -> FrameColumns:
+def parse_feature_csv(
+    path, schema: Optional[FeatureCsvSchema] = None, digests: Optional[dict[str, str]] = None
+) -> FrameColumns:
     """Parse one tracker-export CSV into frame columns, in file order."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with read_input(path, digests, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [c.strip() for c in next(reader)]
@@ -167,10 +188,12 @@ def parse_feature_csv(path, schema: Optional[FeatureCsvSchema] = None) -> FrameC
     )
 
 
-def parse_manual_au_file(path) -> dict[int, dict[int, float]]:
+def parse_manual_au_file(
+    path, digests: Optional[dict[str, str]] = None
+) -> dict[int, dict[int, float]]:
     """Parse frame,au,level rows; letter grades A-E map to 1-5."""
     table: dict[int, dict[int, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with read_input(path, digests, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file")
@@ -211,18 +234,13 @@ def parse_manual_au_file(path) -> dict[int, dict[int, float]]:
 def merge_au_source(
     frames: FrameColumns,
     manual: Mapping[int, Mapping[int, float]],
-    mode: str,
     profile: AuProfile,
 ) -> FrameColumns:
-    """Substitute manually coded intensities for the profile AUs (manual mode).
+    """Substitute manually coded intensities for the profile AUs.
 
     A profile AU without a coding on some frame reads 0 there; AUs outside
     the profile keep their predicted levels.
     """
-    if mode == "predicted":
-        return frames
-    if mode != "manual":
-        raise ParseError(f"unknown AU source {mode!r}")
     try:
         coded = [manual[frame] for frame in frames.frame_index.tolist()]
     except KeyError as exc:
@@ -235,10 +253,10 @@ def merge_au_source(
     return replace(frames, au_ids=au_ids, au_levels=levels)
 
 
-def parse_pspi_file(path) -> list[float]:
+def parse_pspi_file(path, digests: Optional[dict[str, str]] = None) -> list[float]:
     """One pain-intensity value per line (or a single-column CSV with header)."""
     values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
+    with read_input(path, digests) as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln]
     if lines and lines[0].lower() == "pspi":
@@ -258,17 +276,17 @@ def parse_pspi_file(path) -> list[float]:
     return values
 
 
-def load_manifest(path) -> DatasetManifest:
+def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetManifest:
     """Load the JSON dataset manifest; file paths stay relative to it."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with read_input(path, digests) as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict) or "entries" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise ManifestError(f"manifest {path} has no 'entries' list")
 
     entries = []
@@ -284,19 +302,25 @@ def load_manifest(path) -> DatasetManifest:
                 raise ManifestError(
                     f"manifest entry {i}: unknown gender {gender!r}"
                 )
+            paths = [item["feature_file"], item.get("pspi_file"), item.get("manual_au_file")]
+            if not all(isinstance(p, str) or (j and p is None) for j, p in enumerate(paths)):
+                raise TypeError("file paths must be strings")
             entries.append(
                 ManifestEntry(
                     subject_id=str(item["subject_id"]),
                     sequence_id=str(item["sequence_id"]),
-                    feature_file_path=item["feature_file"],
-                    pspi_file_path=item.get("pspi_file"),
-                    manual_au_file_path=item.get("manual_au_file"),
+                    feature_file_path=paths[0],
+                    pspi_file_path=paths[1],
+                    manual_au_file_path=paths[2],
                     labels=labels,
                     gender=gender,
                 )
             )
         except KeyError as exc:
             raise ManifestError(f"manifest entry {i} missing field {exc}") from None
+        except (AttributeError, TypeError) as exc:
+            # an entry or its labels not an object, a label not a number, a path not a string
+            raise ManifestError(f"manifest entry {i} is malformed: {exc}") from None
     try:
         return DatasetManifest(entries, base_dir=path.parent)
     except Exception as exc:
@@ -332,6 +356,7 @@ def load_dataset(
     schema: Optional[FeatureCsvSchema] = None,
     au_source: str = "predicted",
     profile: Optional[AuProfile] = None,
+    digests: Optional[dict[str, str]] = None,
 ) -> tuple[list[SequenceRecord], list[str]]:
     """Materialize all manifest entries; soft problems come back as findings."""
     base = manifest.base_dir
@@ -341,7 +366,7 @@ def load_dataset(
         feature_path = base / entry.feature_file_path
         if not feature_path.exists():
             raise ManifestError(f"missing feature file: {feature_path}")
-        frames = parse_feature_csv(feature_path, schema)
+        frames = parse_feature_csv(feature_path, schema, digests)
         if au_source == "manual":
             if entry.manual_au_file_path is None:
                 raise ManifestError(
@@ -350,14 +375,14 @@ def load_dataset(
                 )
             if profile is None:
                 raise ManifestError("manual AU source requires a profile")
-            manual = parse_manual_au_file(base / entry.manual_au_file_path)
-            frames = merge_au_source(frames, manual, "manual", profile)
+            manual = parse_manual_au_file(base / entry.manual_au_file_path, digests)
+            frames = merge_au_source(frames, manual, profile)
         pspi = None
         if entry.pspi_file_path is not None:
             pspi_path = base / entry.pspi_file_path
             if not pspi_path.exists():
                 raise ManifestError(f"missing PSPI file: {pspi_path}")
-            pspi = parse_pspi_file(pspi_path)
+            pspi = parse_pspi_file(pspi_path, digests)
             if len(pspi) != len(frames):
                 raise ParseError(
                     f"{pspi_path}: {len(pspi)} PSPI values for {len(frames)} frames"

@@ -17,6 +17,7 @@ import numpy as np
 from .analytics import pearson
 from .errors import ComputeError, ParseError
 from .forest import ForestHyperparams, RandomForest
+from .ingestion import read_input
 from .model import AuProfile, PAIN_PROFILE, SequenceRecord
 
 FrameKey = tuple[str, str, int]
@@ -307,9 +308,10 @@ def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
             )
 
 
-def read_predictions_csv(path) -> list[Prediction]:
+def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> list[Prediction]:
     predictions = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    first_line: dict[FrameKey, int] = {}
+    with read_input(path, digests, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"subject", "sequence", "frame", "confidence_pain"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
@@ -327,7 +329,9 @@ def read_predictions_csv(path) -> list[Prediction]:
                 raise ParseError(
                     f"{path}: frame {row['frame']!r} on line {line} is not an integer"
                 ) from None
-            predictions.append(
-                Prediction(key=(row["subject"], row["sequence"], frame), confidence_pain=confidence)
-            )
+            key = (row["subject"], row["sequence"], frame)
+            first = first_line.setdefault(key, line)
+            if first != line:
+                raise ParseError(f"{path}: line {line} repeats frame {key} of line {first}")
+            predictions.append(Prediction(key=key, confidence_pain=confidence))
     return predictions

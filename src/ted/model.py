@@ -329,6 +329,11 @@ def validate_sequence(seq: SequenceRecord) -> list[Finding]:
         for p in np.flatnonzero(cols.tracking_ok & ~finite).tolist()
     ]
     findings = [f for _, f in sorted(per_frame, key=lambda pf: pf[0])]
+    # no valid frame precedes them, so the dynamics read the first frame's tracker output
+    leading = int(np.append(cols.tracking_ok, True).argmax())
+    if leading:
+        message = f"leading {leading} frame(s) failed tracking; dynamics use their tracker output"
+        findings.insert(0, Finding("tracking", message))
 
     if seq.pspi is not None:
         if len(seq.pspi) != n:

@@ -210,7 +210,7 @@ class TestWindowAblation:
 class TestSummarize:
     def _report(self, transform="log", scale="VAS"):
         records = _labeled_records()
-        results, _ = score_dataset(records, TedConfig(window=5))
+        results = score_dataset(records, TedConfig(window=5))
         series = {key: scores.ted for key, scores in results.items()}
         return records, series, summarize(records, series, scale, transform)
 
@@ -245,7 +245,7 @@ class TestSummarize:
     def test_missing_label_rejected(self):
         records = _labeled_records()
         records[0].labels = None
-        results, _ = score_dataset(records, TedConfig(window=5))
+        results = score_dataset(records, TedConfig(window=5))
         series = {k: v.ted for k, v in results.items()}
         with pytest.raises(ComputeError, match="label"):
             summarize(records, series)

@@ -1,8 +1,13 @@
+import contextlib
 import csv
 import dataclasses
+import hashlib
+import importlib.util
 import json
+import os
 import shutil
 import string
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ted.cli
 from ted.cli import main
 from ted.engine import score_sequence
-from ted.ingestion import load_dataset, load_manifest
+from ted.ingestion import FeatureCsvSchema, load_dataset, load_manifest
 from ted.model import FEATURE_SETS, PAIN_PROFILE, TedConfig
 from ted.synthetic import make_separable_dataset, write_dataset
 
@@ -28,6 +34,26 @@ def run(dataset, tmp_path, *args):
     out = tmp_path / "out"
     code = main([args[0], "--manifest", str(dataset), "--out", str(out), *args[1:]])
     return code, out
+
+
+def _write_default_schema(path):
+    """A --schema file naming the columns `write_dataset` writes."""
+    schema = FeatureCsvSchema.default(n_landmarks=5, au_ids=PAIN_PROFILE.au_ids)
+    path.write_text(json.dumps(dataclasses.asdict(schema)), encoding="utf-8")
+    return path
+
+
+def _write_predictions(records, path):
+    """A --predictions file with one row per frame."""
+    rows = [
+        f"{rec.subject_id},{rec.sequence_id},{frame},0.{frame % 10}"
+        for rec in records
+        for frame in rec.frames.frame_index.tolist()
+    ]
+    path.write_text(
+        "subject,sequence,frame,confidence_pain\n" + "\n".join(rows) + "\n", encoding="utf-8"
+    )
+    return path
 
 
 class TestScore:
@@ -125,9 +151,12 @@ class TestExitCodes:
         code = main(["score", "--manifest", str(bad), "--out", str(tmp_path)])
         assert code == 3
 
-    def test_bad_schema_file_is_3(self, dataset, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ['{"frame": "frame"}', "{broken", "[1]", '"frame"']
+    )
+    def test_bad_schema_file_is_3(self, dataset, tmp_path, text):
         schema = tmp_path / "schema.json"
-        schema.write_text("{\"frame\": \"frame\"}", encoding="utf-8")
+        schema.write_text(text, encoding="utf-8")
         code, _ = run(dataset, tmp_path, "score", "--schema", str(schema))
         assert code == 3
 
@@ -178,6 +207,36 @@ class TestExitCodes:
         code, _ = run(dataset, tmp_path, "interpret", "--predictions", str(preds))
         assert code == 3
         assert f"{preds}: {message}" in capsys.readouterr().err
+
+    def test_repeated_prediction_key_is_3(self, dataset, tmp_path, capsys):
+        code, out = run(dataset, tmp_path, "interpret", "--trees", "5")
+        assert code == 0
+        preds = out / "predictions.csv"
+        lines = preds.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3 * 40 + 1
+        preds.write_text("\n".join(lines + lines[1:3]) + "\n", encoding="utf-8")
+        code, _ = run(dataset, tmp_path / "audit", "interpret", "--predictions", str(preds))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{preds}: line 122 repeats frame ('P001', '01', 1) of line 2" in err
+
+    @pytest.mark.parametrize(
+        "name", ["manifest.json", "P002_01_features.csv", "P002_01_manual_aus.csv",
+                 "P002_01_pspi.csv", "schema.json", "predictions.csv"],
+    )
+    def test_non_utf8_input_is_3(self, tmp_path, capsys, name):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        schema = _write_default_schema(manifest.parent / "schema.json")
+        preds = _write_predictions(records, manifest.parent / "predictions.csv")
+        path = manifest.parent / name
+        data = path.read_bytes()
+        path.write_bytes(data[:20] + b"\xff" + data[20:])
+        code, _ = run(
+            manifest, tmp_path, "interpret", "--schema", str(schema), "--predictions", str(preds)
+        )
+        assert code == 3
+        assert f"input error: {path}: not valid UTF-8 (byte 20)" in capsys.readouterr().err
 
     def test_compute_error_is_4(self, dataset, tmp_path):
         # external predictions referencing frames outside the dataset
@@ -274,9 +333,168 @@ class TestInterpret:
         assert not (out2 / "predictions.csv").exists()
 
 
+_PLANS = [
+    ("score", ()),
+    ("sweep", ("--windows", "3,5")),
+    ("evaluate", ()),
+    ("summarize", ("--scale", "OPI", "--no-log")),
+    ("interpret", ("--trees", "5")),
+]
+
+
+class TestOneRunPath:
+    @pytest.mark.parametrize("command, extra", _PLANS)
+    def test_every_failing_sequence_is_named(self, tmp_path, capsys, command, extra):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        records[0].frames.landmarks[4, 1, 0] = float("nan")
+        records[2].frames.landmarks[9, 0, 1] = float("nan")
+        manifest = write_dataset(records, tmp_path / "ds")
+        code, _ = run(manifest, tmp_path, command, *extra)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert (
+            "compute error: sequence P001/01: non-finite L feature at frame 5; "
+            "sequence P003/01: non-finite L feature at frame 10\n"
+        ) in err
+
+    def test_each_input_is_read_once(self, tmp_path, monkeypatch, open_recorder):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        schema = _write_default_schema(tmp_path / "schema.json")
+        preds = _write_predictions(records, tmp_path / "predictions.csv")
+        inputs = sorted(manifest.parent.iterdir()) + [schema, preds]
+        manifest_loads = []
+        monkeypatch.setattr(
+            ted.cli, "load_manifest",
+            lambda *a, **k: manifest_loads.append(a) or load_manifest(*a, **k),
+        )
+        with open_recorder.recording() as opened:
+            code, out = run(
+                manifest, tmp_path, "interpret", "--schema", str(schema),
+                "--predictions", str(preds),
+            )
+        assert code == 0
+        assert len(manifest_loads) == 1
+        assert {path.name: opened.count(str(path)) for path in inputs} == dict.fromkeys(
+            (path.name for path in inputs), 1
+        )
+        digests = json.loads((out / "run_metadata.json").read_text())["input_digests"]
+        names = {path: path.name for path in manifest.parent.iterdir()}
+        names.update({schema: str(schema), preds: str(preds)})
+        assert digests == {
+            name: hashlib.sha256(path.read_bytes()).hexdigest() for path, name in names.items()
+        }
+
+    def test_predicted_au_source_does_not_read_manual_codings(self, tmp_path, open_recorder):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        with open_recorder.recording() as opened:
+            code, out = run(
+                manifest, tmp_path, "score", "--au-source", "predicted",
+                "--profile", "pain_predicted",
+            )
+        assert code == 0
+        digests = json.loads((out / "run_metadata.json").read_text())["input_digests"]
+        assert sorted(digests) == sorted(
+            path.name for path in manifest.parent.iterdir() if "manual" not in path.name
+        )
+        assert not any("manual" in path for path in opened)
+
+
+class _OpenRecorder:
+    """Paths of the files this process opens while recording.
+
+    Audit hooks cannot be removed, so one recorder serves the whole module.
+    """
+
+    def __init__(self):
+        self.paths = None
+        sys.addaudithook(self._hook)
+
+    def _hook(self, event, args):
+        if event == "open" and self.paths is not None and isinstance(args[0], (str, os.PathLike)):
+            self.paths.append(os.fspath(args[0]))
+
+    @contextlib.contextmanager
+    def recording(self):
+        self.paths = []
+        try:
+            yield self.paths
+        finally:
+            self.paths = None
+
+
+@pytest.fixture(scope="module")
+def open_recorder():
+    return _OpenRecorder()
+
+
+class TestRunFullAnalysis:
+    def test_loads_once_and_matches_separate_runs(self, tmp_path, monkeypatch):
+        records = make_separable_dataset(n_subjects=3, n_sequences=2, n_frames=40, seed=3)
+        manifest = write_dataset(records, tmp_path / "ds")
+        script = Path(__file__).parent.parent / "scripts" / "run_full_analysis.py"
+        spec = importlib.util.spec_from_file_location("run_full_analysis", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        loads = []
+        monkeypatch.setattr(
+            ted.cli, "load_dataset", lambda *a, **k: loads.append(a) or load_dataset(*a, **k)
+        )
+        assert module.main([str(manifest), str(tmp_path / "all"), "--no-log", "--seed", "3"]) == 0
+        assert len(loads) == 1
+
+        common = ["--manifest", str(manifest), "--w", "10", "--profile", "pain",
+                  "--au-source", "manual", "--jobs", "1"]
+        stages = {
+            "score": [],
+            "sweep": [],
+            "evaluate": [],
+            "summarize": ["--scale", "VAS", "--plot-data", "plot.csv", "--no-log"],
+            "interpret": ["--seed", "3"],
+        }
+        for command, extra in stages.items():
+            alone = tmp_path / "alone" / command
+            assert main([command, *common, "--out", str(alone), *extra]) == 0
+            assert _artifacts(tmp_path / "all" / command) == _artifacts(alone), command
+        assert len(loads) == 1 + len(stages)
+
+
+def _artifacts(out_dir):
+    """Every output file's bytes; run_metadata.json without its timestamp."""
+    artifacts = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "run_metadata.json":
+            metadata = json.loads(path.read_text())
+            metadata.pop("timestamp")
+            artifacts[path.name] = metadata
+        else:
+            artifacts[path.name] = path.read_bytes()
+    return artifacts
+
+
 _FUZZ_TEXT = st.text(
     alphabet=string.ascii_letters + string.digits + string.punctuation + " ", max_size=6
 )
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 20),
+    _FUZZ_TEXT,
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(_FUZZ_TEXT, st.integers(0, 3), max_size=2),
+)
+_TEXT_MUTATIONS = [
+    "blank", "truncate", "extra", "non_numeric", "duplicate_header", "repeat_row", "byte_ff"
+]
+# every input of one `interpret --predictions` run with manually coded AUs
+_FUZZ_FILES = {
+    "features": "P001_01_features.csv",
+    "manual_au": "P002_01_manual_aus.csv",
+    "pspi": "P003_01_pspi.csv",
+    "manifest": "manifest.json",
+    "predictions": "predictions.csv",
+}
 
 
 def _is_float(text):
@@ -288,66 +506,88 @@ def _is_float(text):
 
 
 @st.composite
-def feature_file_mutations(draw, n_rows, n_cols):
-    """One malformed edit to a feature CSV: (kind, data row, column, text)."""
-    kind = draw(
-        st.sampled_from(
-            ["blank", "truncate", "extra", "non_numeric", "duplicate_header"]
-        )
-    )
-    row = draw(st.integers(1, n_rows))
-    col = draw(st.integers(0, n_cols - 1))
+def input_file_mutations(draw):
+    """One malformed edit to one input file: (file, kind, row, column, text, value)."""
+    target = draw(st.sampled_from(sorted(_FUZZ_FILES)))
+    kinds = _TEXT_MUTATIONS + (["json_value"] if target == "manifest" else [])
+    kind = draw(st.sampled_from(kinds))
+    row = draw(st.integers(1, 10_000))
+    col = draw(st.integers(0, 10_000))
     text = draw(_FUZZ_TEXT.filter(lambda t: not _is_float(t)))
-    return kind, row, col, text
+    value = draw(_JSON_VALUES)
+    return target, kind, row, col, text, value
 
 
-class TestFeatureCsvFuzz:
-    """Malformed feature CSVs end in a documented exit code, never a traceback."""
+def _mutate(data: bytes, kind, row, col, text, value) -> bytes:
+    if kind == "byte_ff":
+        at = col % (len(data) + 1)
+        return data[:at] + b"\xff" + data[at:]
+    if kind == "json_value":
+        manifest = json.loads(data)
+        if row % 5 == 0:
+            manifest["entries"] = value
+        else:
+            entry = manifest["entries"][row % len(manifest["entries"])]
+            keys = sorted(entry) + ["labels.vas"]
+            key = keys[col % len(keys)]
+            if key == "labels.vas":
+                entry["labels"]["vas"] = value
+            else:
+                entry[key] = value
+        return json.dumps(manifest).encode()
+    lines = data.decode().splitlines()
+    cells = [line.split(",") for line in lines]
+    row = 1 + row % (len(lines) - 1)  # a data row, never the header
+    col = col % len(cells[row])
+    if kind == "blank":
+        cells[row] = []
+    elif kind == "truncate":
+        cells[row] = cells[row][:col]
+    elif kind == "extra":
+        cells[row].append(text)
+    elif kind == "non_numeric":
+        cells[row][col] = text
+    elif kind == "duplicate_header":
+        cells[0][-1] = cells[0][col % len(cells[0])]
+    else:
+        cells.append(list(cells[row]))
+    return ("\n".join(",".join(r) for r in cells) + "\n").encode()
+
+
+class TestInputFuzz:
+    """Malformed input files end in a documented exit code, never a traceback."""
 
     @pytest.fixture(scope="class")
     def clean(self, tmp_path_factory):
         records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=12, seed=5)
-        manifest = write_dataset(
-            [dataclasses.replace(rec, pspi=None) for rec in records],
-            tmp_path_factory.mktemp("fuzz-ds"),
-        )
+        manifest = write_dataset(records, tmp_path_factory.mktemp("fuzz-ds"))
         # a trailing column no schema binds, as real tracker exports have
-        path = manifest.parent / "P001_01_features.csv"
+        path = manifest.parent / _FUZZ_FILES["features"]
         lines = path.read_text(encoding="utf-8").splitlines()
         lines = [lines[0] + ",confidence"] + [line + ",0.98" for line in lines[1:]]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return manifest.parent, lines
+        _write_predictions(records, manifest.parent / _FUZZ_FILES["predictions"])
+        return manifest.parent
 
-    @settings(deadline=None, max_examples=60)
-    @given(data=st.data())
-    def test_exit_code_is_documented(self, clean, data):
-        source, lines = clean
-        header = lines[0].split(",")
-        kind, row, col, text = data.draw(
-            feature_file_mutations(len(lines) - 1, len(header))
+    def run_interpret(self, ds, out):
+        return main(
+            [
+                "interpret", "--manifest", str(ds / "manifest.json"), "--out", str(out),
+                "--predictions", str(ds / _FUZZ_FILES["predictions"]),
+            ]
         )
-        cells = [line.split(",") for line in lines]
-        if kind == "blank":
-            cells[row] = []
-        elif kind == "truncate":
-            cells[row] = cells[row][:col]
-        elif kind == "extra":
-            cells[row].append(text)
-        elif kind == "non_numeric":
-            cells[row][col] = text  # the last column is unbound, the others bound
-        else:
-            cells[0][-1] = header[col]
+
+    def test_clean_inputs_pass(self, clean, tmp_path):
+        assert self.run_interpret(clean, tmp_path / "out") == 0
+
+    @settings(deadline=None, max_examples=150)
+    @given(mutation=input_file_mutations())
+    def test_exit_code_is_documented(self, clean, mutation):
+        target, *edit = mutation
         with tempfile.TemporaryDirectory() as tmp:
             ds = Path(tmp) / "ds"
-            shutil.copytree(source, ds)
-            (ds / "P001_01_features.csv").write_text(
-                "\n".join(",".join(r) for r in cells) + "\n", encoding="utf-8"
-            )
-            code = main(
-                [
-                    "score", "--manifest", str(ds / "manifest.json"),
-                    "--out", str(Path(tmp) / "out"),
-                    "--au-source", "predicted", "--profile", "pain_predicted",
-                ]
-            )
+            shutil.copytree(clean, ds)
+            path = ds / _FUZZ_FILES[target]
+            path.write_bytes(_mutate(path.read_bytes(), *edit))
+            code = self.run_interpret(ds, Path(tmp) / "out")
         assert code in (0, 2, 3, 4)

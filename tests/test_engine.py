@@ -289,7 +289,7 @@ class TestScoreSequence:
 
 
 class TestScoreDataset:
-    def test_collects_per_sequence_failures(self):
+    def test_one_error_names_every_failing_sequence(self):
         bad_frame = FrameFeatures(
             frame_index=1,
             landmarks=(),
@@ -300,19 +300,20 @@ class TestScoreDataset:
             au_intensities={au: AuIntensity(au, 0.0) for au in PAIN_PROFILE.au_ids},
         )
         records = [
+            SequenceRecord("S3", "01", [bad_frame, bad_frame]),
             make_random_sequence(10, seed=1, subject="S1"),
             SequenceRecord("S2", "01", [bad_frame, bad_frame]),
         ]
-        results, failures = score_dataset(records, TedConfig(window=2))
-        assert set(results) == {("S1", "01")}
-        assert len(failures) == 1
-        assert failures[0][0] == ("S2", "01")
+        with pytest.raises(ComputeError) as info:
+            score_dataset(records, TedConfig(window=2))
+        reason = "feature set L has 0 component(s); relative change needs at least 2"
+        assert str(info.value) == f"sequence S2/01: {reason}; sequence S3/01: {reason}"
 
 
 class TestScoresCsv:
     def test_rewrite_is_byte_identical(self, tmp_path):
         records = [make_random_sequence(10, seed=2)]
-        results, _ = score_dataset(records, TedConfig(window=3))
+        results = score_dataset(records, TedConfig(window=3))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_scores_csv(results, a)
         write_scores_csv(results, b)

@@ -199,7 +199,7 @@ def frame_columns(*frames):
 class TestMergeAuSource:
     def test_manual_substitutes_profile_aus(self):
         cols = frame_columns(make_frame(1, au_levels={4: 1.1, 6: 2.2, 12: 3.3}))
-        merged = merge_au_source(cols, {1: {4: 5.0}}, "manual", PAIN_PROFILE)
+        merged = merge_au_source(cols, {1: {4: 5.0}}, PAIN_PROFILE)
         assert merged[0].au_level(4) == 5.0
         # profile AUs without manual coding become inactive
         assert merged[0].au_level(6) == 0.0
@@ -211,23 +211,19 @@ class TestMergeAuSource:
     def test_matches_frames_by_index_not_position(self):
         cols = frame_columns(make_frame(7), make_frame(3))
         manual = {3: {4: 1.0}, 5: {4: 2.0}, 7: {4: 4.0, 43: 1.0}}
-        merged = merge_au_source(cols, manual, "manual", PAIN_PROFILE)
+        merged = merge_au_source(cols, manual, PAIN_PROFILE)
         assert merged.stream("I", (4, 43)).tolist() == [[4.0, 1.0], [1.0, 0.0]]
 
-    def test_manual_mode_requires_full_coverage(self):
+    def test_requires_full_coverage(self):
         cols = frame_columns(make_frame(1), make_frame(2))
         with pytest.raises(ParseError, match="frame 2"):
-            merge_au_source(cols, {1: {}}, "manual", PAIN_PROFILE)
-
-    def test_predicted_mode_is_identity(self):
-        cols = frame_columns(make_frame(1))
-        assert merge_au_source(cols, {}, "predicted", PAIN_PROFILE) is cols
+            merge_au_source(cols, {1: {}}, PAIN_PROFILE)
 
     def test_merge_is_idempotent(self):
         cols = frame_columns(make_frame(1))
         manual = {1: {4: 3.0, 25: 1.0}}
-        once = merge_au_source(cols, manual, "manual", PAIN_PROFILE)
-        twice = merge_au_source(once, manual, "manual", PAIN_PROFILE)
+        once = merge_au_source(cols, manual, PAIN_PROFILE)
+        twice = merge_au_source(once, manual, PAIN_PROFILE)
         assert once.au_ids == twice.au_ids
         assert np.array_equal(once.au_levels, twice.au_levels)
 
@@ -326,6 +322,27 @@ class TestManifest:
             encoding="utf-8",
         )
         with pytest.raises(ManifestError, match="gender"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (5, "no 'entries' list"),
+            ({"a": 1}, "no 'entries' list"),
+            (["f.csv"], "entry 0 is malformed"),
+            ([{"subject_id": "S1", "sequence_id": "01", "feature_file": None}], "strings"),
+            ([{"subject_id": "S1", "sequence_id": "01", "feature_file": "f.csv",
+               "pspi_file": 3}], "strings"),
+            ([{"subject_id": "S1", "sequence_id": "01", "feature_file": "f.csv",
+               "labels": [4]}], "entry 0 is malformed"),
+            ([{"subject_id": "S1", "sequence_id": "01", "feature_file": "f.csv",
+               "labels": {"vas": "high"}}], "entry 0 is malformed"),
+        ],
+    )
+    def test_wrongly_typed_field(self, tmp_path, entries, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+        with pytest.raises(ManifestError, match=message):
             load_manifest(path)
 
     def test_duplicate_entries(self, tmp_path):

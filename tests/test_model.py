@@ -224,6 +224,17 @@ class TestValidateSequence:
         ]
         assert str(findings[1]) == "frame_index (frame 2): not strictly increasing after 3"
 
+    def test_leading_failed_tracking_frames_reported(self):
+        seq = make_random_sequence(5)
+        seq.frames.tracking_ok[[0, 1, 3]] = False
+        assert [str(f) for f in validate_sequence(seq)] == [
+            "tracking: leading 2 frame(s) failed tracking; dynamics use their tracker output"
+        ]
+        seq.frames.tracking_ok[:] = False
+        assert "leading 5 frame(s)" in str(validate_sequence(seq)[0])
+        seq.frames.tracking_ok[[0, 1]] = True
+        assert validate_sequence(seq) == []
+
     def test_pspi_length_mismatch(self):
         seq = SequenceRecord("S1", "01", [make_frame(1), make_frame(2)], pspi=[1.0])
         assert any(f.field == "pspi" for f in validate_sequence(seq))
