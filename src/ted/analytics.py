@@ -26,7 +26,9 @@ def pearson(x, y) -> float:
     if x.size < 3:
         raise ComputeError(f"need at least 3 points, got {x.size}")
     xm = x - x.mean()
+    xm -= xm.mean()  # a second pass removes what rounding the first mean left over
     ym = y - y.mean()
+    ym -= ym.mean()
     sx = float(np.dot(xm, xm))
     sy = float(np.dot(ym, ym))
     if sx == 0.0 or sy == 0.0:

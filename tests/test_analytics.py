@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -77,6 +77,7 @@ class TestPearson:
         assert got == pearson(y, x)
 
     @given(series, series)
+    @example([0.0, 1.17e-14, 1.17e-14], [0.0, 0.0, 1.0])  # one centring pass gave 0.49992
     def test_invariant_under_positive_affine_map(self, x, y):
         x, y = paired(x, y)
         try:
