@@ -149,6 +149,8 @@ def _resolve_profile(name: str, records) -> AuProfile:
 
 def load_inputs(args):
     """Records, config and input digests (SHA-256 per path read) of one run."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     digests: dict[str, str] = {}
     schema = FeatureCsvSchema.from_json(args.schema, digests) if args.schema else None
     manifest = load_manifest(args.manifest, digests)
@@ -211,7 +213,15 @@ def cmd_score(args, records, cfg, out_dir, digests) -> dict:
 
 
 def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
-    windows = [int(tok) for tok in args.windows.split(",") if tok.strip()]
+    windows = []
+    for tok in filter(str.strip, args.windows.split(",")):
+        try:
+            window = int(tok)
+        except ValueError:
+            window = 0  # not a window length either: the same message names it
+        if window < 1:
+            raise ConfigError(f"--windows: window must be >= 1, got {tok.strip()!r}")
+        windows.append(window)
     report = window_ablation(records, cfg, windows)
     _dump_json(report.to_dict(), out_dir / "ablation.json")
     (out_dir / "ablation.txt").write_text(report.to_text() + "\n", encoding="utf-8")
@@ -242,6 +252,12 @@ def cmd_summarize(args, records, cfg, out_dir, digests) -> dict:
 
 
 def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
+    hyperparams = ForestHyperparams(
+        n_trees=args.trees,
+        max_depth=args.max_depth,
+        min_samples_leaf=args.min_samples_leaf,
+        stratified_bootstrap=args.stratified_bootstrap,
+    )
     ted_by_key = {
         (subject, sequence, frame): ted
         for (subject, sequence), scores in score_dataset(records, cfg).items()
@@ -255,12 +271,6 @@ def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
         conf_high=args.conf_high,
     )
     external = read_predictions_csv(args.predictions, digests) if args.predictions else None
-    hyperparams = ForestHyperparams(
-        n_trees=args.trees,
-        max_depth=args.max_depth,
-        min_samples_leaf=args.min_samples_leaf,
-        stratified_bootstrap=args.stratified_bootstrap,
-    )
     report, predictions = interpret_dataset(
         table,
         ted_by_key,

@@ -9,6 +9,7 @@ feature stream. Frame 1 is the reference frame and scores S_1.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -277,33 +278,19 @@ def score_dataset(
     }
 
 
-_CSV_COLUMNS = (
-    "subject",
-    "sequence",
-    "frame",
-    "S",
-    "M_L",
-    "M_Ho",
-    "M_Hr",
-    "M_Gl",
-    "M_Gr",
-    "M_I",
-    "ted_score",
-    "tracking_ok",
-)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+# the dynamics columns follow SequenceScores.dynamics, in FEATURE_SETS order
+_CSV_COLUMNS = ("subject", "sequence", "frame", "S", *(f"M_{fs}" for fs in FEATURE_SETS),
+                "ted_score", "tracking_ok")
 
 
 def write_scores_csv(results: dict[tuple[str, str], SequenceScores], path) -> None:
     """Deterministic scored-output CSV, ordered by (subject, sequence, frame)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for (subject, sequence) in sorted(results):
-            writer.writerows(
-                [subject, sequence, frame, _fmt(static), *map(_fmt, dynamics), _fmt(ted), int(ok)]
-                for frame, static, dynamics, ted, ok in results[(subject, sequence)].rows()
-            )
+        csv.writer(fh).writerow(_CSV_COLUMNS)
+        for key in sorted(results):
+            ids = io.StringIO()  # through the csv writer, so ids that need quotes get them
+            csv.writer(ids).writerow(key)
+            row = ids.getvalue()[:-2].replace("%", "%%") + ",%d" + ",%.17g" * 8 + ",%d\r\n"
+            s = results[key]
+            columns = (s.frame_index, s.static, *s.dynamics.T, s.ted, s.tracking_ok)
+            fh.write("".join(map(row.__mod__, zip(*(c.tolist() for c in columns)))))

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ComputeError
+from .errors import ComputeError, ConfigError
 
 
 class Tree(NamedTuple):
@@ -102,6 +102,12 @@ class ForestHyperparams:
     max_depth: Optional[int] = None
     min_samples_leaf: int = 1
     stratified_bootstrap: bool = False
+
+    def __post_init__(self):
+        for name, low in (("n_trees", 1), ("max_depth", 0), ("min_samples_leaf", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 class RandomForest:

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -32,6 +33,8 @@ from .model import (
 
 _AU_COLUMN = re.compile(r"^AU(\d+)_r$")
 _LETTER_LEVELS = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0, "E": 5.0}
+# the one-character level cells, as the row-wise reader maps them
+_MANUAL_LEVELS = dict(zip("012345ABCDEabcde", map(float, "0123451234512345")))
 
 
 def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> io.TextIOWrapper:
@@ -111,10 +114,59 @@ class FeatureCsvSchema:
             raise SchemaError(f"schema file {path} is malformed: {exc}") from None
 
 
+def _load_feature_rows(fh, cols: list[int], width: int) -> Optional[np.ndarray]:
+    """The bound columns of the rows after the header, as `np.loadtxt` reads them;
+    None where it fails or where it could accept or read a row the csv reader would not."""
+    data = fh.buffer.getvalue()  # the bytes read_input read
+    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    # loadtxt skips blank lines, so every line must come back as a row; a lone \r ends one too
+    lines = breaks.size + data.count(b"\r") - data.count(b"\r\n")
+    lines += not data.endswith((b"\n", b"\r"))
+    # the csv reader fails on a cell over its size limit, even one it does not bind
+    longest = np.diff(breaks, prepend=-1, append=len(data)).max()
+    # a quoted cell can hide commas from loadtxt
+    if b'"' in data or lines < 2 or longest > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the header's last column makes a short row fail; no comment character
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                usecols=[*cols, width - 1])
+    except Exception:  # any failure (float() takes '1_000', loadtxt does not): read row-wise
+        return None
+    return values[:, : len(cols)] if len(values) == lines - 1 else None
+
+
+def _read_feature_rows(path, reader, bound: list[str], cols: list[int], width: int) -> np.ndarray:
+    """The bound columns of the rows after the header, read row-wise."""
+    next(reader)
+    rows: list[list[float]] = []
+    for line, cells in enumerate(reader, start=2):
+        if len(cells) < width:
+            raise ParseError(f"{path}: line {line} has {len(cells)} cells, the header has {width}")
+        try:
+            rows.append([float(cells[i]) for i in cols])
+        except ValueError:
+            for column, i in zip(bound, cols):
+                raw = cells[i].strip()
+                try:
+                    float(raw)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric value {raw!r} in column {column!r}, "
+                        f"line {line}"
+                    ) from None
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(rows)
+
+
 def parse_feature_csv(
     path, schema: Optional[FeatureCsvSchema] = None, digests: Optional[dict[str, str]] = None
 ) -> FrameColumns:
-    """Parse one tracker-export CSV into frame columns, in file order."""
+    """Parse one tracker-export CSV into frame columns, in file order. numpy parses the
+    rows; the row-wise reader reruns wherever it fails or could read a row differently."""
     with read_input(path, digests, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -131,30 +183,11 @@ def parse_feature_csv(
             if count > 1:
                 raise SchemaError(f"{path}: column {column!r} appears {count} times")
         cols = [header.index(column) for column in bound]
+        values = _load_feature_rows(fh, cols, len(header))
+        if values is None:
+            fh.seek(0)
+            values = _read_feature_rows(path, csv.reader(fh), bound, cols, len(header))
 
-        rows: list[list[float]] = []
-        for line, cells in enumerate(reader, start=2):
-            if len(cells) < len(header):
-                raise ParseError(
-                    f"{path}: line {line} has {len(cells)} cells, "
-                    f"the header has {len(header)}"
-                )
-            try:
-                rows.append([float(cells[i]) for i in cols])
-            except ValueError:
-                for column, i in zip(bound, cols):
-                    raw = cells[i].strip()
-                    try:
-                        float(raw)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: non-numeric value {raw!r} in column {column!r}, "
-                            f"line {line}"
-                        ) from None
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-
-    values = np.array(rows)
     position = {column: j for j, column in enumerate(bound)}
 
     def block(columns: Sequence[str]) -> np.ndarray:
@@ -192,42 +225,72 @@ def parse_manual_au_file(
     path, digests: Optional[dict[str, str]] = None
 ) -> dict[int, dict[int, float]]:
     """Parse frame,au,level rows; letter grades A-E map to 1-5."""
-    table: dict[int, dict[int, float]] = {}
     with read_input(path, digests, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file")
-        for column in ("frame", "au", "level"):
-            if column not in reader.fieldnames:
-                raise SchemaError(f"{path}: missing column {column!r}")
-        for line, row in enumerate(reader, start=2):
+        text = fh.read()
+    return _split_manual_rows(text) or _read_manual_rows(path, text)
+
+
+def _split_manual_rows(text: str) -> Optional[dict[int, dict[int, float]]]:
+    """The table of a plain file: the exact header, three cells a row, one-character
+    levels, no blank lines or carriage returns. None for any other file and for
+    any row the row-wise reader would reject (a quote fails int() and the levels)."""
+    header, _, body = text.partition("\n")
+    if header != "frame,au,level" or not body or "\r" in body:
+        return None
+    body = body.removesuffix("\n")
+    n = body.count("\n") + 1
+    marks = np.frombuffer(body.encode(), np.uint8)
+    if not np.array_equal(marks[(marks == 44) | (marks == 10)], np.tile([44, 44, 10], n)[:-1]):
+        return None  # some row has other than three cells
+    cells = body.replace("\n", ",").split(",")
+    try:  # int() as the row-wise reader calls it, so the same cells pass
+        frames = list(map(int, cells[0::3]))
+        au_ids = list(map(int, cells[1::3]))
+        levels = list(map(_MANUAL_LEVELS.__getitem__, cells[2::3]))
+    except (ValueError, KeyError):
+        return None
+    if not 1 <= min(au_ids) <= max(au_ids) <= 64:
+        return None
+    table: dict[int, dict[int, float]] = {}
+    for frame, au_id, level in zip(frames, au_ids, levels):
+        table.setdefault(frame, {})[au_id] = level
+    # a repeated (frame, AU) pair leaves fewer entries than rows
+    return table if sum(map(len, table.values())) == n else None
+
+
+def _read_manual_rows(path, text: str) -> dict[int, dict[int, float]]:
+    """The table of a manual-AU file, read row-wise."""
+    table: dict[int, dict[int, float]] = {}
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise ParseError(f"{path}: empty file")
+    for column in ("frame", "au", "level"):
+        if column not in reader.fieldnames:
+            raise SchemaError(f"{path}: missing column {column!r}")
+    for line, row in enumerate(reader, start=2):
+        try:
+            frame = int(row["frame"])
+            au_id = int(row["au"])
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: bad frame/au on line {line}") from None
+        if not 1 <= au_id <= 64:
+            raise ConfigError(f"au_id {au_id} outside FACS range 1..64")
+        raw = (row["level"] or "").strip().upper()
+        if raw in _LETTER_LEVELS:
+            level = _LETTER_LEVELS[raw]
+        else:
             try:
-                frame = int(row["frame"])
-                au_id = int(row["au"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: bad frame/au on line {line}") from None
-            if not 1 <= au_id <= 64:
-                raise ConfigError(f"au_id {au_id} outside FACS range 1..64")
-            raw = (row["level"] or "").strip().upper()
-            if raw in _LETTER_LEVELS:
-                level = _LETTER_LEVELS[raw]
-            else:
-                try:
-                    level = float(raw)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: unknown intensity {row['level']!r} on line {line}"
-                    ) from None
-                if level not in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
-                    raise ParseError(
-                        f"{path}: manual level {raw} not in 0-5 (line {line})"
-                    )
-            per_frame = table.setdefault(frame, {})
-            if au_id in per_frame:
+                level = float(raw)
+            except ValueError:
                 raise ParseError(
-                    f"{path}: duplicate entry for frame {frame}, AU {au_id}"
-                )
-            per_frame[au_id] = level
+                    f"{path}: unknown intensity {row['level']!r} on line {line}"
+                ) from None
+            if level not in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
+                raise ParseError(f"{path}: manual level {raw} not in 0-5 (line {line})")
+        per_frame = table.setdefault(frame, {})
+        if au_id in per_frame:
+            raise ParseError(f"{path}: duplicate entry for frame {frame}, AU {au_id}")
+        per_frame[au_id] = level
     return table
 
 

@@ -238,6 +238,37 @@ class TestExitCodes:
         assert code == 3
         assert f"input error: {path}: not valid UTF-8 (byte 20)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["0", "-2", "abc"])
+    def test_bad_sweep_window_is_2(self, dataset, tmp_path, capsys, token):
+        code, out = run(dataset, tmp_path, "sweep", "--windows", f"3,{token}")
+        assert code == 2
+        assert f"--windows: window must be >= 1, got {token!r}" in capsys.readouterr().err
+        assert not (out / "ablation.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trees", "-1", "n_trees must be >= 1, got -1"),
+            ("--trees", "0", "n_trees must be >= 1, got 0"),
+            ("--max-depth", "-1", "max_depth must be >= 0, got -1"),
+            ("--min-samples-leaf", "-3", "min_samples_leaf must be >= 1, got -3"),
+            ("--min-samples-leaf", "0", "min_samples_leaf must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_forest_argument_is_2(self, dataset, tmp_path, capsys, flag, value, message):
+        code, out = run(dataset, tmp_path, "interpret", "--trees", "3", flag, value)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "interpret.json").exists()
+
+    @pytest.mark.parametrize("command", ["score", "sweep", "evaluate", "summarize", "interpret"])
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_2(self, dataset, tmp_path, capsys, command, jobs):
+        code, out = run(dataset, tmp_path, command, "--jobs", jobs)
+        assert code == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compute_error_is_4(self, dataset, tmp_path):
         # external predictions referencing frames outside the dataset
         preds = tmp_path / "preds.csv"

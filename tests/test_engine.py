@@ -1,8 +1,9 @@
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_constant_sequence, make_frame, make_random_sequence
@@ -15,6 +16,7 @@ from naive import (
 from ted.engine import (
     DynamicsState,
     SequenceDynamics,
+    SequenceScores,
     direction_sign,
     relative_change,
     score_dataset,
@@ -92,10 +94,16 @@ class TestRelativeChange:
             relative_change([[1.0, 2.0]], [[3.0, 4.0]])
 
     @given(vectors, vectors)
+    @example(a=[699050.9771707852] * 3, b=[0.0, 0.0])
     def test_matches_naive_oracle(self, a, b):
         if len(a) != len(b):
             b = (b * len(a))[: len(a)]
         got = relative_change(a, b)
+        if len(set(a)) == len(set(b)) == 1:
+            # both constant: the guard gives exactly 0, while the oracle's mean of
+            # [c, c, c] can round off c and leave a ratio of two rounding errors
+            assert got == 0.0
+            return
         want = naive_relative_change(a, b)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -318,3 +326,33 @@ class TestScoresCsv:
         write_scores_csv(results, a)
         write_scores_csv(results, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_matches_csv_writer_reference(self, tmp_path):
+        """One format per row writes what csv.writer wrote cell by cell."""
+        specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, -2.5e-17]
+        rows = len(specials)
+
+        def scores(shift):
+            values = np.roll(specials, shift)
+            return SequenceScores(
+                frame_index=np.arange(1, rows + 1) * 10**shift,
+                static=values,
+                dynamics=np.stack([np.roll(values, k) for k in range(6)], axis=1),
+                ted=-values,
+                tracking_ok=np.arange(rows) % 3 != 0,
+            )
+
+        ids = ["a,b", 'q"t', " lead", "trail ", "100%", "%d", "x\ny", "plain", ""]
+        results = {(s, q): scores(i % rows) for i, (s, q) in enumerate(zip(ids, ids[::-1]))}
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_scores_csv(results, got)
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["subject", "sequence", "frame", "S", "M_L", "M_Ho", "M_Hr",
+                             "M_Gl", "M_Gr", "M_I", "ted_score", "tracking_ok"])
+            for key in sorted(results):
+                for frame, static, dynamics, ted, ok in results[key].rows():
+                    values = [static, *dynamics, ted]
+                    writer.writerow([*key, frame, *(format(x, ".17g") for x in values), int(ok)])
+        assert got.read_bytes() == want.read_bytes()
+        assert b'"a,b"' in got.read_bytes() and b'"q""t"' in got.read_bytes()

@@ -1,9 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_frame
+from ted import ingestion
 from ted.errors import ConfigError, ManifestError, ParseError, SchemaError
 from ted.ingestion import (
     FeatureCsvSchema,
@@ -190,6 +194,176 @@ class TestParseManualAuFile:
         path.write_text("frame,au\n1,4\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="level"):
             parse_manual_au_file(path)
+
+
+# Unbound columns lead the bound ones, as in tracker exports; the second
+# layout also ends in one, the first ends in a bound column.
+_FEATURE_TEXTS = tuple(
+    "frame,face_id,timestamp,confidence,success,x_0,x_1,y_0,y_1,"
+    "pose_Tx,pose_Ty,pose_Tz,pose_Rx,pose_Ry,pose_Rz,"
+    "gaze_0_x,gaze_0_y,gaze_0_z,gaze_1_x,gaze_1_y,gaze_1_z,AU04_r,AU06_r" + tail + "\n"
+    + "".join(
+        f"{t},0,{t / 30!r},0.98,{t % 3 != 0:d},{0.1 * t!r},-1.5,2.25,{t / 7!r},"
+        f"1e-3,2,3,0.01,-0.02,0.03,0.5,0.6,0.7,0.8,0.9,1.0,{t / 3!r},4.75"
+        + tail.replace(",AU04_c", ",1") + "\n"
+        for t in range(1, 6)
+    )
+    for tail in ("", ",AU04_c")
+)
+_MANUAL_TEXT = "frame,au,level\n" + "".join(
+    f"{t},{au},{'0123450ABCDEabcde'[(t * au) % 17]}\n" for t in range(1, 5) for au in (4, 6, 43)
+)
+# cells that float(), int() and the two readers may take differently
+_TRAP_CELLS = [
+    "", " ", "abc", "1_000", "١", "nan", "-nan", "inf", "-Infinity", "1e400", "0x1p3",
+    "#", "1#2", '"', '"1,2"', '"0,0,0"', " 7 ", "3.0", "2.5", "F", "e", "70", "0", "-1",
+    "99999999999999999999", " 1", "1\x0c",
+]
+_EDITS = ["blank", "short", "long", "cell", "duplicate_header", "lone_cr", "crlf",
+          "repeat_row", "no_final_newline"]
+
+
+@st.composite
+def text_mutations(draw):
+    """One to three edits: (kind, row, column, cell text)."""
+    cell = st.one_of(
+        st.sampled_from(_TRAP_CELLS),
+        st.text(alphabet='0123456789.,-+eE#"\r aF', max_size=5),
+    )
+    edit = st.tuples(st.sampled_from(_EDITS), st.integers(0, 99), st.integers(0, 99), cell)
+    return draw(st.lists(edit, min_size=1, max_size=3))
+
+
+def mutate(text, edits):
+    """The file `text` with each edit applied to its rows and line ends."""
+    rows = [line.split(",") for line in text.splitlines()]
+    ends = ["\n"] * len(rows)
+    for kind, row, col, cell in edits:
+        row = row % len(rows)
+        col = col % max(len(rows[row]), 1)
+        if kind == "blank":
+            rows.insert(row, [""])
+            ends.insert(row, "\n")
+        elif kind == "short":
+            rows[row] = rows[row][:col]
+        elif kind == "long":
+            rows[row].append(cell)
+        elif kind == "cell":
+            rows[row][col : col + 1] = [cell]
+        elif kind == "duplicate_header" and rows[0]:
+            rows[0][col % len(rows[0])] = rows[0][row % len(rows[0])]
+        elif kind == "lone_cr":
+            ends[row] = "\r"
+        elif kind == "crlf":
+            ends[row] = "\r\n"
+        elif kind == "repeat_row":
+            rows.append(list(rows[row]))
+            ends.append("\n")
+        else:
+            ends[-1] = ""
+    return "".join(",".join(cells) + end for cells, end in zip(rows, ends))
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except Exception as exc:  # the same type and message from both readers
+        return type(exc), str(exc)
+
+
+def _rowwise(parse, path):
+    """`parse` with its numpy fast path switched off: the row-wise reader alone."""
+    with mock.patch.object(ingestion, "_load_feature_rows", return_value=None), \
+            mock.patch.object(ingestion, "_split_manual_rows", return_value=None):
+        return _outcome(parse, path)
+
+
+def _same_columns(a, b):
+    if not isinstance(a, FrameColumns) or not isinstance(b, FrameColumns):
+        return a == b
+    return a.au_ids == b.au_ids and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(
+            (getattr(a, f) for f in _COLUMN_FIELDS), (getattr(b, f) for f in _COLUMN_FIELDS)
+        )
+    )
+
+
+_COLUMN_FIELDS = ("frame_index", "tracking_ok", "landmarks", "head_translation",
+                  "head_rotation", "gaze_left", "gaze_right", "au_levels")
+
+
+class TestFastPathsMatchRowWise:
+    """numpy's fast paths accept what the row-wise readers accept, with the same
+    values bit for bit, and leave every rejection and its message to them."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("differential")
+
+    @pytest.mark.parametrize("base", range(len(_FEATURE_TEXTS)))
+    def test_clean_files_take_the_fast_paths(self, workdir, base):
+        features, manual = workdir / "clean.csv", workdir / "clean_aus.csv"
+        features.write_text(_FEATURE_TEXTS[base], encoding="utf-8")
+        manual.write_text(_MANUAL_TEXT, encoding="utf-8")
+        with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError), \
+                mock.patch.object(ingestion, "_read_manual_rows", side_effect=AssertionError):
+            assert len(parse_feature_csv(features)) == 5
+            assert len(parse_manual_au_file(manual)) == 4
+
+    def test_crlf_feature_file_takes_the_fast_path(self, workdir):
+        path = workdir / "crlf.csv"
+        path.write_bytes(_FEATURE_TEXTS[0].replace("\n", "\r\n").encode())
+        with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError):
+            assert len(parse_feature_csv(path)) == 5
+
+    @settings(deadline=None, max_examples=200)
+    @given(base=st.sampled_from(range(len(_FEATURE_TEXTS))), edits=text_mutations())
+    @example(base=0, edits=[("blank", 3, 0, "")])  # loadtxt skips a blank line
+    @example(base=1, edits=[("short", 2, 23, "")])  # only an unbound cell missing
+    @example(base=0, edits=[("cell", 2, 22, "1#2")])  # '#' would start a comment
+    @example(base=0, edits=[("cell", 1, 1, '"0,0"')])  # shifts the bound cells after it
+    @example(base=1, edits=[("cell", 1, 1, '"0,0,0"')])
+    @example(base=0, edits=[("cell", 2, 5, "1_000")])  # float() takes it, loadtxt does not
+    @example(base=0, edits=[("cell", 2, 5, "١")])
+    @example(base=0, edits=[("cell", 2, 5, "-nan"), ("cell", 3, 21, "inf")])
+    @example(base=1, edits=[("lone_cr", 2, 0, ""), ("lone_cr", 0, 0, "")])
+    @example(base=0, edits=[("lone_cr", 1, 0, ""), ("blank", 3, 0, "")])  # one hides the other
+    @example(base=0, edits=[("crlf", 1, 0, ""), ("no_final_newline", 0, 0, "")])
+    @example(base=0, edits=[("cell", 1, 0, "nan")])  # a frame number that is not finite
+    @example(base=0, edits=[("blank", 99, 0, ""), ("no_final_newline", 0, 0, "")])
+    @example(base=0, edits=[("cell", 2, 2, "1" * 140_000)])  # over the csv field limit
+    def test_feature_csv(self, workdir, base, edits):
+        path = workdir / "features.csv"
+        path.write_bytes(mutate(_FEATURE_TEXTS[base], edits).encode())
+        assert _same_columns(_outcome(parse_feature_csv, path), _rowwise(parse_feature_csv, path))
+
+    @settings(deadline=None, max_examples=200)
+    @given(edits=text_mutations())
+    @example(edits=[("blank", 3, 0, "")])  # the csv reader skips a blank line
+    @example(edits=[("short", 2, 2, "")])  # a short row reads None
+    @example(edits=[("cell", 0, 0, "au"), ("cell", 0, 1, "frame")])  # columns reordered
+    @example(edits=[("cell", 3, 2, "3.0"), ("cell", 4, 2, " e")])
+    @example(edits=[("cell", 2, 1, "70")])  # outside the FACS range
+    @example(edits=[("cell", 2, 1, "99999999999999999999")])
+    @example(edits=[("cell", 2, 0, "1_0"), ("cell", 3, 0, "١")])  # int() takes both
+    @example(edits=[("repeat_row", 5, 0, "")])  # a repeated (frame, AU) pair
+    @example(edits=[("cell", 2, 2, '"2"')])
+    @example(edits=[("lone_cr", 2, 0, ""), ("crlf", 0, 0, "")])
+    @example(edits=[("no_final_newline", 0, 0, "")])
+    @example(edits=[("cell", 2, 0, "9\r")])  # the csv reader ends the row at the \r
+    @example(  # two cells, then four that the first row's would take as its own
+        edits=[("short", 2, 2, ""), ("cell", 3, 0, "5"), ("cell", 3, 2, "2"), ("long", 3, 0, "1")]
+    )
+    def test_manual_au_file(self, workdir, edits):
+        path = workdir / "aus.csv"
+        path.write_bytes(mutate(_MANUAL_TEXT, edits).encode())
+        fast, slow = _outcome(parse_manual_au_file, path), _rowwise(parse_manual_au_file, path)
+        assert fast == slow
+        if isinstance(fast, dict):  # the same insertion order too
+            assert [(f, list(aus.items())) for f, aus in fast.items()] == [
+                (f, list(aus.items())) for f, aus in slow.items()
+            ]
 
 
 def frame_columns(*frames):
