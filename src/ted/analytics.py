@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -29,17 +29,14 @@ def pearson(x, y) -> float:
     xm -= xm.mean()  # a second pass removes what rounding the first mean left over
     ym = y - y.mean()
     ym -= ym.mean()
+    # a power-of-two scale is exact and keeps the sums of squares in normal range
+    xm = np.ldexp(xm, -np.frexp(np.abs(xm).max())[1])
+    ym = np.ldexp(ym, -np.frexp(np.abs(ym).max())[1])
     sx = float(np.dot(xm, xm))
     sy = float(np.dot(ym, ym))
     if sx == 0.0 or sy == 0.0:
         raise ComputeError("correlation undefined for a constant series")
-    prod = sx * sy
-    if prod > 0.0 and math.isfinite(prod):
-        denom = math.sqrt(prod)
-    else:
-        # the product of two tiny (or huge) sums under/overflows double range
-        denom = math.sqrt(sx) * math.sqrt(sy)
-    r = float(np.dot(xm, ym)) / denom
+    r = float(np.dot(xm, ym)) / math.sqrt(sx * sy)
     return max(-1.0, min(1.0, r))
 
 
@@ -70,14 +67,6 @@ class SubjectCorrelation:
     pcc: float
     p_value: float
     n_frames: int
-
-    def to_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "pcc": self.pcc,
-            "p_value": self.p_value,
-            "n_frames": self.n_frames,
-        }
 
 
 def evaluate_subject(subject_id: str, ted, pspi) -> SubjectCorrelation:
@@ -134,16 +123,6 @@ class WindowResult:
     q1_pcc: float
     q3_pcc: float
 
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "mean_pcc": self.mean_pcc,
-            "median_pcc": self.median_pcc,
-            "q1_pcc": self.q1_pcc,
-            "q3_pcc": self.q3_pcc,
-            "subjects": [s.to_dict() for s in self.subjects],
-        }
-
 
 @dataclass(frozen=True)
 class AblationReport:
@@ -154,10 +133,7 @@ class AblationReport:
         return max(self.windows, key=lambda w: (w.mean_pcc, -w.window)).window
 
     def to_dict(self) -> dict:
-        return {
-            "best_window": self.best_window,
-            "windows": [w.to_dict() for w in self.windows],
-        }
+        return {"best_window": self.best_window, **asdict(self)}
 
     def to_text(self) -> str:
         lines = [f"{'w':>4} {'mean':>8} {'median':>8} {'q1':>8} {'q3':>8}"]
@@ -203,27 +179,13 @@ class GroupStats:
     label: int
     gender: str
     count: int
-    minimum: float
+    min: float
     q1: float
     median: float
     q3: float
-    maximum: float
+    max: float
     mean: float
     std: float
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "gender": self.gender,
-            "count": self.count,
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "mean": self.mean,
-            "std": self.std,
-        }
 
 
 @dataclass(frozen=True)
@@ -231,13 +193,6 @@ class SummaryReport:
     scale: str
     transform: str
     groups: tuple[GroupStats, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "transform": self.transform,
-            "groups": [g.to_dict() for g in self.groups],
-        }
 
     def to_text(self) -> str:
         header = (
@@ -247,8 +202,8 @@ class SummaryReport:
         lines = [header]
         for g in self.groups:
             lines.append(
-                f"{g.label:>5} {g.gender:>11} {g.count:>7} {g.minimum:>9.4f} "
-                f"{g.q1:>9.4f} {g.median:>9.4f} {g.q3:>9.4f} {g.maximum:>9.4f} "
+                f"{g.label:>5} {g.gender:>11} {g.count:>7} {g.min:>9.4f} "
+                f"{g.q1:>9.4f} {g.median:>9.4f} {g.q3:>9.4f} {g.max:>9.4f} "
                 f"{g.mean:>9.4f} {g.std:>9.4f}"
             )
         return "\n".join(lines)
@@ -263,7 +218,7 @@ class SummaryReport:
             for g in self.groups:
                 writer.writerow(
                     [self.scale, g.label, g.gender, g.count]
-                    + [format(v, ".17g") for v in (g.minimum, g.q1, g.median, g.q3, g.maximum)]
+                    + [format(v, ".17g") for v in (g.min, g.q1, g.median, g.q3, g.max)]
                 )
 
 
@@ -273,11 +228,11 @@ def _stats(label: int, gender: str, values: list[float]) -> GroupStats:
         label=label,
         gender=gender,
         count=arr.size,
-        minimum=float(arr.min()),
+        min=float(arr.min()),
         q1=float(np.percentile(arr, 25)),
         median=float(np.percentile(arr, 50)),
         q3=float(np.percentile(arr, 75)),
-        maximum=float(arr.max()),
+        max=float(arr.max()),
         mean=float(arr.mean()),
         std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
     )

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from . import __version__
+from . import __version__, interpret
 from .analytics import (
     DEFAULT_WINDOW_SWEEP,
     evaluate_dataset,
@@ -23,7 +23,7 @@ from .errors import ComputeError, ConfigError, ParseError
 from .ingestion import FeatureCsvSchema, load_dataset, load_manifest
 from .interpret import (
     AgreementThresholds,
-    interpret_dataset,
+    LosoResult,
     build_frame_table,
     read_predictions_csv,
     write_predictions_csv,
@@ -222,6 +222,8 @@ def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
         if window < 1:
             raise ConfigError(f"--windows: window must be >= 1, got {tok.strip()!r}")
         windows.append(window)
+    if not windows:
+        raise ConfigError(f"--windows: no window length in {args.windows!r}")
     report = window_ablation(records, cfg, windows)
     _dump_json(report.to_dict(), out_dir / "ablation.json")
     (out_dir / "ablation.txt").write_text(report.to_text() + "\n", encoding="utf-8")
@@ -232,7 +234,7 @@ def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
 def cmd_evaluate(args, records, cfg, out_dir, digests) -> dict:
     correlations = evaluate_dataset(records, cfg)
     payload = {
-        "subjects": [c.to_dict() for c in correlations],
+        "subjects": [dataclasses.asdict(c) for c in correlations],
         "mean_pcc": sum(c.pcc for c in correlations) / len(correlations),
     }
     _dump_json(payload, out_dir / "correlations.json")
@@ -243,7 +245,7 @@ def cmd_evaluate(args, records, cfg, out_dir, digests) -> dict:
 def cmd_summarize(args, records, cfg, out_dir, digests) -> dict:
     series = {key: scores.ted for key, scores in score_dataset(records, cfg).items()}
     report = summarize(records, series, scale=args.scale, transform=args.transform)
-    _dump_json(report.to_dict(), out_dir / "summary.json")
+    _dump_json(dataclasses.asdict(report), out_dir / "summary.json")
     (out_dir / "summary.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     if args.plot_data:
         report.write_plot_data(out_dir / args.plot_data)
@@ -270,21 +272,32 @@ def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
         ted_low=args.ted_low,
         conf_high=args.conf_high,
     )
-    external = read_predictions_csv(args.predictions, digests) if args.predictions else None
-    report, predictions = interpret_dataset(
-        table,
-        ted_by_key,
-        hyperparams=hyperparams,
-        seed=args.seed,
-        thresholds=thresholds,
-        external_predictions=external,
-    )
-    _dump_json(report.to_dict(), out_dir / "interpret.json")
-    if external is None:
-        write_predictions_csv(predictions, out_dir / "predictions.csv")
-    if report.per_subject_f1:
-        print(f"mean F1 over {len(report.per_subject_f1)} subjects: {report.mean_f1:.4f}")
-    print(f"flagged disagreements: {len(report.flags)}")
+    # loso_validate and agreement_analysis go through the module: perfbench wraps them there
+    if args.predictions:
+        external = read_predictions_csv(args.predictions, digests)
+        loso = LosoResult(
+            per_subject_f1={},
+            mean_f1=float("nan"),
+            predictions=interpret.join_labels(table, external),
+            findings=["external predictions: no LOSO F1 computed"],
+        )
+    else:
+        loso = interpret.loso_validate(table, hyperparams=hyperparams, seed=args.seed)
+    agreement = interpret.agreement_analysis(loso.predictions, ted_by_key, thresholds)
+    payload = {
+        "per_subject_f1": loso.per_subject_f1,
+        "mean_f1": loso.mean_f1,
+        "scenario_counts": agreement.scenario_counts,
+        "scenario_correlation": agreement.scenario_correlation,
+        "flags": [flag.to_dict() for flag in agreement.flags],
+        "findings": loso.findings + agreement.findings,
+    }
+    _dump_json(payload, out_dir / "interpret.json")
+    if not args.predictions:
+        write_predictions_csv(loso.predictions, out_dir / "predictions.csv")
+    if loso.per_subject_f1:
+        print(f"mean F1 over {len(loso.per_subject_f1)} subjects: {loso.mean_f1:.4f}")
+    print(f"flagged disagreements: {len(agreement.flags)}")
     return {
         "seed": args.seed,
         "trees": args.trees,

@@ -154,10 +154,6 @@ class RandomForest:
             self.trees.append(_build_tree(codes, values, labels, weight, rng, hp, n_subset))
         return self
 
-    def predict_confidence(self, row) -> float:
-        """Fraction of trees voting for the positive (pain) class."""
-        return float(self.predict_confidences(np.reshape(row, (1, -1)))[0])
-
     def predict_confidences(self, X) -> np.ndarray:
         """Per-row fraction of trees voting pain; equal rows walk the trees once."""
         if not self.trees:

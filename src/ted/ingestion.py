@@ -13,6 +13,7 @@ import io
 import json
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -49,6 +50,17 @@ def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> 
         raise ParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
     # decoded chunk by chunk, as open() does; a StringIO holds 4 bytes per character
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+
+@contextmanager
+def csv_errors(path, reader):
+    """`reader`, a csv reader (a DictReader's is its `.reader`), with a line it cannot
+    split (a cell over its size limit, say) reported as a ParseError naming the file
+    and line. Its `line_num` counts physical lines, blank ones included."""
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -142,21 +154,24 @@ def _read_feature_rows(path, reader, bound: list[str], cols: list[int], width: i
     """The bound columns of the rows after the header, read row-wise."""
     next(reader)
     rows: list[list[float]] = []
-    for line, cells in enumerate(reader, start=2):
-        if len(cells) < width:
-            raise ParseError(f"{path}: line {line} has {len(cells)} cells, the header has {width}")
-        try:
-            rows.append([float(cells[i]) for i in cols])
-        except ValueError:
-            for column, i in zip(bound, cols):
-                raw = cells[i].strip()
-                try:
-                    float(raw)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric value {raw!r} in column {column!r}, "
-                        f"line {line}"
-                    ) from None
+    with csv_errors(path, reader):
+        for line, cells in enumerate(reader, start=2):
+            if len(cells) < width:
+                raise ParseError(
+                    f"{path}: line {line} has {len(cells)} cells, the header has {width}"
+                )
+            try:
+                rows.append([float(cells[i]) for i in cols])
+            except ValueError:
+                for column, i in zip(bound, cols):
+                    raw = cells[i].strip()
+                    try:
+                        float(raw)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: non-numeric value {raw!r} in column {column!r}, "
+                            f"line {line}"
+                        ) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.array(rows)
@@ -168,11 +183,11 @@ def parse_feature_csv(
     """Parse one tracker-export CSV into frame columns, in file order. numpy parses the
     rows; the row-wise reader reruns wherever it fails or could read a row differently."""
     with read_input(path, digests, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+        with csv_errors(path, csv.reader(fh)) as reader:
+            header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        header = [c.strip() for c in header]
         if schema is None:
             schema = FeatureCsvSchema.infer(header)
         bound = schema.bound_columns()
@@ -262,35 +277,37 @@ def _read_manual_rows(path, text: str) -> dict[int, dict[int, float]]:
     """The table of a manual-AU file, read row-wise."""
     table: dict[int, dict[int, float]] = {}
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None:
-        raise ParseError(f"{path}: empty file")
-    for column in ("frame", "au", "level"):
-        if column not in reader.fieldnames:
-            raise SchemaError(f"{path}: missing column {column!r}")
-    for line, row in enumerate(reader, start=2):
-        try:
-            frame = int(row["frame"])
-            au_id = int(row["au"])
-        except (TypeError, ValueError):
-            raise ParseError(f"{path}: bad frame/au on line {line}") from None
-        if not 1 <= au_id <= 64:
-            raise ConfigError(f"au_id {au_id} outside FACS range 1..64")
-        raw = (row["level"] or "").strip().upper()
-        if raw in _LETTER_LEVELS:
-            level = _LETTER_LEVELS[raw]
-        else:
+    with csv_errors(path, reader.reader) as lines:
+        if reader.fieldnames is None:
+            raise ParseError(f"{path}: empty file")
+        for column in ("frame", "au", "level"):
+            if column not in reader.fieldnames:
+                raise SchemaError(f"{path}: missing column {column!r}")
+        for row in reader:
+            line = lines.line_num
             try:
-                level = float(raw)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: unknown intensity {row['level']!r} on line {line}"
-                ) from None
-            if level not in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
-                raise ParseError(f"{path}: manual level {raw} not in 0-5 (line {line})")
-        per_frame = table.setdefault(frame, {})
-        if au_id in per_frame:
-            raise ParseError(f"{path}: duplicate entry for frame {frame}, AU {au_id}")
-        per_frame[au_id] = level
+                frame = int(row["frame"])
+                au_id = int(row["au"])
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: bad frame/au on line {line}") from None
+            if not 1 <= au_id <= 64:
+                raise ConfigError(f"au_id {au_id} outside FACS range 1..64")
+            raw = (row["level"] or "").strip().upper()
+            if raw in _LETTER_LEVELS:
+                level = _LETTER_LEVELS[raw]
+            else:
+                try:
+                    level = float(raw)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: unknown intensity {row['level']!r} on line {line}"
+                    ) from None
+                if level not in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
+                    raise ParseError(f"{path}: manual level {raw} not in 0-5 (line {line})")
+            per_frame = table.setdefault(frame, {})
+            if au_id in per_frame:
+                raise ParseError(f"{path}: duplicate entry for frame {frame}, AU {au_id}")
+            per_frame[au_id] = level
     return table
 
 

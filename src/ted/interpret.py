@@ -17,7 +17,7 @@ import numpy as np
 from .analytics import pearson
 from .errors import ComputeError, ParseError
 from .forest import ForestHyperparams, RandomForest
-from .ingestion import read_input
+from .ingestion import csv_errors, read_input
 from .model import AuProfile, PAIN_PROFILE, SequenceRecord
 
 FrameKey = tuple[str, str, int]
@@ -138,6 +138,17 @@ def loso_validate(
     )
 
 
+def join_labels(table: FrameTable, predictions: Sequence[Prediction]) -> list[Prediction]:
+    """External predictions with their ground truth taken from the frame table."""
+    label_by_key = {k: bool(v) for k, v in zip(table.keys, table.y)}
+    joined = []
+    for pred in predictions:
+        if pred.key not in label_by_key:
+            raise ComputeError(f"external prediction {pred.key} not in dataset")
+        joined.append(replace(pred, label_pain=label_by_key[pred.key]))
+    return joined
+
+
 def scenario_partition(
     predictions: Sequence[Prediction],
 ) -> dict[str, list[Prediction]]:
@@ -185,6 +196,7 @@ class DisagreementFlag:
 
 @dataclass
 class AgreementResult:
+    scenario_counts: dict[str, int]
     scenario_correlation: dict[str, float]
     flags: list[DisagreementFlag]
     findings: list[str]
@@ -229,67 +241,11 @@ def agreement_analysis(
                 DisagreementFlag(pred.key, ted, pred.confidence_pain, pred.scenario, reason)
             )
     return AgreementResult(
-        scenario_correlation=correlations, flags=flags, findings=findings
-    )
-
-
-@dataclass
-class InterpretReport:
-    per_subject_f1: dict[str, float]
-    mean_f1: float
-    scenario_counts: dict[str, int]
-    scenario_correlation: dict[str, float]
-    flags: list[DisagreementFlag]
-    findings: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "per_subject_f1": dict(sorted(self.per_subject_f1.items())),
-            "mean_f1": self.mean_f1,
-            "scenario_counts": self.scenario_counts,
-            "scenario_correlation": self.scenario_correlation,
-            "flags": [f.to_dict() for f in self.flags],
-            "findings": list(self.findings),
-        }
-
-
-def interpret_dataset(
-    table: FrameTable,
-    ted_by_key: Mapping[FrameKey, float],
-    hyperparams: Optional[ForestHyperparams] = None,
-    seed: int = 0,
-    thresholds: Optional[AgreementThresholds] = None,
-    external_predictions: Optional[Sequence[Prediction]] = None,
-) -> tuple[InterpretReport, list[Prediction]]:
-    """Full interpretation pipeline: LOSO (or imported predictions) + agreement."""
-    if external_predictions is not None:
-        label_by_key = {k: bool(v) for k, v in zip(table.keys, table.y)}
-        predictions = []
-        for pred in external_predictions:
-            if pred.key not in label_by_key:
-                raise ComputeError(f"external prediction {pred.key} not in dataset")
-            predictions.append(replace(pred, label_pain=label_by_key[pred.key]))
-        per_subject_f1: dict[str, float] = {}
-        mean_f1 = float("nan")
-        findings = ["external predictions: no LOSO F1 computed"]
-    else:
-        loso = loso_validate(table, hyperparams=hyperparams, seed=seed)
-        predictions = loso.predictions
-        per_subject_f1 = loso.per_subject_f1
-        mean_f1 = loso.mean_f1
-        findings = loso.findings
-
-    agreement = agreement_analysis(predictions, ted_by_key, thresholds)
-    buckets = scenario_partition(predictions)
-    report = InterpretReport(
-        per_subject_f1=per_subject_f1,
-        mean_f1=mean_f1,
         scenario_counts={s: len(buckets[s]) for s in SCENARIOS},
-        scenario_correlation=agreement.scenario_correlation,
-        flags=agreement.flags,
-        findings=findings + agreement.findings,
+        scenario_correlation=correlations,
+        flags=flags,
+        findings=findings,
     )
-    return report, predictions
 
 
 def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
@@ -313,25 +269,27 @@ def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> list
     first_line: dict[FrameKey, int] = {}
     with read_input(path, digests, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"subject", "sequence", "frame", "confidence_pain"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ParseError(f"{path}: predictions CSV needs columns {sorted(required)}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                confidence = float(row["confidence_pain"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: bad confidence on line {line}") from None
-            if not 0.0 <= confidence <= 1.0:
-                raise ParseError(f"{path}: confidence outside [0, 1] on line {line}")
-            try:
-                frame = int(row["frame"])
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"{path}: frame {row['frame']!r} on line {line} is not an integer"
-                ) from None
-            key = (row["subject"], row["sequence"], frame)
-            first = first_line.setdefault(key, line)
-            if first != line:
-                raise ParseError(f"{path}: line {line} repeats frame {key} of line {first}")
-            predictions.append(Prediction(key=key, confidence_pain=confidence))
+        with csv_errors(path, reader.reader) as lines:
+            required = {"subject", "sequence", "frame", "confidence_pain"}
+            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                raise ParseError(f"{path}: predictions CSV needs columns {sorted(required)}")
+            for row in reader:
+                line = lines.line_num
+                try:
+                    confidence = float(row["confidence_pain"])
+                except (TypeError, ValueError):
+                    raise ParseError(f"{path}: bad confidence on line {line}") from None
+                if not 0.0 <= confidence <= 1.0:
+                    raise ParseError(f"{path}: confidence outside [0, 1] on line {line}")
+                try:
+                    frame = int(row["frame"])
+                except (TypeError, ValueError):
+                    raise ParseError(
+                        f"{path}: frame {row['frame']!r} on line {line} is not an integer"
+                    ) from None
+                key = (row["subject"], row["sequence"], frame)
+                first = first_line.setdefault(key, line)
+                if first != line:
+                    raise ParseError(f"{path}: line {line} repeats frame {key} of line {first}")
+                predictions.append(Prediction(key=key, confidence_pain=confidence))
     return predictions

@@ -309,7 +309,8 @@ class Finding:
 
 
 def validate_sequence(seq: SequenceRecord) -> list[Finding]:
-    """Check all sequence invariants; returns an empty list iff they hold."""
+    """Check the frames' invariants; returns an empty list iff they hold. PSPI labels
+    are not checked here: `parse_pspi_file` checks their values, `pspi_array` their count."""
     cols = seq.frames
     n = len(cols)
     if not n:
@@ -334,15 +335,4 @@ def validate_sequence(seq: SequenceRecord) -> list[Finding]:
     if leading:
         message = f"leading {leading} frame(s) failed tracking; dynamics use their tracker output"
         findings.insert(0, Finding("tracking", message))
-
-    if seq.pspi is not None:
-        if len(seq.pspi) != n:
-            findings.append(
-                Finding("pspi", f"length {len(seq.pspi)} != frame count {n}")
-            )
-        pspi = np.asarray(seq.pspi, dtype=float)[:n]
-        findings += [
-            Finding("pspi", f"value {seq.pspi[p]} outside [0, 16]", idx[p])
-            for p in np.flatnonzero(~((pspi >= 0.0) & (pspi <= 16.0))).tolist()
-        ]
     return findings

@@ -55,6 +55,16 @@ class TestPearson:
         with pytest.raises(ComputeError, match="mismatch"):
             pearson([1, 2, 3], [1, 2])
 
+    @pytest.mark.parametrize(
+        "x, y, want",
+        [
+            ([0.0, 0.0, 1.0], [0.0, 0.0, 6.99e-160], 1.0),  # sums of squares are subnormal
+            ([1e200, -1e200, 3e200], [1.0, 2.0, 3.0], 0.5),  # sums of squares overflow
+        ],
+    )
+    def test_extreme_magnitudes(self, x, y, want):
+        assert pearson(x, y) == pytest.approx(want, rel=1e-12)
+
     @given(series, series)
     def test_matches_naive_oracle(self, x, y):
         x, y = paired(x, y)
@@ -78,6 +88,8 @@ class TestPearson:
 
     @given(series, series)
     @example([0.0, 1.17e-14, 1.17e-14], [0.0, 0.0, 1.0])  # one centring pass gave 0.49992
+    @example([0.0, 0.0, 1.0], [0.0, 0.0, 6.99e-160])  # a subnormal sum of squares gave 0.999998
+    @example([1e200, -1e200, 3e200], [1.0, 2.0, 3.0])  # an overflowing one gave 0.0
     def test_invariant_under_positive_affine_map(self, x, y):
         x, y = paired(x, y)
         try:
@@ -201,7 +213,10 @@ class TestWindowAblation:
         report = window_ablation(records, TedConfig(), windows=(3, 5))
         payload = report.to_dict()
         assert payload["best_window"] in (3, 5)
-        assert len(payload["windows"]) == 2
+        assert [w["window"] for w in payload["windows"]] == [3, 5]
+        assert set(payload["windows"][0]["subjects"][0]) == {
+            "subject_id", "pcc", "p_value", "n_frames"
+        }
         assert "best window" in report.to_text()
 
     def test_default_sweep_is_ascending(self):
@@ -226,8 +241,8 @@ class TestSummarize:
             values = [math.log(v) for k in keys for v in series[k]]
             q1, med, q3 = naive_quartiles(values)
             assert group.count == len(values)
-            assert group.minimum == min(values)
-            assert group.maximum == max(values)
+            assert group.min == min(values)
+            assert group.max == max(values)
             assert group.q1 == pytest.approx(q1, rel=1e-12)
             assert group.median == pytest.approx(med, rel=1e-12)
             assert group.q3 == pytest.approx(q3, rel=1e-12)
@@ -237,7 +252,7 @@ class TestSummarize:
         records, series, report = self._report(transform="none")
         total = sum(g.count for g in report.groups)
         assert total == sum(len(v) for v in series.values())
-        assert all(g.minimum >= 6.0 * 0.0 for g in report.groups)
+        assert all(g.min >= 6.0 * 0.0 for g in report.groups)
 
     def test_opi_scale_grouping(self):
         _, _, report = self._report(scale="OPI")

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import shutil
 import string
@@ -238,12 +239,44 @@ class TestExitCodes:
         assert code == 3
         assert f"input error: {path}: not valid UTF-8 (byte 20)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("token", ["0", "-2", "abc"])
-    def test_bad_sweep_window_is_2(self, dataset, tmp_path, capsys, token):
-        code, out = run(dataset, tmp_path, "sweep", "--windows", f"3,{token}")
+    @pytest.mark.parametrize(
+        "windows, message",
+        [
+            pytest.param("3,0", "window must be >= 1, got '0'", id="0"),
+            pytest.param("3,-2", "window must be >= 1, got '-2'", id="-2"),
+            pytest.param("3,abc", "window must be >= 1, got 'abc'", id="abc"),
+            pytest.param("", "no window length in ''", id="empty"),
+            pytest.param(",", "no window length in ','", id="comma"),
+        ],
+    )
+    def test_bad_sweep_window_is_2(self, dataset, tmp_path, capsys, windows, message):
+        code, out = run(dataset, tmp_path, "sweep", "--windows", windows)
         assert code == 2
-        assert f"--windows: window must be >= 1, got {token!r}" in capsys.readouterr().err
+        assert f"config error: --windows: {message}" in capsys.readouterr().err
         assert not (out / "ablation.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("P002_01_features.csv", 1),
+            ("P002_01_features.csv", 4),
+            ("P002_01_manual_aus.csv", 4),
+            ("predictions.csv", 4),
+        ],
+    )
+    def test_oversized_csv_cell_is_3(self, tmp_path, capsys, name, line):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        preds = _write_predictions(records, manifest.parent / "predictions.csv")
+        path = manifest.parent / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] += "," + "x" * 200_000
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out = run(manifest, tmp_path, "interpret", "--predictions", str(preds))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"input error: {path}: line {line}: field larger than field limit" in err
+        assert not (out / "interpret.json").exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -317,6 +350,7 @@ class TestInterpret:
         assert code == 0
         payload = json.loads((out / "interpret.json").read_text())
         assert len(payload["per_subject_f1"]) == 3
+        assert payload["mean_f1"] >= 0.9
         assert sum(payload["scenario_counts"].values()) == 3 * 40
         lines = (out / "predictions.csv").read_text().strip().splitlines()
         assert len(lines) == 3 * 40 + 1
@@ -359,9 +393,63 @@ class TestInterpret:
             dataset, tmp_path / "audit", "interpret", "--predictions", str(preds)
         )
         assert code == 0 and code2 == 0
+        loso = json.loads((out / "interpret.json").read_text())
         payload = json.loads((out2 / "interpret.json").read_text())
         assert payload["per_subject_f1"] == {}
+        assert math.isnan(payload["mean_f1"])
+        assert payload["findings"][0] == "external predictions: no LOSO F1 computed"
+        # the audit joins the labels the training run had, so its scenarios match
+        for key in ("scenario_counts", "scenario_correlation", "flags"):
+            assert payload[key] == loso[key]
         assert not (out2 / "predictions.csv").exists()
+
+
+class TestResultShapes:
+    """The exact keys of every JSON result, so that a renamed field shows."""
+
+    def test_json_keys(self, dataset, tmp_path):
+        def result(command, name, *extra):
+            code, out = run(dataset, tmp_path / command, command, *extra)
+            assert code == 0
+            return json.loads((out / name).read_text(encoding="utf-8"))
+
+        subject = {"subject_id", "pcc", "p_value", "n_frames"}
+        correlations = result("evaluate", "correlations.json")
+        assert set(correlations) == {"subjects", "mean_pcc"}
+        assert all(set(s) == subject for s in correlations["subjects"])
+
+        ablation = result("sweep", "ablation.json", "--windows", "3,5,10")
+        assert set(ablation) == {"best_window", "windows"}
+        for window in ablation["windows"]:
+            assert set(window) == {
+                "window", "mean_pcc", "median_pcc", "q1_pcc", "q3_pcc", "subjects"
+            }
+            assert all(set(s) == subject for s in window["subjects"])
+
+        summary = result("summarize", "summary.json", "--scale", "OPI", "--no-log")
+        assert set(summary) == {"scale", "transform", "groups"}
+        assert summary["groups"]
+        for group in summary["groups"]:
+            assert set(group) == {
+                "label", "gender", "count", "min", "q1", "median", "q3", "max", "mean", "std"
+            }
+
+        # thresholds loose enough that some frames are flagged
+        report = result(
+            "interpret", "interpret.json", "--trees", "20", "--seed", "7",
+            "--ted-low", "60", "--conf-high", "0.5",
+        )
+        assert set(report) == {
+            "per_subject_f1", "mean_f1", "scenario_counts", "scenario_correlation",
+            "flags", "findings",
+        }
+        assert set(report["scenario_counts"]) == {"TP", "TN", "type1", "type2"}
+        assert report["flags"]
+        for flag in report["flags"]:
+            assert set(flag) == {
+                "subject", "sequence", "frame", "ted_score", "confidence_pain",
+                "scenario", "reason",
+            }
 
 
 _PLANS = [

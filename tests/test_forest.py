@@ -63,15 +63,13 @@ class TestFit:
 
     def test_unfitted_predict_rejected(self):
         with pytest.raises(ComputeError, match="not fitted"):
-            RandomForest().predict_confidence([0.0, 0.0])
-        with pytest.raises(ComputeError, match="not fitted"):
             RandomForest().predict_confidences(np.zeros((0, 2)))
 
     def test_feature_count_checked_at_predict(self):
         X, y = xor_like_data()
         forest = RandomForest(ForestHyperparams(n_trees=3)).fit(X, y)
         with pytest.raises(ComputeError, match="features"):
-            forest.predict_confidence([0.5])
+            forest.predict_confidences([0.5])
         with pytest.raises(ComputeError, match="features"):
             forest.predict_confidences(X[:, :1])
 
@@ -147,15 +145,15 @@ class TestVoting:
         forest = RandomForest()
         forest.n_features = 1
         forest.trees = [leaf(3, 3)]
-        assert forest.predict_confidence([0.0]) == 1.0
+        assert forest.predict_confidences([[0.0]]).tolist() == [1.0]
         forest.trees = [leaf(3, 3), leaf(4, 3)]
-        assert forest.predict_confidence([0.0]) == 0.5
+        assert forest.predict_confidences([[0.0]]).tolist() == [0.5]
 
     def test_row_and_batch_agree(self):
         X, y = xor_like_data()
         forest = RandomForest(ForestHyperparams(n_trees=9), seed=5).fit(X, y)
         batch = forest.predict_confidences(X[:25])
-        assert [forest.predict_confidence(row) for row in X[:25]] == batch.tolist()
+        assert [forest.predict_confidences(X[i : i + 1])[0] for i in range(25)] == batch.tolist()
         assert forest.predict_confidences(X[:0]).shape == (0,)
 
 

@@ -195,6 +195,19 @@ class TestParseManualAuFile:
         with pytest.raises(SchemaError, match="level"):
             parse_manual_au_file(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,4,2\n\n1,6,X\n", "unknown intensity 'X' on line 4"),
+            ("\n1,4,2\n\n\n1,x,2\n", "bad frame/au on line 6"),
+        ],
+    )
+    def test_line_numbers_count_blank_lines(self, tmp_path, rows, message):
+        path = tmp_path / "aus.csv"
+        path.write_text("frame,au,level\n" + rows, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{path}: {message}"):
+            parse_manual_au_file(path)
+
 
 # Unbound columns lead the bound ones, as in tracker exports; the second
 # layout also ends in one, the first ends in a bound column.

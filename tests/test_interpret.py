@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from ted.interpret import (
     agreement_analysis,
     build_frame_table,
     f1_pain,
-    interpret_dataset,
+    join_labels,
     loso_validate,
     read_predictions_csv,
     scenario_partition,
@@ -169,6 +168,7 @@ class TestAgreement:
         preds, ted = planted_predictions()
         result = agreement_analysis(preds, ted)
         assert [f.key[2] for f in result.flags] == [5, 6]
+        assert result.scenario_counts == {"TP": 2, "TN": 2, "type1": 1, "type2": 1}
         assert result.flags[0].reason == "high score, low confidence"
         assert result.flags[1].reason == "low score, high confidence"
         assert result.flags[0].scenario == "type2"
@@ -184,6 +184,7 @@ class TestAgreement:
         preds, ted = planted_predictions()
         subset = preds[:2]
         result = agreement_analysis(subset, ted)
+        assert result.scenario_counts == {"TP": 1, "TN": 1, "type1": 0, "type2": 0}
         assert any("type1" in f for f in result.findings)
         assert any("type2" in f for f in result.findings)
 
@@ -201,45 +202,18 @@ class TestAgreement:
             agreement_analysis(preds, ted)
 
 
-class TestInterpretDataset:
-    def test_end_to_end_report(self, separable):
+class TestJoinLabels:
+    def test_ground_truth_comes_from_the_table(self, separable):
         table = build_frame_table(separable, PAIN_PROFILE)
-        ted = {key: 50.0 + i for i, key in enumerate(table.keys)}
-        report, predictions = interpret_dataset(
-            table, ted, hyperparams=ForestHyperparams(n_trees=20), seed=7
-        )
-        assert report.mean_f1 >= 0.9
-        assert sum(report.scenario_counts.values()) == len(table.keys)
-        assert len(predictions) == len(table.keys)
-        payload = report.to_dict()
-        assert set(payload) == {
-            "per_subject_f1",
-            "mean_f1",
-            "scenario_counts",
-            "scenario_correlation",
-            "flags",
-            "findings",
-        }
+        joined = join_labels(table, [Prediction(key, 0.7) for key in table.keys])
+        assert [p.key for p in joined] == table.keys
+        assert [p.label_pain for p in joined] == [bool(label) for label in table.y]
+        assert all(p.confidence_pain == 0.7 for p in joined)
 
-    def test_external_predictions_skip_training(self, separable):
+    def test_unknown_frame_rejected(self, separable):
         table = build_frame_table(separable, PAIN_PROFILE)
-        ted = {key: 50.0 for key in table.keys}
-        external = [Prediction(key, 0.7) for key in table.keys]
-        report, predictions = interpret_dataset(
-            table, ted, external_predictions=external
-        )
-        assert math.isnan(report.mean_f1)
-        assert report.per_subject_f1 == {}
-        assert any("external" in f for f in report.findings)
-        # ground-truth labels are joined from the table
-        assert all(p.label_pain is not None for p in predictions)
-
-    def test_external_prediction_for_unknown_frame_rejected(self, separable):
-        table = build_frame_table(separable, PAIN_PROFILE)
-        ted = {key: 50.0 for key in table.keys}
-        external = [Prediction(("ZZ", "99", 1), 0.7)]
         with pytest.raises(ComputeError, match="not in dataset"):
-            interpret_dataset(table, ted, external_predictions=external)
+            join_labels(table, [Prediction(("ZZ", "99", 1), 0.7)])
 
 
 class TestPredictionsCsv:
@@ -262,6 +236,20 @@ class TestPredictionsCsv:
         )
         with pytest.raises(ParseError, match="outside"):
             read_predictions_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("S1,01,1,0.5\n\nS1,01,2,1.5\n", "confidence outside [0, 1] on line 4"),
+            ("\nS1,01,1,0.5\n\nS1,01,1,0.6\n", "line 5 repeats frame ('S1', '01', 1) of line 3"),
+        ],
+    )
+    def test_line_numbers_count_blank_lines(self, tmp_path, rows, message):
+        path = tmp_path / "p.csv"
+        path.write_text("subject,sequence,frame,confidence_pain\n" + rows, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_predictions_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
