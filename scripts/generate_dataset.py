@@ -14,32 +14,20 @@ from ted.synthetic import make_correlated_dataset, make_separable_dataset, write
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    presets = {"correlated": make_correlated_dataset, "separable": make_separable_dataset}
+    # an option left out is not passed on, so the preset's default holds
+    parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
     parser.add_argument("out", help="output directory")
-    parser.add_argument(
-        "--preset", choices=["correlated", "separable"], default="correlated"
-    )
-    parser.add_argument("--subjects", type=int, default=None)
-    parser.add_argument("--sequences", type=int, default=None)
-    parser.add_argument("--frames", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    parser.add_argument("--preset", choices=list(presets), default="correlated")
+    parser.add_argument("--subjects", dest="n_subjects", type=int)
+    parser.add_argument("--sequences", dest="n_sequences", type=int)
+    parser.add_argument("--frames", dest="n_frames", type=int)
+    parser.add_argument("--seed", type=int)
+    args = vars(parser.parse_args(argv))
 
-    make = (
-        make_correlated_dataset if args.preset == "correlated" else make_separable_dataset
-    )
-    overrides = {
-        key: value
-        for key, value in (
-            ("n_subjects", args.subjects),
-            ("n_sequences", args.sequences),
-            ("n_frames", args.frames),
-            ("seed", args.seed),
-        )
-        if value is not None
-    }
-    records = make(**overrides)
-    manifest = write_dataset(records, args.out)
+    out = args.pop("out")
+    records = presets[args.pop("preset")](**args)
+    manifest = write_dataset(records, out)
     frames = sum(len(r.frames) for r in records)
     print(f"wrote {len(records)} sequences ({frames} frames) -> {manifest}")
     return 0

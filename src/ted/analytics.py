@@ -8,7 +8,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .engine import SequenceDynamics, dataset_dynamics
 from .errors import ComputeError
@@ -25,13 +24,13 @@ def pearson(x, y) -> float:
         raise ComputeError(f"series length mismatch: {x.size} vs {y.size}")
     if x.size < 3:
         raise ComputeError(f"need at least 3 points, got {x.size}")
+    # a power-of-two scale is exact and keeps the means and sums of squares in normal range
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
     xm = x - x.mean()
     xm -= xm.mean()  # a second pass removes what rounding the first mean left over
     ym = y - y.mean()
     ym -= ym.mean()
-    # a power-of-two scale is exact and keeps the sums of squares in normal range
-    xm = np.ldexp(xm, -np.frexp(np.abs(xm).max())[1])
-    ym = np.ldexp(ym, -np.frexp(np.abs(ym).max())[1])
     sx = float(np.dot(xm, xm))
     sy = float(np.dot(ym, ym))
     if sx == 0.0 or sy == 0.0:
@@ -57,6 +56,9 @@ def pcc_p_value(r: float, n: int) -> float:
         return 1.0
     df = n - 2
     t2 = r * r * df / (1.0 - r * r)
+    # imported here, as only p-values need scipy and it takes longer to load than ted itself
+    from scipy.special import betainc
+
     # P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2)
     return float(betainc(df / 2.0, 0.5, df / (df + t2)))
 
@@ -99,7 +101,7 @@ def _subject_correlations(
         dyn = dynamics[rec.key]
         ok = dyn.tracking_ok
         ts, ps = parts.setdefault(rec.subject_id, ([], []))
-        ts.append(dyn.ted_scores(window, orientation)[ok])
+        ts.append(dyn.scores(window, orientation).ted[ok])
         ps.append(pspi[ok])
     return [
         evaluate_subject(subject, np.concatenate(ts), np.concatenate(ps))

@@ -186,14 +186,7 @@ def _write_metadata(args, cfg: TedConfig, out_dir: Path, extra: dict, digests: d
     metadata = {
         "artifact_version": __version__,
         "command": args.command,
-        "config": {
-            "window": cfg.window,
-            "window_orientation": cfg.window_orientation,
-            "profile": {"name": cfg.profile.name, "au_ids": list(cfg.profile.au_ids)},
-            "au_source": cfg.au_source,
-            "feature_sets": sorted(cfg.feature_sets),
-            **extra,
-        },
+        "config": {**dataclasses.asdict(cfg), "feature_sets": sorted(cfg.feature_sets), **extra},
         "input_digests": names,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

@@ -158,16 +158,6 @@ class SequenceScores:
     ted: np.ndarray  # (n,) score
     tracking_ok: np.ndarray  # (n,) bool
 
-    def rows(self):
-        """Per frame: (frame, S, [M_*], score, tracking_ok) as Python values."""
-        return zip(
-            self.frame_index.tolist(),
-            self.static.tolist(),
-            self.dynamics.tolist(),
-            self.ted.tolist(),
-            self.tracking_ok.tolist(),
-        )
-
 
 class SequenceDynamics:
     """Window-independent intermediates for one sequence.
@@ -209,37 +199,28 @@ class SequenceDynamics:
                 raise ComputeError(f"non-finite {fs} feature at frame {frame}")
             self.products[fs] = _direction_signs(mat) * _relative_changes(mat)
 
-    def dynamics_means(self, window: int, orientation: str) -> dict[str, np.ndarray]:
+    def scores(self, window: int, orientation: str) -> SequenceScores:
+        """The moving averages of the enabled streams at `window`, and the scores."""
         roll = _trailing_means if orientation == "trailing" else _forward_means
-        return {fs: roll(self.products[fs], window) for fs in self.enabled}
-
-    def _compose(self, means: dict[str, np.ndarray]) -> np.ndarray:
+        dynamics = np.zeros((len(self.static), len(FEATURE_SETS)))
         prod = np.ones(len(self.static))
         for fs in self.enabled:
-            prod *= means[fs]
+            means = roll(self.products[fs], window)
+            dynamics[1:, FEATURE_SETS.index(fs)] = means[1:]
+            prod *= means
         prod[0] = 0.0  # reference frame has no dynamics
-        return self.static * (1.0 + prod)
-
-    def ted_scores(self, window: int, orientation: str) -> np.ndarray:
-        return self._compose(self.dynamics_means(window, orientation))
-
-    def scores(self, window: int, orientation: str) -> SequenceScores:
-        means = self.dynamics_means(window, orientation)
-        dynamics = np.zeros((len(self.static), len(FEATURE_SETS)))
-        for fs in self.enabled:
-            dynamics[1:, FEATURE_SETS.index(fs)] = means[fs][1:]
         return SequenceScores(
             frame_index=self.frame_indices,
             static=self.static,
             dynamics=dynamics,
-            ted=self._compose(means),
+            ted=self.static * (1.0 + prod),
             tracking_ok=self.tracking_ok,
         )
 
 
 def score_sequence(seq: SequenceRecord, cfg: TedConfig) -> list[ScoredFrame]:
     """Per-frame view of one sequence's scores; output length equals input length."""
-    scores = SequenceDynamics(seq, cfg).scores(cfg.window, cfg.window_orientation)
+    s = SequenceDynamics(seq, cfg).scores(cfg.window, cfg.window_orientation)
     return [
         ScoredFrame(
             frame_index=frame,
@@ -248,7 +229,10 @@ def score_sequence(seq: SequenceRecord, cfg: TedConfig) -> list[ScoredFrame]:
             ted_score=ted,
             tracking_ok=ok,
         )
-        for frame, static, dynamics, ted, ok in scores.rows()
+        for frame, static, dynamics, ted, ok in zip(
+            s.frame_index.tolist(), s.static.tolist(), s.dynamics.tolist(), s.ted.tolist(),
+            s.tracking_ok.tolist(),
+        )
     ]
 
 

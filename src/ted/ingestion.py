@@ -41,7 +41,10 @@ _MANUAL_LEVELS = dict(zip("012345ABCDEabcde", map(float, "0123451234512345")))
 def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> io.TextIOWrapper:
     """The file as `open(path, encoding="utf-8", newline=newline)` reads it, from one
     read of its bytes; their SHA-256 goes into `digests` (if given) under the path."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
@@ -150,12 +153,18 @@ def _load_feature_rows(fh, cols: list[int], width: int) -> Optional[np.ndarray]:
     return values[:, : len(cols)] if len(values) == lines - 1 else None
 
 
-def _read_feature_rows(path, reader, bound: list[str], cols: list[int], width: int) -> np.ndarray:
-    """The bound columns of the rows after the header, read row-wise."""
+def _read_feature_rows(
+    path, reader, bound: list[str], cols: list[int], width: int
+) -> tuple[np.ndarray, list[int]]:
+    """The bound columns of the rows after the header, read row-wise, and the
+    physical line each row ends on."""
     next(reader)
     rows: list[list[float]] = []
+    lines: list[int] = []
     with csv_errors(path, reader):
-        for line, cells in enumerate(reader, start=2):
+        for cells in reader:
+            line = reader.line_num
+            lines.append(line)
             if len(cells) < width:
                 raise ParseError(
                     f"{path}: line {line} has {len(cells)} cells, the header has {width}"
@@ -174,7 +183,7 @@ def _read_feature_rows(path, reader, bound: list[str], cols: list[int], width: i
                         ) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows)
+    return np.array(rows), lines
 
 
 def parse_feature_csv(
@@ -199,9 +208,10 @@ def parse_feature_csv(
                 raise SchemaError(f"{path}: column {column!r} appears {count} times")
         cols = [header.index(column) for column in bound]
         values = _load_feature_rows(fh, cols, len(header))
+        lines = None  # numpy reads one line a row, after the header
         if values is None:
             fh.seek(0)
-            values = _read_feature_rows(path, csv.reader(fh), bound, cols, len(header))
+            values, lines = _read_feature_rows(path, csv.reader(fh), bound, cols, len(header))
 
     position = {column: j for j, column in enumerate(bound)}
 
@@ -213,7 +223,7 @@ def parse_feature_csv(
     if bad.size:
         raise ParseError(
             f"{path}: frame number {frame[bad[0]]} in column {schema.frame!r}, "
-            f"line {bad[0] + 2} is not finite"
+            f"line {lines[bad[0]] if lines else bad[0] + 2} is not finite"
         )
     # a schema's x column without a y partner (or the reverse) is not read
     n_landmarks = min(len(schema.landmark_x), len(schema.landmark_y))
@@ -247,9 +257,10 @@ def parse_manual_au_file(
 
 def _split_manual_rows(text: str) -> Optional[dict[int, dict[int, float]]]:
     """The table of a plain file: the exact header, three cells a row, one-character
-    levels, no blank lines or carriage returns. None for any other file and for
-    any row the row-wise reader would reject (a quote fails int() and the levels)."""
-    header, _, body = text.partition("\n")
+    levels, no blank lines, and no carriage returns but those of CRLF line ends. None
+    for any other file and for any row the row-wise reader would reject (a quote
+    fails int() and the levels)."""
+    header, _, body = text.replace("\r\n", "\n").partition("\n")
     if header != "frame,au,level" or not body or "\r" in body:
         return None
     body = body.removesuffix("\n")
@@ -291,7 +302,9 @@ def _read_manual_rows(path, text: str) -> dict[int, dict[int, float]]:
             except (TypeError, ValueError):
                 raise ParseError(f"{path}: bad frame/au on line {line}") from None
             if not 1 <= au_id <= 64:
-                raise ConfigError(f"au_id {au_id} outside FACS range 1..64")
+                raise ConfigError(
+                    f"{path}: au_id {au_id} outside FACS range 1..64 on line {line}"
+                )
             raw = (row["level"] or "").strip().upper()
             if raw in _LETTER_LEVELS:
                 level = _LETTER_LEVELS[raw]
@@ -362,8 +375,6 @@ def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetMani
     try:
         with read_input(path, digests) as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
@@ -443,10 +454,7 @@ def load_dataset(
     records: list[SequenceRecord] = []
     findings: list[str] = []
     for entry in manifest.entries:
-        feature_path = base / entry.feature_file_path
-        if not feature_path.exists():
-            raise ManifestError(f"missing feature file: {feature_path}")
-        frames = parse_feature_csv(feature_path, schema, digests)
+        frames = parse_feature_csv(base / entry.feature_file_path, schema, digests)
         if au_source == "manual":
             if entry.manual_au_file_path is None:
                 raise ManifestError(
@@ -460,8 +468,6 @@ def load_dataset(
         pspi = None
         if entry.pspi_file_path is not None:
             pspi_path = base / entry.pspi_file_path
-            if not pspi_path.exists():
-                raise ManifestError(f"missing PSPI file: {pspi_path}")
             pspi = parse_pspi_file(pspi_path, digests)
             if len(pspi) != len(frames):
                 raise ParseError(

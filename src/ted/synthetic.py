@@ -26,34 +26,20 @@ from .model import (
 )
 
 
-def burst_envelope(
-    n_frames: int,
-    rng: np.random.Generator,
-    n_bursts: tuple[int, int] = (3, 7),
-    attack: int = 3,
-    decay: float = 5.0,
-) -> np.ndarray:
-    """Sum of sharp-attack, exponential-decay bursts, clipped to [0, 1]."""
+def burst_envelope(n_frames: int, rng: np.random.Generator) -> np.ndarray:
+    """Sum of 3-7 bursts (3-frame attack, 5-frame decay constant), clipped to [0, 1]."""
     env = np.zeros(n_frames)
     t = np.arange(n_frames, dtype=float)
-    for _ in range(int(rng.integers(n_bursts[0], n_bursts[1] + 1))):
+    for _ in range(int(rng.integers(3, 8))):
         center = float(rng.uniform(10, n_frames - 10))
         amp = float(rng.uniform(0.4, 1.0))
-        rise = np.clip((t - (center - attack)) / attack, 0.0, 1.0)
-        fall = np.where(t > center, np.exp(-(t - center) / decay), 1.0)
+        rise = np.clip((t - (center - 3)) / 3, 0.0, 1.0)
+        fall = np.where(t > center, np.exp(-(t - center) / 5.0), 1.0)
         env += amp * rise * fall
     return np.clip(env, 0.0, 1.0)
 
 
-def _motion_stream(
-    rng: np.random.Generator,
-    env: np.ndarray,
-    dim: int,
-    sigma_small: float = 0.7,
-    sigma_big: float = 2.3,
-    turbulence: float = 0.8,
-    drift_ratio: float = 3.0,
-) -> np.ndarray:
+def _motion_stream(rng: np.random.Generator, env: np.ndarray, dim: int) -> np.ndarray:
     """Feature stream with burst-synchronized vigorous, upward-drifting motion.
 
     Outside bursts the stream jitters mildly with no preferred direction;
@@ -62,11 +48,11 @@ def _motion_stream(
     summed displacement reliably positive whatever the dimensionality.
     """
     n = env.size
-    turb = np.exp(rng.normal(0.0, turbulence, n))
-    sigma = sigma_small + sigma_big * env * turb
+    turb = np.exp(rng.normal(0.0, 1.0, n))
+    sigma = 0.7 + 2.3 * env * turb
     base = rng.normal(0.0, 1.0, dim)
     noise = rng.normal(0.0, 1.0, (n, dim)) * sigma[:, None]
-    ramp = np.cumsum(env * sigma * drift_ratio * np.sqrt(2.0 / dim))
+    ramp = np.cumsum(env * sigma * 3.0 * np.sqrt(2.0 / dim))
     return base[None, :] + noise + ramp[:, None]
 
 
@@ -76,9 +62,6 @@ def make_correlated_dataset(
     n_frames: int = 300,
     seed: int = 20260823,
     n_landmarks: int = 17,
-    au_scale: float = 2.5,
-    au_noise: float = 0.3,
-    pspi_window: int = 10,
 ) -> list[SequenceRecord]:
     """Dataset whose planted pain signal tracks the burst envelope.
 
@@ -88,7 +71,7 @@ def make_correlated_dataset(
     """
     rng = np.random.default_rng(seed)
     records = []
-    kernel = np.ones(pspi_window) / pspi_window
+    kernel = np.ones(10) / 10
     for s in range(n_subjects):
         subject = f"S{s + 1:03d}"
         gender = "female" if s % 2 == 0 else "male"
@@ -101,23 +84,23 @@ def make_correlated_dataset(
             pspi = np.clip(16.0 * env_recent, 0.0, 16.0)
             levels = np.clip(
                 au_base[None, :]
-                + au_weights[None, :] * env_recent[:, None] * au_scale
-                + rng.normal(0.0, au_noise, (n_frames, len(au_weights))),
+                + au_weights[None, :] * env_recent[:, None] * 2.5
+                + rng.normal(0.0, 0.3, (n_frames, len(au_weights))),
                 0.0,
                 5.0,
             )
             # the streams draw in FEATURE_SETS order: arguments evaluate left to right
-            landmarks = _motion_stream(rng, env, 2 * n_landmarks, turbulence=1.0)
+            landmarks = _motion_stream(rng, env, 2 * n_landmarks)
             frames = FrameColumns(
                 frame_index=np.arange(1, n_frames + 1),
                 tracking_ok=np.ones(n_frames, dtype=bool),
                 landmarks=np.stack(
                     [landmarks[:, :n_landmarks], landmarks[:, n_landmarks:]], axis=2
                 ),
-                head_translation=_motion_stream(rng, env, 3, turbulence=1.0),
-                head_rotation=_motion_stream(rng, env, 3, turbulence=1.0),
-                gaze_left=_motion_stream(rng, env, 3, turbulence=1.0),
-                gaze_right=_motion_stream(rng, env, 3, turbulence=1.0),
+                head_translation=_motion_stream(rng, env, 3),
+                head_rotation=_motion_stream(rng, env, 3),
+                gaze_left=_motion_stream(rng, env, 3),
+                gaze_right=_motion_stream(rng, env, 3),
                 au_ids=PAIN_PROFILE.au_ids,
                 au_levels=levels,
             )
@@ -209,28 +192,27 @@ def write_dataset(records: Sequence[SequenceRecord], out_dir) -> Path:
         values = np.concatenate([cols.stream(fs, au_ids) for fs in FEATURE_SETS], axis=1)
         frame_index = cols.frame_index.tolist()
 
+        # one format per row writes what csv.writer writes for these cells (no cell needs
+        # quotes, and %.17g is format(v, ".17g"))
         feature_file = f"{stem}_features.csv"
+        row = "%d,%d" + ",%.17g" * values.shape[1] + "\r\n"
         with open(out_dir / feature_file, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
+            csv.writer(fh).writerow(
                 FeatureCsvSchema.default(cols.landmarks.shape[1], au_ids).bound_columns()
             )
-            writer.writerows(
-                [frame, int(ok), *(format(v, ".17g") for v in row)]
-                for frame, ok, row in zip(
-                    frame_index, cols.tracking_ok.tolist(), values.tolist()
-                )
-            )
+            fh.write("".join(
+                row % (frame, ok, *vals)
+                for frame, ok, vals in zip(frame_index, cols.tracking_ok.tolist(), values.tolist())
+            ))
 
         manual_file = f"{stem}_manual_aus.csv"
         with open(out_dir / manual_file, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frame", "au", "level"])
-            writer.writerows(
-                [frame, au, level]
+            fh.write("frame,au,level\r\n")
+            fh.write("".join(
+                "%d,%d,%d\r\n" % (frame, au, level)
                 for frame, row in zip(frame_index, np.rint(levels).astype(int).tolist())
                 for au, level in zip(au_ids, row)
-            )
+            ))
 
         pspi_file = None
         if rec.pspi is not None:

@@ -60,6 +60,7 @@ class TestPearson:
         [
             ([0.0, 0.0, 1.0], [0.0, 0.0, 6.99e-160], 1.0),  # sums of squares are subnormal
             ([1e200, -1e200, 3e200], [1.0, 2.0, 3.0], 0.5),  # sums of squares overflow
+            ([0.0, 0.0, 1e-320], [1.0, 2.0, 3.0], 3**0.5 / 2),  # the inputs are subnormal
         ],
     )
     def test_extreme_magnitudes(self, x, y, want):

@@ -8,6 +8,7 @@ import math
 import os
 import shutil
 import string
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -238,6 +239,25 @@ class TestExitCodes:
         )
         assert code == 3
         assert f"input error: {path}: not valid UTF-8 (byte 20)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["manifest.json", "P002_01_features.csv", "P002_01_manual_aus.csv",
+                 "P002_01_pspi.csv", "schema.json", "predictions.csv"],
+    )
+    def test_missing_input_is_3(self, tmp_path, capsys, name):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        schema = _write_default_schema(manifest.parent / "schema.json")
+        preds = _write_predictions(records, manifest.parent / "predictions.csv")
+        path = manifest.parent / name
+        path.unlink()
+        code, _ = run(
+            manifest, tmp_path, "interpret", "--schema", str(schema), "--predictions", str(preds)
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"input error: cannot read {path}: No such file or directory\n"
+        )
 
     @pytest.mark.parametrize(
         "windows, message",
@@ -546,6 +566,18 @@ class _OpenRecorder:
 @pytest.fixture(scope="module")
 def open_recorder():
     return _OpenRecorder()
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        """scipy is imported where p-values are computed, not at start-up."""
+        path = [str(Path(ted.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        probe = "import sys, ted.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "[]\n"
 
 
 class TestRunFullAnalysis:

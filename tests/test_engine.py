@@ -26,6 +26,7 @@ from ted.engine import (
 )
 from ted.errors import ComputeError
 from ted.model import (
+    FEATURE_SETS,
     AuIntensity,
     AuProfile,
     FrameFeatures,
@@ -248,8 +249,9 @@ class TestScoreSequence:
         cfg = TedConfig(window=6, window_orientation="forward")
         seq = make_random_sequence(30, seed=13)
         dyn = SequenceDynamics(seq, cfg)
+        dynamics = dyn.scores(6, "forward").dynamics
         for fs in dyn.enabled:
-            means = dyn.dynamics_means(6, "forward")[fs]
+            means = dynamics[:, FEATURE_SETS.index(fs)]
             want = _naive_forward_means(list(dyn.products[fs]), 6)
             assert np.allclose(means, want, rtol=1e-12, atol=1e-12)
 
@@ -351,7 +353,11 @@ class TestScoresCsv:
             writer.writerow(["subject", "sequence", "frame", "S", "M_L", "M_Ho", "M_Hr",
                              "M_Gl", "M_Gr", "M_I", "ted_score", "tracking_ok"])
             for key in sorted(results):
-                for frame, static, dynamics, ted, ok in results[key].rows():
+                s = results[key]
+                for frame, static, dynamics, ted, ok in zip(
+                    s.frame_index.tolist(), s.static.tolist(), s.dynamics.tolist(),
+                    s.ted.tolist(), s.tracking_ok.tolist(),
+                ):
                     values = [static, *dynamics, ted]
                     writer.writerow([*key, frame, *(format(x, ".17g") for x in values), int(ok)])
         assert got.read_bytes() == want.read_bytes()

@@ -144,6 +144,25 @@ class TestParseFeatureCsv:
         with pytest.raises(ParseError, match="'x_0', line 3"):
             parse_feature_csv(path)
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (3, "oops", "non-numeric value 'oops' in column 'x_0', line 4"),
+            (1, "nan", "frame number nan in column 'frame', line 4 is not finite"),
+        ],
+    )
+    def test_line_numbers_count_physical_lines(self, tmp_path, column, value, message):
+        """A quoted cell that holds a line break makes one row of two lines."""
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(2)])
+        header, first, second = path.read_text(encoding="utf-8").splitlines()
+        second = ["", *second.split(",")]
+        second[column] = value
+        text = f"note,{header}\n\"a\nb\",{first}\n" + ",".join(second) + "\n"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_feature_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("", encoding="utf-8")
@@ -185,9 +204,10 @@ class TestParseManualAuFile:
 
     def test_au_outside_facs_range(self, tmp_path):
         path = tmp_path / "aus.csv"
-        path.write_text("frame,au,level\n1,70,2\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="au_id 70"):
+        path.write_text("frame,au,level\n1,4,2\n1,70,2\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
             parse_manual_au_file(path)
+        assert str(info.value) == f"{path}: au_id 70 outside FACS range 1..64 on line 3"
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "aus.csv"
@@ -324,6 +344,12 @@ class TestFastPathsMatchRowWise:
             assert len(parse_feature_csv(features)) == 5
             assert len(parse_manual_au_file(manual)) == 4
 
+    def test_crlf_manual_au_file_takes_the_fast_path(self, workdir):
+        path = workdir / "crlf_aus.csv"
+        path.write_bytes(_MANUAL_TEXT.replace("\n", "\r\n").encode())
+        with mock.patch.object(ingestion, "_read_manual_rows", side_effect=AssertionError):
+            assert len(parse_manual_au_file(path)) == 4
+
     def test_crlf_feature_file_takes_the_fast_path(self, workdir):
         path = workdir / "crlf.csv"
         path.write_bytes(_FEATURE_TEXTS[0].replace("\n", "\r\n").encode())
@@ -362,6 +388,10 @@ class TestFastPathsMatchRowWise:
     @example(edits=[("cell", 2, 0, "1_0"), ("cell", 3, 0, "١")])  # int() takes both
     @example(edits=[("repeat_row", 5, 0, "")])  # a repeated (frame, AU) pair
     @example(edits=[("cell", 2, 2, '"2"')])
+    @example(edits=[("crlf", row, 0, "") for row in range(13)])  # CRLF line ends throughout
+    @example(edits=[("crlf", 0, 0, ""), ("crlf", 4, 0, ""), ("cell", 6, 2, "7")])
+    @example(edits=[("crlf", 2, 0, ""), ("blank", 3, 0, ""), ("crlf", 3, 0, "")])
+    @example(edits=[("cell", 2, 2, "2\r"), ("crlf", 2, 0, "")])  # \r\r\n: a lone \r is left
     @example(edits=[("lone_cr", 2, 0, ""), ("crlf", 0, 0, "")])
     @example(edits=[("no_final_newline", 0, 0, "")])
     @example(edits=[("cell", 2, 0, "9\r")])  # the csv reader ends the row at the \r
@@ -479,7 +509,7 @@ class TestManifest:
             load_manifest(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ManifestError, match="cannot read"):
+        with pytest.raises(ParseError, match="cannot read"):
             load_manifest(tmp_path / "nope.json")
 
     def test_missing_required_field(self, tmp_path):
@@ -604,8 +634,9 @@ class TestLoadDataset:
             ),
             encoding="utf-8",
         )
-        with pytest.raises(ManifestError, match="missing feature file"):
+        with pytest.raises(ParseError) as info:
             load_dataset(load_manifest(tmp_path / "manifest.json"))
+        assert str(info.value) == f"cannot read {tmp_path / 'gone.csv'}: No such file or directory"
 
     def test_validation_problems_surface_as_findings(self, tmp_path):
         write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(1)])
