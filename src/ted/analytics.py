@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,11 +89,15 @@ def _subject_correlations(
     dynamics: dict[tuple[str, str], SequenceDynamics],
     window: int,
     orientation: str,
+    findings: list[str],
 ) -> list[SubjectCorrelation]:
     """Score-vs-PSPI correlation per subject, in subject order.
 
     Each subject's frames are taken in (sequence, frame) order; frames whose
-    tracking failed are excluded from the correlation.
+    tracking failed are excluded from the correlation. A subject whose
+    correlation is undefined (a constant series, or under 3 frames) is left
+    out; `findings` name it and say how many subjects the means cover. With no
+    subject left it is a ComputeError naming them all.
     """
     parts: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for rec in sorted(records, key=lambda r: r.key):
@@ -103,17 +107,29 @@ def _subject_correlations(
         ts, ps = parts.setdefault(rec.subject_id, ([], []))
         ts.append(dyn.scores(window, orientation).ted[ok])
         ps.append(pspi[ok])
-    return [
-        evaluate_subject(subject, np.concatenate(ts), np.concatenate(ps))
-        for subject, (ts, ps) in sorted(parts.items())
-    ]
+    correlations, undefined = [], []
+    for subject, (ts, ps) in sorted(parts.items()):
+        try:
+            correlations.append(evaluate_subject(subject, np.concatenate(ts), np.concatenate(ps)))
+        except ComputeError as exc:
+            undefined.append(f"subject {subject}: {exc}")
+    if not correlations:
+        raise ComputeError("no subject has a defined correlation: " + "; ".join(undefined))
+    if undefined:
+        findings += [f"{finding}; left out" for finding in undefined]
+        findings.append(f"mean PCC covers {len(correlations)} of {len(parts)} subjects")
+    return correlations
 
 
 def evaluate_dataset(
-    records: Sequence[SequenceRecord], cfg: TedConfig
+    records: Sequence[SequenceRecord], cfg: TedConfig, findings: Optional[list[str]] = None
 ) -> list[SubjectCorrelation]:
+    """Correlation per subject with a defined one; `findings` gets those left out."""
     dynamics = dataset_dynamics(records, cfg)
-    return _subject_correlations(records, dynamics, cfg.window, cfg.window_orientation)
+    return _subject_correlations(
+        records, dynamics, cfg.window, cfg.window_orientation,
+        [] if findings is None else findings,
+    )
 
 
 @dataclass(frozen=True)
@@ -129,6 +145,7 @@ class WindowResult:
 @dataclass(frozen=True)
 class AblationReport:
     windows: tuple[WindowResult, ...]
+    findings: tuple[str, ...] = ()
 
     @property
     def best_window(self) -> int:
@@ -157,11 +174,13 @@ def window_ablation(
     if not windows:
         raise ComputeError("window sweep set is empty")
     dynamics = dataset_dynamics(records, cfg)
-    results = []
+    results, findings = [], []
     for window in sorted(set(windows)):
+        undefined: list[str] = []
         subjects = tuple(
-            _subject_correlations(records, dynamics, window, cfg.window_orientation)
+            _subject_correlations(records, dynamics, window, cfg.window_orientation, undefined)
         )
+        findings += [f"window {window}: {finding}" for finding in undefined]
         pccs = np.array([s.pcc for s in subjects])
         results.append(
             WindowResult(
@@ -173,7 +192,7 @@ def window_ablation(
                 q3_pcc=float(np.percentile(pccs, 75)),
             )
         )
-    return AblationReport(windows=tuple(results))
+    return AblationReport(windows=tuple(results), findings=tuple(findings))
 
 
 @dataclass(frozen=True)

@@ -161,8 +161,7 @@ def load_inputs(args):
     records, findings = load_dataset(
         manifest, schema=schema, au_source=args.au_source, profile=profile, digests=digests
     )
-    for finding in findings:
-        print(f"warning: {finding}", file=sys.stderr)
+    _warn(findings)
     profile = profile or _resolve_profile(args.profile, records)
     cfg = TedConfig(
         window=args.w,
@@ -174,6 +173,11 @@ def load_inputs(args):
         ),
     )
     return records, cfg, digests
+
+
+def _warn(findings) -> None:
+    for finding in findings:
+        print(f"warning: {finding}", file=sys.stderr)
 
 
 def _write_metadata(args, cfg: TedConfig, out_dir: Path, extra: dict, digests: dict) -> None:
@@ -218,6 +222,7 @@ def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
     if not windows:
         raise ConfigError(f"--windows: no window length in {args.windows!r}")
     report = window_ablation(records, cfg, windows)
+    _warn(report.findings)
     _dump_json(report.to_dict(), out_dir / "ablation.json")
     (out_dir / "ablation.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     print(report.to_text())
@@ -225,10 +230,13 @@ def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
 
 
 def cmd_evaluate(args, records, cfg, out_dir, digests) -> dict:
-    correlations = evaluate_dataset(records, cfg)
+    findings: list[str] = []
+    correlations = evaluate_dataset(records, cfg, findings)
+    _warn(findings)
     payload = {
         "subjects": [dataclasses.asdict(c) for c in correlations],
         "mean_pcc": sum(c.pcc for c in correlations) / len(correlations),
+        "findings": findings,
     }
     _dump_json(payload, out_dir / "correlations.json")
     print(f"mean PCC over {len(correlations)} subjects: {payload['mean_pcc']:.4f}")

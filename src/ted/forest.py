@@ -7,10 +7,19 @@ positive-class confidence. Rows with equal features and label always travel
 together, so `fit` groups them once and each bootstrap becomes an integer
 weight per group; split costs use the same integers and float expressions as
 a per-row search, so the trees do not depend on the grouping.
+
+All trees grow in lockstep. Each keeps its own depth-first stack and its own
+generator, so it visits its nodes and draws its candidate features in the
+order of a one-tree-at-a-time grower. A step pops the next node of every
+unfinished tree and searches all their splits with one segmented sort, in
+batches of at most ENTRY_BUDGET (node, candidate, group) entries. A tree has
+at most one node in a step, and each node's cuts keep their own order within
+a batch, so neither the batching nor the budget changes a tree.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -34,66 +43,145 @@ class Tree(NamedTuple):
     counts: np.ndarray
 
 
-def _best_split(codes, rows, total):
-    """Lowest weighted-Gini cut of a node: (candidate, group below, group above) or None.
+# (candidate, node, group) entries one batched split search may hold, unless
+# a single node needs more: it bounds the memory of a search
+ENTRY_BUDGET = 1 << 12
 
-    `codes` is (candidates, groups) rank codes, `rows` the (rows, pain rows) per
-    group and `total` their sum. Ties keep the first candidate, then the lowest cut.
+
+def _group_rows(table):
+    """Rank codes, first rows and group ids of the distinct rows of `table`.
+
+    Returns (codes, first, group): `codes[j]` ranks the values of column j (0
+    for the lowest), and row i is in group `group[i]`, whose first row is
+    `first[group[i]]`. The groups are numbered in lexicographic row order, as
+    `np.unique(table, axis=0)` numbers them. The key is re-ranked after each
+    column, so it stays below the row count and cannot overflow.
     """
-    order = np.argsort(codes, axis=1, kind="stable")
-    cs = np.sort(codes, axis=1)
-    # cuts only between distinct consecutive values, in (candidate, value) order
-    j, i = np.nonzero(cs[:, 1:] > cs[:, :-1])
-    if not j.size:
-        return None
-    left = np.cumsum(rows[order], axis=1)[j, i]
-    # (rows, pain rows) on the left of each cut, then on its right
-    sides = np.concatenate((left, total - left))
-    n_side, pos_side = sides[:, 0], sides[:, 1]
-    p1 = pos_side / n_side
-    gini = 1.0 - p1**2 - (1.0 - p1) ** 2
-    weighted = n_side * gini
-    cost = (weighted[: j.size] + weighted[j.size :]) / total[0]
-    b = int(cost.argmin())
-    return j[b], order[j[b], i[b]], order[j[b], i[b] + 1]
+    codes = np.array([np.unique(col, return_inverse=True)[1].reshape(-1) for col in table.T])
+    codes = codes.reshape(table.shape[1], len(table))
+    key = np.zeros(len(table), dtype=np.int64)
+    for col in codes:
+        key = np.unique(key * (col.max(initial=0) + 1) + col, return_inverse=True)[1].reshape(-1)
+    return codes, np.unique(key, return_index=True)[1], key
 
 
-def _build_tree(codes, values, labels, weight, rng, hp, n_subset) -> Tree:
-    """Grow depth first in a recursive grower's pre-order, left before right,
-    calling `rng.permutation` at the same nodes, so a seed gives the same tree.
+def _weighted_gini(n, pos):
+    p1 = pos / n
+    return n * (1.0 - p1**2 - (1.0 - p1) ** 2)
+
+
+def _split_batch(batch, codes, n_codes, values, labels, weights, min_leaf):
+    """Best cut of each node in `batch`, searched for all nodes at once.
+
+    An item is (tree, node, groups, rows, pain rows, depth, candidates). Yields
+    (item, feature, threshold, left groups, right groups, left rows, left pain
+    rows) for each node whose lowest weighted-Gini cut leaves at least
+    `min_leaf` rows on each side. Ties keep the first candidate, then the
+    lowest cut.
     """
-    rows = np.column_stack((weight, weight * labels))  # (rows, pain rows) per group
-    nodes = []  # [feature, threshold, left, right, neutral, pain]
-    # (groups, (rows, pain rows), depth, parent, side 2 = left / 3 = right)
-    stack = [(np.nonzero(weight)[0], rows.sum(axis=0), 0, -1, 2)]
-    while stack:
-        members, total, depth, parent, side = stack.pop()
-        node = len(nodes)
-        if parent >= 0:
-            nodes[parent][side] = node
-        n, pos = total.tolist()
-        nodes.append([-1, 0.0, -1, -1, n - pos, pos])
-        if pos in (0, n) or n < 2 * hp.min_samples_leaf or (
-            hp.max_depth is not None and depth >= hp.max_depth
-        ):
-            continue
-        features = rng.permutation(codes.shape[0])[:n_subset]
-        node_rows = rows[members]
-        split = _best_split(codes[features[:, None], members], node_rows, total)
-        if split is None:
-            continue
-        j, below, above = split
-        f = int(features[j])
-        thr = (values[members[below], f] + values[members[above], f]) / 2.0
-        go_left = values[members, f] < thr
-        total_left = node_rows[go_left].sum(axis=0)
-        if not hp.min_samples_leaf <= total_left[0] <= n - hp.min_samples_leaf:
-            continue
-        nodes[node][:2] = f, thr
-        stack.append((members[~go_left], total - total_left, depth + 1, node, 3))
-        stack.append((members[go_left], total_left, depth + 1, node, 2))
-    feature, threshold, left, right, neutral, pain = map(np.array, zip(*nodes))
-    return Tree(feature, threshold, left, right, np.column_stack((neutral, pain)))
+    tree, _, groups, node_n, node_pos, _, candidates = zip(*batch)
+    k = len(batch)
+    sizes = np.array([g.size for g in groups])
+    starts = np.cumsum(sizes) - sizes
+    members = np.concatenate(groups)
+    member_node = np.repeat(np.arange(k), sizes)
+    candidates = np.array(candidates)
+    # (rows, pain rows) of each member group in its tree's bootstrap
+    w_rows = weights[np.array(tree)[member_node], members]
+    w_pain = w_rows * labels[members]
+    # entries in (candidate, node, group) order, then sorted by code within each
+    # (candidate, node) segment, so each node's cuts keep (candidate, code) order
+    seg = (np.arange(candidates.shape[1])[:, None] * k + member_node).reshape(-1)
+    key = seg * n_codes + codes[candidates[member_node].T, members].reshape(-1)
+    order = np.argsort(key, kind="stable")
+    key, at = key[order], order % members.size  # at: the member of each sorted entry
+    # cuts only between distinct consecutive codes of one segment
+    cut = np.nonzero((key[1:] > key[:-1]) & (seg[1:] == seg[:-1]))[0]
+    if not cut.size:
+        return
+    # (rows, pain rows) left of each cut: a running sum less its segment's start
+    cum = np.cumsum(np.stack((w_rows, w_pain))[:, at], axis=1)
+    start = np.searchsorted(seg, seg[cut])
+    n_left, pos_left = cum[:, cut] - np.hstack(([[0], [0]], cum))[:, start]
+    cut_node = seg[cut] % k
+    n, pos = np.array(node_n)[cut_node], np.array(node_pos)[cut_node]
+    cost = (_weighted_gini(n_left, pos_left) + _weighted_gini(n - n_left, pos - pos_left)) / n
+    ranked = np.lexsort((cost, cut_node))
+    best = cut[ranked[np.unique(cut_node[ranked], return_index=True)[1]]]
+    split = seg[best] % k
+    feature = candidates[split, seg[best] // k]
+    below, above = members[at[best]], members[at[best + 1]]
+    threshold = (values[below, feature] + values[above, feature]) / 2.0
+    # partition the groups of every node at once, left ones first (no value is
+    # below -inf, so a node without a cut sends all right)
+    node_feature = np.zeros(k, dtype=np.intp)
+    node_threshold = np.full(k, -np.inf)
+    node_feature[split], node_threshold[split] = feature, threshold
+    go_left = values[members, node_feature[member_node]] < node_threshold[member_node]
+    n_go, rows_left, pain_left = np.add.reduceat(
+        np.column_stack((go_left, w_rows * go_left, w_pain * go_left)), starts
+    )[split].T
+    members = members[np.argsort(2 * member_node + ~go_left, kind="stable")]
+    begin = starts[split]
+    for i, f, thr, lo, mid, hi, rows, pain in zip(
+        split.tolist(), feature.tolist(), threshold.tolist(), begin.tolist(),
+        (begin + n_go).tolist(), (begin + sizes[split]).tolist(),
+        rows_left.tolist(), pain_left.tolist(),
+    ):
+        if min_leaf <= rows <= node_n[i] - min_leaf:
+            # copies: a slice would keep the whole batch's partition alive
+            yield batch[i], f, thr, members[lo:mid].copy(), members[mid:hi].copy(), rows, pain
+
+
+def _grow_forest(codes, values, labels, weights, rngs, hp, n_subset) -> list[Tree]:
+    """Grow every tree depth first, in a recursive grower's pre-order (left
+    before right), all trees in lockstep as the module docstring describes.
+    """
+    n_codes = int(codes.max(initial=0)) + 1
+    max_depth = np.inf if hp.max_depth is None else hp.max_depth
+    min_leaf = hp.min_samples_leaf
+    # per tree: (feature, left, right, neutral, pain) of each node, and its threshold
+    nodes = [(array("q"), array("d")) for _ in rngs]
+    # per tree: (groups, rows, pain rows, depth, parent if a right child else -1)
+    stacks = [
+        [(np.nonzero(w)[0].astype(np.int32), int(w.sum()), int(w @ labels), 0, -1)]
+        for w in weights
+    ]
+    trees: list[Tree] = [None] * len(rngs)
+    live = range(len(rngs))
+    while live:
+        inner = []
+        for t in live:
+            members, n, pos, depth, parent = stacks[t].pop()
+            fields, thresholds = nodes[t]
+            node = len(thresholds)
+            fields.extend((-1, -1, -1, n - pos, pos))
+            thresholds.append(0.0)
+            if parent >= 0:
+                fields[5 * parent + 2] = node
+            if pos == 0 or pos == n or n < 2 * min_leaf or depth >= max_depth:
+                continue
+            candidates = rngs[t].permutation(codes.shape[0])[:n_subset]
+            inner.append((t, node, members, n, pos, depth, candidates))
+        while inner:  # the longest run of nodes within the budget, at least one
+            entries = np.cumsum([item[2].size * item[6].size for item in inner])
+            size = max(1, int(np.searchsorted(entries, ENTRY_BUDGET, side="right")))
+            batch, inner = inner[:size], inner[size:]
+            for (t, node, _, n, pos, depth, _), f, thr, left, right, rows, pain in _split_batch(
+                batch, codes, n_codes, values, labels, weights, min_leaf
+            ):
+                fields, thresholds = nodes[t]
+                fields[5 * node], fields[5 * node + 1], thresholds[node] = f, node + 1, thr
+                stacks[t].append((right, n - rows, pos - pain, depth + 1, node))
+                stacks[t].append((left, rows, pain, depth + 1, -1))
+        for t in live:
+            if not stacks[t]:  # finished: its records become arrays now
+                fields = np.array(nodes[t][0], dtype=int).reshape(-1, 5)
+                feature, left, right = fields[:, :3].T
+                trees[t] = Tree(feature, np.array(nodes[t][1]), left, right, fields[:, 3:])
+                nodes[t] = None
+        live = [t for t in live if stacks[t]]
+    return trees
 
 
 @dataclass
@@ -136,22 +224,21 @@ class RandomForest:
         hp = self.hyperparams
         self.n_features = X.shape[1]
         n_subset = max(1, int(round(np.sqrt(self.n_features))))
-        # one group per distinct (rank codes, label) row
-        table = np.column_stack([np.unique(col, return_inverse=True)[1] for col in X.T] + [y])
-        _, first, row_group = np.unique(table, axis=0, return_index=True, return_inverse=True)
-        row_group = row_group.reshape(-1)
-        codes, values, labels = table[first, :-1].T.copy(), X[first], y[first]
+        # one group per distinct (features, label) row
+        codes, first, row_group = _group_rows(np.column_stack((X, y)))
+        codes, values, labels = codes[:-1, first], X[first], y[first]
         n = y.size
         by_class = [(np.nonzero(y == c)[0], k) for c, k in ((0, n // 2), (1, n - n // 2))]
-        self.trees = []
-        for seq in np.random.SeedSequence(self.seed).spawn(hp.n_trees):
-            rng = np.random.default_rng(seq)
+        seeds = np.random.SeedSequence(self.seed).spawn(hp.n_trees)
+        rngs = [np.random.default_rng(seq) for seq in seeds]
+        weights = np.empty((hp.n_trees, first.size), dtype=np.int32)  # bootstrap rows per group
+        for rng, weight in zip(rngs, weights):
             if hp.stratified_bootstrap:  # half the rows from each class, neutral first
                 boot = np.concatenate([i[rng.integers(0, i.size, k)] for i, k in by_class])
             else:
                 boot = rng.integers(0, n, n)
-            weight = np.bincount(row_group[boot], minlength=first.size)
-            self.trees.append(_build_tree(codes, values, labels, weight, rng, hp, n_subset))
+            weight[:] = np.bincount(row_group[boot], minlength=first.size)
+        self.trees = _grow_forest(codes, values, labels, weights, rngs, hp, n_subset)
         return self
 
     def predict_confidences(self, X) -> np.ndarray:
@@ -164,7 +251,8 @@ class RandomForest:
                 f"expected {self.n_features} features per row, got shape {X.shape}"
             )
         trees = self.trees
-        rows, inverse = np.unique(X, axis=0, return_inverse=True)
+        _, first, inverse = _group_rows(X)
+        rows = X[first]
         sizes = [tree.feature.size for tree in trees]
         roots = np.cumsum([0] + sizes[:-1])
         # node ids below index the trees' concatenated arrays
@@ -181,4 +269,4 @@ class RandomForest:
             node[walking] = np.where(go_left, left[at], right[at])
         # leaf majority votes, ties to pain
         pain = (counts[node, 1] >= counts[node, 0]).reshape(len(trees), -1).sum(axis=0)
-        return (pain / len(trees))[inverse.reshape(-1)]
+        return (pain / len(trees))[inverse]

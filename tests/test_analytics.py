@@ -171,6 +171,26 @@ class TestEvaluate:
             evaluate_dataset([rec], TedConfig(window=2))
 
 
+    def test_undefined_subject_left_out_with_finding(self):
+        records = _labeled_records()
+        records[1].pspi = [2.0] * len(records[1].pspi)
+        findings = []
+        result = evaluate_dataset(records, TedConfig(window=2), findings)
+        assert [c.subject_id for c in result] == ["S0", "S2"]
+        assert result == evaluate_dataset(records[::2], TedConfig(window=2))
+        assert findings == [
+            "subject S1: correlation undefined for a constant series; left out",
+            "mean PCC covers 2 of 3 subjects",
+        ]
+
+    def test_too_few_frames_is_undefined(self):
+        records = _labeled_records()
+        records[0].frames.tracking_ok[2:] = False
+        findings = []
+        assert len(evaluate_dataset(records, TedConfig(window=2), findings)) == 2
+        assert findings[0] == "subject S0: need at least 3 points, got 2; left out"
+
+
 def _labeled_records(n_subjects=3, n_frames=30):
     records = []
     rng = np.random.default_rng(0)

@@ -22,7 +22,7 @@ from ted.cli import main
 from ted.engine import score_sequence
 from ted.ingestion import FeatureCsvSchema, load_dataset, load_manifest
 from ted.model import FEATURE_SETS, PAIN_PROFILE, TedConfig
-from ted.synthetic import make_separable_dataset, write_dataset
+from ted.synthetic import make_correlated_dataset, make_separable_dataset, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -435,11 +435,11 @@ class TestResultShapes:
 
         subject = {"subject_id", "pcc", "p_value", "n_frames"}
         correlations = result("evaluate", "correlations.json")
-        assert set(correlations) == {"subjects", "mean_pcc"}
+        assert set(correlations) == {"subjects", "mean_pcc", "findings"}
         assert all(set(s) == subject for s in correlations["subjects"])
 
         ablation = result("sweep", "ablation.json", "--windows", "3,5,10")
-        assert set(ablation) == {"best_window", "windows"}
+        assert set(ablation) == {"best_window", "windows", "findings"}
         for window in ablation["windows"]:
             assert set(window) == {
                 "window", "mean_pcc", "median_pcc", "q1_pcc", "q3_pcc", "subjects"
@@ -742,3 +742,50 @@ class TestInputFuzz:
             path.write_bytes(_mutate(path.read_bytes(), *edit))
             code = self.run_interpret(ds, Path(tmp) / "out")
         assert code in (0, 2, 3, 4)
+
+
+class TestUndefinedCorrelation:
+    """A subject whose PCC is undefined is a finding, not the whole run's failure."""
+
+    @staticmethod
+    def write(tmp_path, constant):
+        records = make_correlated_dataset(n_subjects=3, n_sequences=2, n_frames=40)
+        for rec in records:
+            if rec.subject_id in constant:
+                rec.pspi = [0.0] * len(rec.pspi)
+        return write_dataset(records, tmp_path / "ds")
+
+    def test_evaluate_leaves_the_subject_out(self, tmp_path, capsys):
+        code, out = run(self.write(tmp_path, {"S001"}), tmp_path, "evaluate")
+        assert code == 0
+        payload = json.loads((out / "correlations.json").read_text(encoding="utf-8"))
+        assert [s["subject_id"] for s in payload["subjects"]] == ["S002", "S003"]
+        assert payload["mean_pcc"] == sum(s["pcc"] for s in payload["subjects"]) / 2
+        assert payload["findings"] == [
+            "subject S001: correlation undefined for a constant series; left out",
+            "mean PCC covers 2 of 3 subjects",
+        ]
+        assert "warning: subject S001" in capsys.readouterr().err
+
+    def test_sweep_leaves_the_subject_out_of_every_window(self, tmp_path):
+        code, out = run(self.write(tmp_path, {"S001"}), tmp_path, "sweep", "--windows", "3,5")
+        assert code == 0
+        payload = json.loads((out / "ablation.json").read_text(encoding="utf-8"))
+        for window in payload["windows"]:
+            assert [s["subject_id"] for s in window["subjects"]] == ["S002", "S003"]
+        assert payload["findings"] == [
+            f"window {w}: {finding}"
+            for w in (3, 5)
+            for finding in (
+                "subject S001: correlation undefined for a constant series; left out",
+                "mean PCC covers 2 of 3 subjects",
+            )
+        ]
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_no_defined_subject_is_4(self, tmp_path, capsys, command):
+        code, _ = run(self.write(tmp_path, {"S001", "S002", "S003"}), tmp_path, command)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "no subject has a defined correlation" in err
+        assert all(f"subject {s}: " in err for s in ("S001", "S002", "S003"))

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import forest_oracle
+from ted import forest
 from ted.errors import ComputeError
-from ted.forest import ForestHyperparams, RandomForest, Tree
+from ted.forest import ForestHyperparams, RandomForest, Tree, _group_rows
 
 
 def xor_like_data(n=200, seed=0):
@@ -226,3 +230,110 @@ class TestMatchesOracle:
         y[:2] = (0, 1)
         hp = ForestHyperparams(n_trees=3, min_samples_leaf=min_leaf)
         assert_matches_oracle(X, y, hp, seed)
+
+
+KINDS = ["levels", "continuous", "duplicates", "mixed", "adjacent"]
+
+
+class TestLockstep:
+    """Batching the split searches of all trees changes no tree."""
+
+    @pytest.mark.parametrize("budget", [1, 500])
+    @pytest.mark.parametrize("hp", HYPERPARAMS, ids=lambda hp: repr(hp))
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_entry_budget_changes_no_tree(self, monkeypatch, kind, seed, hp, budget):
+        # 1 searches every node alone; 500 holds two or more roots of these tables
+        monkeypatch.setattr(forest, "ENTRY_BUDGET", budget)
+        X, y = dataset(kind, seed)
+        assert_matches_oracle(X, y, hp, seed)
+
+    def test_small_budget_splits_the_root_step(self, monkeypatch):
+        batches = []
+        search = forest._split_batch
+
+        def spy(batch, *args):
+            batches.append(len(batch))
+            return search(batch, *args)
+
+        monkeypatch.setattr(forest, "ENTRY_BUDGET", 500)
+        monkeypatch.setattr(forest, "_split_batch", spy)
+        X, y = dataset("levels", 0)
+        hp = ForestHyperparams(n_trees=6)
+        assert_matches_oracle(X, y, hp, 0)
+        assert 1 < batches[0] < hp.n_trees
+
+    def test_trees_finishing_at_very_different_steps(self):
+        # x0 alone separates the classes: a tree that draws it at the root stops
+        # after three nodes, while the others grow on noise
+        rng = np.random.default_rng(0)
+        y = rng.integers(0, 2, 160)
+        noise = [rng.integers(0, 4, (160, 3)), rng.uniform(0, 1, (160, 5))]
+        X = np.column_stack([y + rng.uniform(0, 0.5, 160), *noise])
+        hp = ForestHyperparams(
+            n_trees=12, max_depth=9, min_samples_leaf=2, stratified_bootstrap=True
+        )
+        assert_matches_oracle(X, y, hp, 0)
+        sizes = sorted(t.feature.size for t in RandomForest(hp, seed=0).fit(X, y).trees)
+        assert sizes[0] == 3 and sizes[-1] >= 10 * sizes[0]
+
+    def test_no_features(self):
+        X, y = np.zeros((6, 0)), np.array([0, 1, 0, 1, 0, 1])
+        assert_matches_oracle(X, y, ForestHyperparams(n_trees=3), 0)
+        assert all(t.feature.tolist() == [-1] for t in RandomForest().fit(X, y).trees)
+
+    # tracemalloc peak of the fit below with the per-tree grower that the
+    # lockstep grower replaced (numpy 2.4, Python 3.11)
+    PER_TREE_PEAK = 2_017_023
+
+    def test_peak_memory_near_per_tree_grower(self):
+        rng = np.random.default_rng(20260823)
+        X = rng.uniform(0, 5, (2000, 6))
+        y = (X[:, 0] + X[:, 1] + rng.normal(0, 1, 2000) > 5).astype(int)
+        RandomForest(ForestHyperparams(n_trees=2)).fit(X[:50], y[:50])  # first-call imports
+        tracemalloc.start()
+        try:
+            RandomForest(ForestHyperparams(n_trees=50), seed=0).fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * self.PER_TREE_PEAK
+
+
+def assert_groups_like_unique(table):
+    codes, first, group = _group_rows(table)
+    _, want_first, want_group = np.unique(table, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(group, want_group.reshape(-1))
+    for col, col_codes in zip(table.T, codes, strict=True):
+        assert np.array_equal(col_codes, np.unique(col, return_inverse=True)[1].reshape(-1))
+
+
+class TestGroupRows:
+    """`_group_rows` numbers distinct rows exactly as np.unique(axis=0) does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        table=st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(
+            lambda shape: arrays(
+                float,
+                shape,
+                elements=st.integers(0, 3).map(float)
+                | st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+            )
+        )
+    )
+    def test_matches_unique(self, table):
+        assert_groups_like_unique(table)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_continuous_six_columns(self, seed):
+        # 2000 ranks per column: a single mixed-radix key would need 2000**6 > 2**63
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(0, 5, (2000, 6))
+        table[rng.integers(0, 2000, 300)] = table[rng.integers(0, 2000, 300)]
+        assert_groups_like_unique(table)
+
+    def test_no_rows(self):
+        codes, first, group = _group_rows(np.zeros((0, 3)))
+        assert codes.shape == (3, 0) and first.size == 0 and group.size == 0
