@@ -3,7 +3,6 @@
 from .errors import ComputeError, ConfigError, ManifestError, ParseError, SchemaError, TedError
 from .model import (
     FEATURE_SETS,
-    AuIntensity,
     AuProfile,
     BUILTIN_PROFILES,
     DatasetManifest,

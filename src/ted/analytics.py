@@ -114,7 +114,8 @@ def _subject_correlations(
         except ComputeError as exc:
             undefined.append(f"subject {subject}: {exc}")
     if not correlations:
-        raise ComputeError("no subject has a defined correlation: " + "; ".join(undefined))
+        cause = "; ".join(undefined) or "dataset has no sequences"
+        raise ComputeError(f"no subject has a defined correlation: {cause}")
     if undefined:
         findings += [f"{finding}; left out" for finding in undefined]
         findings.append(f"mean PCC covers {len(correlations)} of {len(parts)} subjects")

@@ -219,11 +219,13 @@ def parse_feature_csv(
         return values[:, [position[c] for c in columns]]
 
     frame = values[:, position[schema.frame]]
-    bad = np.flatnonzero(~(np.abs(frame) < 2.0**63))
+    bad = np.flatnonzero(~(np.abs(frame) < 2.0**63) | (np.floor(frame) != frame))
     if bad.size:
+        value = frame[bad[0]]
         raise ParseError(
-            f"{path}: frame number {frame[bad[0]]} in column {schema.frame!r}, "
-            f"line {lines[bad[0]] if lines else bad[0] + 2} is not finite"
+            f"{path}: frame number {value} in column {schema.frame!r}, "
+            f"line {lines[bad[0]] if lines else bad[0] + 2} is not "
+            + ("an integer" if abs(value) < 2.0**63 else "finite")
         )
     # a schema's x column without a y partner (or the reverse) is not read
     n_landmarks = min(len(schema.landmark_x), len(schema.landmark_y))
@@ -232,14 +234,10 @@ def parse_feature_csv(
     return FrameColumns(
         frame_index=frame.astype(np.int64),
         tracking_ok=values[:, position[schema.success]] != 0.0,
-        landmarks=np.stack(
-            [block(schema.landmark_x[:n_landmarks]), block(schema.landmark_y[:n_landmarks])],
-            axis=2,
-        ),
-        head_translation=block(schema.pose_translation),
-        head_rotation=block(schema.pose_rotation),
-        gaze_left=block(schema.gaze_left),
-        gaze_right=block(schema.gaze_right),
+        geometry=block([
+            *schema.landmark_x[:n_landmarks], *schema.landmark_y[:n_landmarks],
+            *schema.pose_translation, *schema.pose_rotation, *schema.gaze_left, *schema.gaze_right,
+        ]),
         au_ids=au_ids,
         # predicted levels clamp into [0, 5]; NaN reads 0, as max(0.0, nan) does
         au_levels=np.where(levels > 0.0, np.minimum(levels, 5.0), 0.0),
@@ -410,8 +408,10 @@ def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetMani
         except KeyError as exc:
             raise ManifestError(f"manifest entry {i} missing field {exc}") from None
         except (AttributeError, TypeError) as exc:
-            # an entry or its labels not an object, a label not a number, a path not a string
+            # an entry or its labels not an object, a label not an integer, a path not a string
             raise ManifestError(f"manifest entry {i} is malformed: {exc}") from None
+        except ConfigError as exc:  # a label out of range
+            raise ConfigError(f"manifest entry {i}: {exc}") from None
     try:
         return DatasetManifest(entries, base_dir=path.parent)
     except Exception as exc:

@@ -20,28 +20,6 @@ FEATURE_SETS = ("L", "Ho", "Hr", "Gl", "Gr", "I")
 
 GENDERS = ("male", "female", "unspecified")
 
-# The 3-vector feature sets and the FrameColumns fields that hold them.
-_VECTOR_FIELDS = {
-    "Ho": "head_translation",
-    "Hr": "head_rotation",
-    "Gl": "gaze_left",
-    "Gr": "gaze_right",
-}
-
-
-@dataclass(frozen=True)
-class AuIntensity:
-    """One action unit's intensity on the 0-5 scale (0 = inactive)."""
-
-    au_id: int
-    level: float
-
-    def __post_init__(self):
-        if not 1 <= self.au_id <= 64:
-            raise ConfigError(f"au_id {self.au_id} outside FACS range 1..64")
-        if not 0.0 <= self.level <= 5.0:
-            raise ConfigError(f"AU{self.au_id} level {self.level} outside [0, 5]")
-
 
 @dataclass(frozen=True)
 class AuProfile:
@@ -55,6 +33,9 @@ class AuProfile:
             raise ConfigError(f"profile {self.name!r} has no action units")
         if len(set(self.au_ids)) != len(self.au_ids):
             raise ConfigError(f"profile {self.name!r} has duplicate action units")
+        for au in self.au_ids:
+            if not 1 <= au <= 64:
+                raise ConfigError(f"profile {self.name!r} has AU {au} outside FACS range 1..64")
         object.__setattr__(self, "au_ids", tuple(sorted(self.au_ids)))
 
     def __len__(self) -> int:
@@ -89,25 +70,25 @@ class FrameFeatures:
     head_rotation: tuple[float, float, float]
     gaze_left: tuple[float, float, float]
     gaze_right: tuple[float, float, float]
-    au_intensities: Mapping[int, AuIntensity]
+    au_intensities: Mapping[int, float]  # AU id -> level on the 0-5 scale
     tracking_ok: bool = True
 
     def au_level(self, au_id: int) -> float:
-        au = self.au_intensities.get(au_id)
-        return au.level if au is not None else 0.0
+        return self.au_intensities.get(au_id, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class FrameColumns:
-    """A sequence's frames as aligned columns; row t holds frame t."""
+    """A sequence's frames as aligned columns; row t holds frame t.
+
+    `geometry` keeps the tracker file's column order: the k landmark x
+    coordinates, their k y coordinates, then head translation, head rotation,
+    left gaze and right gaze, three columns each.
+    """
 
     frame_index: np.ndarray  # (n,) int
     tracking_ok: np.ndarray  # (n,) bool
-    landmarks: np.ndarray  # (n, k, 2) x, y
-    head_translation: np.ndarray  # (n, 3)
-    head_rotation: np.ndarray  # (n, 3)
-    gaze_left: np.ndarray  # (n, 3)
-    gaze_right: np.ndarray  # (n, 3)
+    geometry: np.ndarray  # (n, 2k + 12)
     au_ids: tuple[int, ...]
     au_levels: np.ndarray  # (n, m); column j is action unit au_ids[j]
 
@@ -126,20 +107,19 @@ class FrameColumns:
                 f"landmark streams must be constant-length, got lengths {sorted(sizes)}"
             )
         au_ids = tuple(sorted({au for f in frames for au in f.au_intensities}))
+        geometry = [
+            [*(x for x, _ in f.landmarks), *(y for _, y in f.landmarks), *f.head_translation,
+             *f.head_rotation, *f.gaze_left, *f.gaze_right]
+            for f in frames
+        ]
         return cls(
             frame_index=np.array([f.frame_index for f in frames], dtype=np.int64),
             tracking_ok=np.array([f.tracking_ok for f in frames], dtype=bool),
-            landmarks=np.array([f.landmarks for f in frames], dtype=float).reshape(
-                n, sizes.pop() if sizes else 0, 2
-            ),
+            geometry=np.array(geometry, dtype=float).reshape(n, 2 * max(sizes, default=0) + 12),
             au_ids=au_ids,
             au_levels=np.array(
                 [[f.au_level(au) for au in au_ids] for f in frames], dtype=float
             ).reshape(n, len(au_ids)),
-            **{
-                name: np.array([getattr(f, name) for f in frames], dtype=float).reshape(n, 3)
-                for name in _VECTOR_FIELDS.values()
-            },
         )
 
     def __len__(self) -> int:
@@ -148,31 +128,33 @@ class FrameColumns:
     def __getitem__(self, i: int) -> FrameFeatures:
         """Frame i as one FrameFeatures, for per-frame reference code."""
         i = range(len(self))[i]
+        xy, ho, hr, gl, gr = (tuple(self.stream(fs)[i].tolist()) for fs in FEATURE_SETS[:5])
+        k = len(xy) // 2
         return FrameFeatures(
             frame_index=int(self.frame_index[i]),
-            landmarks=tuple(map(tuple, self.landmarks[i].tolist())),
-            au_intensities={
-                au: AuIntensity(au, level)
-                for au, level in zip(self.au_ids, self.au_levels[i].tolist())
-            },
+            landmarks=tuple(zip(xy[:k], xy[k:])),
+            head_translation=ho,
+            head_rotation=hr,
+            gaze_left=gl,
+            gaze_right=gr,
+            au_intensities=dict(zip(self.au_ids, self.au_levels[i].tolist())),
             tracking_ok=bool(self.tracking_ok[i]),
-            **{name: tuple(getattr(self, name)[i].tolist()) for name in _VECTOR_FIELDS.values()},
         )
 
     def stream(self, fs: str, au_ids: Sequence[int] = ()) -> np.ndarray:
-        """(n, d) matrix of one feature set; may be a view of the columns.
+        """(n, d) matrix of one feature set.
 
-        Landmarks give all x coordinates, then all y coordinates. The `I`
-        stream has one column per entry of `au_ids`, with absent AUs at 0.
+        L, Ho, Hr, Gl and Gr are views of `geometry`; landmarks give all x
+        coordinates, then all y coordinates. The `I` stream is a new matrix
+        with one column per entry of `au_ids`, with absent AUs at 0.
         """
-        if fs == "L":
-            return np.concatenate([self.landmarks[:, :, 0], self.landmarks[:, :, 1]], axis=1)
         if fs == "I":
             padded = np.concatenate([self.au_levels, np.zeros((len(self), 1))], axis=1)
             return padded[:, [self.au_ids.index(au) if au in self.au_ids else -1 for au in au_ids]]
-        if fs not in _VECTOR_FIELDS:
+        if fs not in FEATURE_SETS:
             raise ComputeError(f"unknown feature set {fs!r}")
-        return getattr(self, _VECTOR_FIELDS[fs])
+        end = self.geometry.shape[1] - 12 + 3 * FEATURE_SETS.index(fs)
+        return self.geometry[:, end - 3 : end] if fs != "L" else self.geometry[:, :end]
 
 
 @dataclass(frozen=True)
@@ -231,7 +213,11 @@ class SequenceLabels:
     def __post_init__(self):
         for name, hi in (("vas", 10), ("sen", 10), ("aff", 10), ("opi", 5)):
             value = getattr(self, name)
-            if value is not None and not 0 <= value <= hi:
+            if value is None:
+                continue
+            if type(value) is not int:  # JSON true and false are bools, a subclass of int
+                raise TypeError(f"{name} label {value!r} is not an integer")
+            if not 0 <= value <= hi:
                 raise ConfigError(f"{name} label {value} outside [0, {hi}]")
 
     def get(self, scale: str) -> Optional[int]:
@@ -322,9 +308,7 @@ def validate_sequence(seq: SequenceRecord) -> list[Finding]:
         (p + 1, Finding("frame_index", f"not strictly increasing after {idx[p]}", idx[p + 1]))
         for p in np.flatnonzero(steps_back).tolist()
     ]
-    finite = np.ones(n, dtype=bool)
-    for values in (cols.landmarks, cols.au_levels, *map(cols.stream, _VECTOR_FIELDS)):
-        finite &= np.isfinite(values.reshape(n, -1)).all(axis=1)
+    finite = np.isfinite(cols.geometry).all(axis=1) & np.isfinite(cols.au_levels).all(axis=1)
     per_frame += [
         (p, Finding("features", "non-finite value", idx[p]))
         for p in np.flatnonzero(cols.tracking_ok & ~finite).tolist()

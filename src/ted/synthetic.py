@@ -16,7 +16,6 @@ import numpy as np
 
 from .ingestion import FeatureCsvSchema, manifest_to_json
 from .model import (
-    FEATURE_SETS,
     DatasetManifest,
     FrameColumns,
     ManifestEntry,
@@ -89,18 +88,13 @@ def make_correlated_dataset(
                 0.0,
                 5.0,
             )
-            # the streams draw in FEATURE_SETS order: arguments evaluate left to right
-            landmarks = _motion_stream(rng, env, 2 * n_landmarks)
             frames = FrameColumns(
                 frame_index=np.arange(1, n_frames + 1),
                 tracking_ok=np.ones(n_frames, dtype=bool),
-                landmarks=np.stack(
-                    [landmarks[:, :n_landmarks], landmarks[:, n_landmarks:]], axis=2
+                # the L, Ho, Hr, Gl and Gr streams, drawn in that order
+                geometry=np.concatenate(
+                    [_motion_stream(rng, env, d) for d in (2 * n_landmarks, 3, 3, 3, 3)], axis=1
                 ),
-                head_translation=_motion_stream(rng, env, 3),
-                head_rotation=_motion_stream(rng, env, 3),
-                gaze_left=_motion_stream(rng, env, 3),
-                gaze_right=_motion_stream(rng, env, 3),
                 au_ids=PAIN_PROFILE.au_ids,
                 au_levels=levels,
             )
@@ -153,11 +147,11 @@ def make_separable_dataset(
             frames = FrameColumns(
                 frame_index=np.arange(1, n_frames + 1),
                 tracking_ok=np.ones(n_frames, dtype=bool),
-                landmarks=landmarks,
-                head_translation=vectors[0],
-                head_rotation=vectors[1],
-                gaze_left=vectors[2],
-                gaze_right=vectors[3],
+                # x coordinates, then y coordinates, then the four 3-vectors
+                geometry=np.concatenate(
+                    [landmarks.transpose(0, 2, 1).reshape(n_frames, 2 * n_landmarks), *vectors],
+                    axis=1,
+                ),
                 au_ids=PAIN_PROFILE.au_ids,
                 au_levels=levels,
             )
@@ -188,8 +182,8 @@ def write_dataset(records: Sequence[SequenceRecord], out_dir) -> Path:
         cols = rec.frames
         au_ids = sorted(cols.au_ids)
         levels = cols.stream("I", au_ids)
-        # the default schema's column order: L (x then y), Ho, Hr, Gl, Gr, I
-        values = np.concatenate([cols.stream(fs, au_ids) for fs in FEATURE_SETS], axis=1)
+        # the default schema's column order: the geometry's, then the AU levels
+        values = np.concatenate([cols.geometry, levels], axis=1)
         frame_index = cols.frame_index.tolist()
 
         # one format per row writes what csv.writer writes for these cells (no cell needs
@@ -198,7 +192,7 @@ def write_dataset(records: Sequence[SequenceRecord], out_dir) -> Path:
         row = "%d,%d" + ",%.17g" * values.shape[1] + "\r\n"
         with open(out_dir / feature_file, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(
-                FeatureCsvSchema.default(cols.landmarks.shape[1], au_ids).bound_columns()
+                FeatureCsvSchema.default(cols.stream("L").shape[1] // 2, au_ids).bound_columns()
             )
             fh.write("".join(
                 row % (frame, ok, *vals)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ted.model import AuIntensity, FrameFeatures, PAIN_PROFILE, SequenceRecord
+from ted.model import FrameFeatures, PAIN_PROFILE, SequenceRecord
 
 
 def make_frame(index, rng=None, au_levels=None, tracking_ok=True, n_landmarks=4):
@@ -22,7 +22,7 @@ def make_frame(index, rng=None, au_levels=None, tracking_ok=True, n_landmarks=4)
         head_rotation=tuple(rng.normal(0, 0.2, 3)),
         gaze_left=tuple(rng.normal(0, 0.5, 3)),
         gaze_right=tuple(rng.normal(0, 0.5, 3)),
-        au_intensities={au: AuIntensity(au, lv) for au, lv in au_levels.items()},
+        au_intensities=dict(au_levels),
         tracking_ok=tracking_ok,
     )
 

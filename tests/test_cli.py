@@ -133,6 +133,37 @@ class TestExitCodes:
         code, _ = run(dataset, tmp_path, "score", "--profile", "frown")
         assert code == 2
 
+    @pytest.mark.parametrize("profile, au", [("70,71", 70), ("0,4", 0)])
+    @pytest.mark.parametrize("source", ["predicted", "manual"])
+    def test_custom_profile_au_outside_facs_range_is_2(
+        self, dataset, tmp_path, capsys, profile, au, source
+    ):
+        code, _ = run(dataset, tmp_path, "score", "--au-source", source, "--profile", profile)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: profile 'custom' has AU {au} outside FACS range 1..64\n"
+        )
+
+    @pytest.mark.parametrize(
+        "labels, code, message",
+        [
+            ({"vas": 3.7}, 3, "input error: manifest entry 1 is malformed: "
+                              "vas label 3.7 is not an integer"),
+            ({"opi": "2"}, 3, "input error: manifest entry 1 is malformed: "
+                              "opi label '2' is not an integer"),
+            ({"vas": 11}, 2, "config error: manifest entry 1: vas label 11 outside [0, 10]"),
+        ],
+        ids=["fraction", "string", "out-of-range"],
+    )
+    def test_bad_manifest_label(self, tmp_path, capsys, labels, code, message):
+        records = make_separable_dataset(n_subjects=2, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        payload["entries"][1]["labels"] = labels
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(manifest, tmp_path, "summarize")[0] == code
+        assert capsys.readouterr().err == message + "\n"
+
     def test_empty_feature_sets_is_2(self, dataset, tmp_path):
         code, _ = run(dataset, tmp_path, "score", "--feature-sets", "")
         assert code == 2
@@ -485,8 +516,8 @@ class TestOneRunPath:
     @pytest.mark.parametrize("command, extra", _PLANS)
     def test_every_failing_sequence_is_named(self, tmp_path, capsys, command, extra):
         records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
-        records[0].frames.landmarks[4, 1, 0] = float("nan")
-        records[2].frames.landmarks[9, 0, 1] = float("nan")
+        records[0].frames.stream("L")[4, 1] = float("nan")
+        records[2].frames.stream("L")[9, 5] = float("nan")
         manifest = write_dataset(records, tmp_path / "ds")
         code, _ = run(manifest, tmp_path, command, *extra)
         assert code == 4
@@ -789,3 +820,13 @@ class TestUndefinedCorrelation:
         err = capsys.readouterr().err
         assert "no subject has a defined correlation" in err
         assert all(f"subject {s}: " in err for s in ("S001", "S002", "S003"))
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_empty_manifest_names_the_cause(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"entries": []}', encoding="utf-8")
+        code, _ = run(manifest, tmp_path, command)
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "compute error: no subject has a defined correlation: dataset has no sequences\n"
+        )

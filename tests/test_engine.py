@@ -27,7 +27,6 @@ from ted.engine import (
 from ted.errors import ComputeError
 from ted.model import (
     FEATURE_SETS,
-    AuIntensity,
     AuProfile,
     FrameFeatures,
     PAIN_PROFILE,
@@ -297,6 +296,13 @@ class TestScoreSequence:
         with pytest.raises(ComputeError):
             score_sequence(SequenceRecord("S1", "01", []), TedConfig())
 
+    @pytest.mark.parametrize("level", [-0.1, 5.5, float("nan")])
+    def test_au_level_outside_scale_raises(self, level):
+        seq = make_random_sequence(4, seed=3)
+        seq.frames.au_levels[2, 1] = level
+        with pytest.raises(ComputeError, match=r"^AU level outside \[0, 5\] at frame 3$"):
+            score_sequence(seq, TedConfig())
+
 
 class TestScoreDataset:
     def test_one_error_names_every_failing_sequence(self):
@@ -307,7 +313,7 @@ class TestScoreDataset:
             head_rotation=(0.0, 0.0, 0.0),
             gaze_left=(0.0, 0.0, 0.0),
             gaze_right=(0.0, 0.0, 0.0),
-            au_intensities={au: AuIntensity(au, 0.0) for au in PAIN_PROFILE.au_ids},
+            au_intensities={au: 0.0 for au in PAIN_PROFILE.au_ids},
         )
         records = [
             SequenceRecord("S3", "01", [bad_frame, bad_frame]),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -26,7 +27,7 @@ from ted.model import (
     PAIN_PROFILE,
     SequenceLabels,
 )
-from ted.synthetic import make_separable_dataset, write_dataset
+from ted.synthetic import make_correlated_dataset, make_separable_dataset, write_dataset
 
 
 def write_feature_csv(path, rows, n_landmarks=2, au_ids=(4, 6)):
@@ -121,11 +122,31 @@ class TestParseFeatureCsv:
             write_feature_csv(tmp_path / "g.csv", [feature_row()])
         )[0]
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])
-    def test_non_finite_frame_number(self, tmp_path, value):
+    @pytest.mark.parametrize(
+        "value, what",
+        [("nan", "finite"), ("inf", "finite"), ("1e300", "finite"), ("2.5", "an integer")],
+    )
+    def test_bad_frame_number(self, tmp_path, value, what):
         path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(value)])
-        with pytest.raises(ParseError, match="'frame', line 3"):
-            parse_feature_csv(path)
+        with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError):
+            with pytest.raises(ParseError) as info:
+                parse_feature_csv(path)
+        assert str(info.value) == (
+            f"{path}: frame number {float(value)} in column 'frame', line 3 is not {what}"
+        )
+
+    @pytest.mark.parametrize("field", ["landmark_x", "landmark_y"])
+    def test_landmark_without_partner_is_not_read(self, tmp_path, field):
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(2)])
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        text = "".join(f"{line}\n" for line in [f"{header},z_9", *(f"{r},7.5" for r in rows)])
+        path.write_text(text, encoding="utf-8")
+        schema = FeatureCsvSchema.default(n_landmarks=2, au_ids=(4, 6))
+        schema = dataclasses.replace(schema, **{field: (*getattr(schema, field), "z_9")})
+        frames = parse_feature_csv(path, schema)
+        assert frames.geometry.shape == (2, 2 * 2 + 12)
+        assert frames.stream("L").tolist() == [[0.1, 0.2, 0.3, 0.4]] * 2
+        assert 7.5 not in frames.geometry
 
     def test_failed_tracking_row(self, tmp_path):
         path = write_feature_csv(tmp_path / "f.csv", [feature_row(success=0)])
@@ -149,6 +170,7 @@ class TestParseFeatureCsv:
         [
             (3, "oops", "non-numeric value 'oops' in column 'x_0', line 4"),
             (1, "nan", "frame number nan in column 'frame', line 4 is not finite"),
+            (1, "2.5", "frame number 2.5 in column 'frame', line 4 is not an integer"),
         ],
     )
     def test_line_numbers_count_physical_lines(self, tmp_path, column, value, message):
@@ -322,8 +344,7 @@ def _same_columns(a, b):
     )
 
 
-_COLUMN_FIELDS = ("frame_index", "tracking_ok", "landmarks", "head_translation",
-                  "head_rotation", "gaze_left", "gaze_right", "au_levels")
+_COLUMN_FIELDS = ("frame_index", "tracking_ok", "geometry", "au_levels")
 
 
 class TestFastPathsMatchRowWise:
@@ -554,6 +575,17 @@ class TestManifest:
                "labels": [4]}], "entry 0 is malformed"),
             ([{"subject_id": "S1", "sequence_id": "01", "feature_file": "f.csv",
                "labels": {"vas": "high"}}], "entry 0 is malformed"),
+            *(
+                ([{"subject_id": "S1", "sequence_id": "01", "feature_file": "f.csv",
+                   "labels": labels}], f"entry 0 is malformed: {message} is not an integer$")
+                for labels, message in [
+                    ({"vas": 3.7}, r"vas label 3\.7"),
+                    ({"vas": True}, "vas label True"),
+                    ({"opi": False}, "opi label False"),
+                    ({"sen": 4.0}, r"sen label 4\.0"),
+                    ({"opi": "2"}, "opi label '2'"),
+                ]
+            ),
         ],
     )
     def test_wrongly_typed_field(self, tmp_path, entries, message):
@@ -561,6 +593,15 @@ class TestManifest:
         path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
         with pytest.raises(ManifestError, match=message):
             load_manifest(path)
+
+    def test_label_out_of_range_names_the_entry(self, tmp_path):
+        entries = [{"subject_id": s, "sequence_id": "01", "feature_file": "f.csv",
+                    "labels": {"vas": v}} for s, v in (("S1", 10), ("S2", 11))]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_manifest(path)
+        assert str(info.value) == "manifest entry 1: vas label 11 outside [0, 10]"
 
     def test_duplicate_entries(self, tmp_path):
         entry = {"subject_id": "S1", "sequence_id": "01", "feature_file": "f.csv"}
@@ -579,18 +620,22 @@ def dataset_dir(tmp_path_factory):
 
 
 class TestLoadDataset:
-    def test_predicted_mode_round_trips_features(self, dataset_dir):
-        out, records = dataset_dir
-        loaded, findings = load_dataset(load_manifest(out / "manifest.json"))
+    @pytest.mark.parametrize("make", [
+        lambda: make_separable_dataset(n_subjects=2, n_sequences=1, n_frames=12),
+        lambda: make_correlated_dataset(n_subjects=2, n_sequences=2, n_frames=30, n_landmarks=3),
+    ], ids=["separable", "correlated"])
+    def test_predicted_mode_round_trips_features(self, tmp_path, make):
+        records = make()
+        loaded, findings = load_dataset(load_manifest(write_dataset(records, tmp_path)))
         assert findings == []
         assert [r.key for r in loaded] == [r.key for r in records]
-        got, want = loaded[0].frames[0], records[0].frames[0]
-        # the writer's 17-significant-digit format round-trips floats exactly
-        assert got.landmarks == want.landmarks
-        assert got.au_level(4) == want.au_level(4)
-        assert loaded[0].pspi == records[0].pspi
-        assert loaded[0].labels == records[0].labels
-        assert loaded[0].gender == records[0].gender
+        for got, want in zip(loaded, records):
+            # the writer's 17-significant-digit format round-trips floats exactly:
+            # geometry and AU levels come back bit for bit
+            assert _same_columns(got.frames, want.frames)
+            assert got.pspi == want.pspi
+            assert got.labels == want.labels
+            assert got.gender == want.gender
 
     def test_manual_mode_uses_coded_levels(self, dataset_dir):
         out, records = dataset_dir

@@ -1,13 +1,11 @@
 import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import make_frame, make_random_sequence
 from ted.errors import ComputeError, ConfigError
 from ted.model import (
-    AuIntensity,
     AuProfile,
     BUILTIN_PROFILES,
     DatasetManifest,
@@ -23,23 +21,6 @@ from ted.model import (
     overall_profile,
     validate_sequence,
 )
-
-
-class TestAuIntensity:
-    @given(st.integers(min_value=1, max_value=64), st.floats(min_value=0, max_value=5))
-    def test_accepts_valid_range(self, au_id, level):
-        au = AuIntensity(au_id, level)
-        assert au.au_id == au_id
-
-    @pytest.mark.parametrize("au_id", [0, 65, -3])
-    def test_rejects_au_id_outside_facs_range(self, au_id):
-        with pytest.raises(ConfigError):
-            AuIntensity(au_id, 1.0)
-
-    @pytest.mark.parametrize("level", [-0.1, 5.5, float("nan")])
-    def test_rejects_level_outside_scale(self, level):
-        with pytest.raises(ConfigError):
-            AuIntensity(4, level)
 
 
 class TestAuProfile:
@@ -64,6 +45,12 @@ class TestAuProfile:
     def test_rejects_duplicates(self):
         with pytest.raises(ConfigError):
             AuProfile("t", (4, 4, 6))
+
+    @pytest.mark.parametrize("au_ids, au", [((70, 71), 70), ((0, 4), 0), ((4, 65), 65)])
+    def test_rejects_au_outside_facs_range(self, au_ids, au):
+        with pytest.raises(ConfigError) as info:
+            AuProfile("custom", au_ids)
+        assert str(info.value) == f"profile 'custom' has AU {au} outside FACS range 1..64"
 
     def test_builtin_registry(self):
         assert set(BUILTIN_PROFILES) == {"pain", "pain_predicted", "happy"}
@@ -106,7 +93,7 @@ class TestFrameColumns:
         cols = FrameColumns.from_frames(frames)
         assert cols.au_ids == (4, 6)
         assert cols.au_levels.tolist() == [[2.0, 1.0], [3.0, 0.0]]
-        assert cols[1].au_intensities == {4: AuIntensity(4, 3.0), 6: AuIntensity(6, 0.0)}
+        assert cols[1].au_intensities == {4: 3.0, 6: 0.0}
         assert cols[0] == frames[0]
 
     def test_ragged_landmarks_raise(self):
@@ -117,7 +104,7 @@ class TestFrameColumns:
     def test_empty_frame_list(self):
         cols = SequenceRecord("S1", "01", []).frames
         assert len(cols) == 0
-        assert cols.landmarks.shape == (0, 0, 2)
+        assert cols.geometry.shape == (0, 12)
 
     def test_stream_layout(self):
         frame = make_frame(1, au_levels={4: 2.0, 25: 1.5})
@@ -128,6 +115,17 @@ class TestFrameColumns:
         assert cols.stream("I", (25, 9, 4)).tolist() == [[1.5, 0.0, 2.0]]
         with pytest.raises(ComputeError, match="unknown feature set"):
             cols.stream("Z")
+
+    def test_geometry_streams_are_views(self):
+        cols = make_random_sequence(5).frames
+        assert cols.geometry.shape == (5, 2 * 4 + 12)
+        widths = [cols.stream(fs).shape[1] for fs in FEATURE_SETS[:5]]
+        assert widths == [8, 3, 3, 3, 3]
+        for fs in FEATURE_SETS[:5]:
+            assert np.shares_memory(cols.stream(fs), cols.geometry), fs
+        assert np.array_equal(
+            np.concatenate([cols.stream(fs) for fs in FEATURE_SETS[:5]], axis=1), cols.geometry
+        )
 
     def test_rejects_au_outside_facs_range(self):
         cols = FrameColumns.from_frames([make_frame(1)])
@@ -205,7 +203,7 @@ class TestValidateSequence:
 
     def test_non_finite_feature_flagged_only_when_tracking_ok(self):
         seq = SequenceRecord("S1", "01", [make_frame(1), make_frame(2)])
-        seq.frames.head_translation[1, 0] = float("nan")
+        seq.frames.stream("Ho")[1, 0] = float("nan")
         findings = validate_sequence(seq)
         assert any(f.field == "features" and f.frame_index == 2 for f in findings)
 
@@ -214,7 +212,7 @@ class TestValidateSequence:
 
     def test_frame_findings_come_in_frame_order(self):
         seq = SequenceRecord("S1", "01", [make_frame(i) for i in (1, 3, 2, 4)])
-        seq.frames.landmarks[1, 0, 0] = float("inf")
+        seq.frames.stream("L")[1, 0] = float("inf")
         seq.frames.au_levels[3, 0] = float("nan")
         findings = validate_sequence(seq)
         assert [(f.field, f.frame_index) for f in findings] == [

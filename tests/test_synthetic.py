@@ -27,7 +27,7 @@ def _reference_files(records, out_dir):
         with open(f"{stem}_features.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                FeatureCsvSchema.default(cols.landmarks.shape[1], au_ids).bound_columns()
+                FeatureCsvSchema.default(cols.stream("L").shape[1] // 2, au_ids).bound_columns()
             )
             for frame, ok, row in zip(
                 cols.frame_index.tolist(), cols.tracking_ok.tolist(), values.tolist()
