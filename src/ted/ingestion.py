@@ -80,6 +80,12 @@ class FeatureCsvSchema:
     gaze_right: tuple[str, str, str] = ("gaze_1_x", "gaze_1_y", "gaze_1_z")
     au_intensity: Mapping[int, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # parse_feature_csv lays these out as the last twelve columns of `geometry`
+        for key in ("pose_translation", "pose_rotation", "gaze_left", "gaze_right"):
+            if len(getattr(self, key)) != 3:
+                raise SchemaError(f"{key} must name 3 columns, got {len(getattr(self, key))}")
+
     def bound_columns(self) -> list[str]:
         cols = [self.frame, self.success]
         cols += list(self.landmark_x) + list(self.landmark_y)
@@ -124,6 +130,8 @@ class FeatureCsvSchema:
             )
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from None
+        except SchemaError as exc:
+            raise SchemaError(f"schema file {path}: {exc}") from None
         except (ValueError, TypeError, AttributeError) as exc:
             # not JSON, not an object, or a column list that is not a list
             raise SchemaError(f"schema file {path} is malformed: {exc}") from None

@@ -193,6 +193,24 @@ class TestExitCodes:
         code, _ = run(dataset, tmp_path, "score", "--schema", str(schema))
         assert code == 3
 
+    @pytest.mark.parametrize("key, columns", [("pose_translation", ["pose_Tx", "pose_Ty"]),
+                                              ("gaze_left", [])])
+    def test_schema_vector_block_not_three_columns_is_3(
+        self, dataset, tmp_path, capsys, key, columns
+    ):
+        schema = _write_default_schema(tmp_path / "schema.json")
+        raw = json.loads(schema.read_text(encoding="utf-8"))
+        raw[key] = columns
+        schema.write_text(json.dumps(raw), encoding="utf-8")
+        code, out = run(
+            dataset, tmp_path, "score", "--schema", str(schema), "--feature-sets", "L,Ho,Hr,Gr,I"
+        )
+        assert code == 3
+        assert not (out / "scores.csv").exists()
+        assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+            f"schema file {schema}: {key} must name 3 columns, got {len(columns)}"
+        )
+
     @pytest.mark.parametrize("command", ["evaluate", "interpret"])
     @pytest.mark.parametrize("delta", [-5, 5])
     def test_pspi_length_mismatch_is_3(self, tmp_path, capsys, command, delta):

@@ -75,6 +75,19 @@ class TestFeatureCsvSchema:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert FeatureCsvSchema.from_json(path) == schema
 
+    @pytest.mark.parametrize("key", ["pose_translation", "pose_rotation", "gaze_left", "gaze_right"])
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_vector_block_must_name_three_columns(self, tmp_path, key, length):
+        raw = dataclasses.asdict(FeatureCsvSchema.default(n_landmarks=2, au_ids=(4,)))
+        raw[key] = [f"c_{i}" for i in range(length)]
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            FeatureCsvSchema.from_json(path)
+        assert str(info.value) == (
+            f"schema file {path}: {key} must name 3 columns, got {length}"
+        )
+
     def test_from_json_missing_key(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text("{\"frame\": \"frame\"}", encoding="utf-8")
