@@ -39,12 +39,45 @@ def pearson(x, y) -> float:
     return max(-1.0, min(1.0, r))
 
 
+# ample: the fraction below takes at most about 45 pairs of terms for any n up to 10**9
+_BETA_FRACTION_PAIRS = 1000
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)). From a = 10 on, a Stirling series: the
+    difference of two lgamma values would lose about 4e-11 to cancellation."""
+    if a < 10.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    z = 1.0 / (a * a)
+    series = 1 / 8 - z * (1 / 192 - z * (1 / 640 - z * (17 / 14336 - z * 31 / 18432)))
+    return 0.5 * math.log(a) - series / a
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction K with I_x(a, b) = x^a (1-x)^b / (a B(a, b) K), by
+    Lentz's method (Numerical Recipes, section 6.4). It converges fast for
+    x < (a + 1) / (a + b + 2); a fraction that does not is a ComputeError."""
+    k, c, d = 1.0, 1.0, 0.0
+    for m in range(_BETA_FRACTION_PAIRS):
+        for e in (
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+            (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2)),
+        ):
+            d = 1.0 / (1.0 + e * d or 1e-300)  # Lentz: a tiny value stands in for a zero
+            c = 1.0 + e / c or 1e-300
+            k *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return k
+    raise ComputeError(f"p-value: incomplete beta I_{x!r}({a}, {b}) did not converge")
+
+
 def pcc_p_value(r: float, n: int) -> float:
     """Two-sided p-value for a sample correlation r with n observations.
 
-    Uses the t statistic r*sqrt((n-2)/(1-r^2)) against Student's t with n-2
-    degrees of freedom; the tail probability comes from the regularized
-    incomplete beta function.
+    The t statistic r*sqrt((n-2)/(1-r^2)) against Student's t with n-2
+    degrees of freedom has P(|T| > t) = I_x(a, 1/2), the regularized incomplete
+    beta with a = (n-2)/2 and x = (n-2)/(n-2+t^2) = 1 - r^2. The relative error
+    is below 1e-11 up to n = 10**5 and grows in proportion to n beyond.
     """
     if n < 3:
         raise ComputeError(f"p-value needs n >= 3, got {n}")
@@ -54,13 +87,17 @@ def pcc_p_value(r: float, n: int) -> float:
         return 0.0
     if r == 0.0:
         return 1.0
-    df = n - 2
-    t2 = r * r * df / (1.0 - r * r)
-    # imported here, as only p-values need scipy and it takes longer to load than ted itself
-    from scipy.special import betainc
-
-    # P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2)
-    return float(betainc(df / 2.0, 0.5, df / (df + t2)))
+    # y = t^2/(n-2+t^2) = r^2 is 1 - x, which subtracting x from 1 would round away for small r
+    a, y = (n - 2) / 2.0, r * r
+    x = (1.0 - abs(r)) * (1.0 + abs(r))
+    # x^a y^(1/2) / B(a, 1/2), as 1/B(a, 1/2) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi))
+    front = math.exp(
+        a * (math.log1p(-y) if y < 0.5 else math.log(x)) + math.log(abs(r))
+        + _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
+    )
+    if y > 1.5 / (a + 2.5):  # x < (a + 1)/(a + 3/2), where the fraction of I_x(a, 1/2) is fast
+        return front / (a * _beta_fraction(a, 0.5, x))
+    return 1.0 - front / (0.5 * _beta_fraction(0.5, a, y))  # I_x(a, b) = 1 - I_y(b, a)
 
 
 @dataclass(frozen=True)

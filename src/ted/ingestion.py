@@ -239,17 +239,21 @@ def parse_feature_csv(
     n_landmarks = min(len(schema.landmark_x), len(schema.landmark_y))
     au_ids = tuple(sorted(schema.au_intensity))
     levels = block([schema.au_intensity[au] for au in au_ids])
-    return FrameColumns(
-        frame_index=frame.astype(np.int64),
-        tracking_ok=values[:, position[schema.success]] != 0.0,
-        geometry=block([
-            *schema.landmark_x[:n_landmarks], *schema.landmark_y[:n_landmarks],
-            *schema.pose_translation, *schema.pose_rotation, *schema.gaze_left, *schema.gaze_right,
-        ]),
-        au_ids=au_ids,
-        # predicted levels clamp into [0, 5]; NaN reads 0, as max(0.0, nan) does
-        au_levels=np.where(levels > 0.0, np.minimum(levels, 5.0), 0.0),
-    )
+    try:
+        return FrameColumns(
+            frame_index=frame.astype(np.int64),
+            tracking_ok=values[:, position[schema.success]] != 0.0,
+            geometry=block([
+                *schema.landmark_x[:n_landmarks], *schema.landmark_y[:n_landmarks],
+                *schema.pose_translation, *schema.pose_rotation,
+                *schema.gaze_left, *schema.gaze_right,
+            ]),
+            au_ids=au_ids,
+            # predicted levels clamp into [0, 5]; NaN reads 0, as max(0.0, nan) does
+            au_levels=np.where(levels > 0.0, np.minimum(levels, 5.0), 0.0),
+        )
+    except ConfigError as exc:  # an AU column outside the FACS range
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def parse_manual_au_file(

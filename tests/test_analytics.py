@@ -1,10 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from scipy import stats
 
 from conftest import make_frame, make_random_sequence
 from naive import naive_pearson, naive_quartiles
@@ -27,6 +27,12 @@ from ted.model import SequenceLabels, SequenceRecord, TedConfig
 series = st.lists(
     st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=50
 )
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    """scipy's distributions, an oracle for p-values; scipy is a test dependency only."""
+    return pytest.importorskip("scipy.stats")
 
 
 def paired(a, b):
@@ -67,6 +73,7 @@ class TestPearson:
         assert pearson(x, y) == pytest.approx(want, rel=1e-12)
 
     @given(series, series)
+    @example([0.0, 0.0, 3.88e-15], [0.0, 0.0, 6.05e-147])  # pearson 1.0, the oracle 0.99568
     def test_matches_naive_oracle(self, x, y):
         x, y = paired(x, y)
         try:
@@ -75,6 +82,10 @@ class TestPearson:
         except (ComputeError, ZeroDivisionError):
             # degenerate (near-constant) series: correlation undefined
             return
+        # the oracle takes the square root of the product of the sums of squares, which
+        # loses digits where that product is subnormal
+        mx, my = sum(x) / len(x), sum(y) / len(y)
+        assume(sum((a - mx) ** 2 for a in x) * sum((b - my) ** 2 for b in y) >= sys.float_info.min)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     @given(series, series)
@@ -129,15 +140,44 @@ class TestPccPValue:
         st.floats(min_value=-0.999, max_value=0.999),
         st.integers(min_value=3, max_value=500),
     )
-    def test_matches_t_distribution_tail(self, r, n):
+    def test_matches_t_distribution_tail(self, scipy_stats, r, n):
         df = n - 2
         t = abs(r) * math.sqrt(df / (1.0 - r * r))
-        want = 2.0 * stats.t.sf(t, df)
+        want = 2.0 * scipy_stats.t.sf(t, df)
         assert pcc_p_value(r, n) == pytest.approx(want, rel=1e-6, abs=1e-12)
 
     def test_monotone_in_strength(self):
         values = [pcc_p_value(r, 30) for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert values == sorted(values, reverse=True)
+
+    # p = I_{1-r^2}((n-2)/2, 1/2), computed once with mpmath 1.3 at mp.dps = 50 as
+    # betainc(mpf(n - 2) / 2, mpf(1) / 2, 0, 1 - mpf(r) ** 2, regularized=True), where
+    # mpf(r) is the float literal's exact value, and rounded to the nearest float
+    @pytest.mark.parametrize(
+        "r, n, want",
+        [
+            (1e-8, 2400, 0.9999996093216237),  # 1 - x rounded away gave 0.99999942
+            (1e-3, 25, 0.9962148477640254),
+            (0.5, 3, 0.6666666666666666),
+            (-0.999999999999, 3, 9.003063578293236e-07),
+            (-0.9, 4, 0.09999999999999998),
+            (0.999999999999, 10, 4.3746128827384104e-48),
+            (0.3, 50, 0.03428618003292997),
+            (-0.45, 120, 2.5160714595472443e-07),
+            (0.03, 3232, 0.08814883393832779),
+            (0.01, 60000, 0.014305472940677293),
+            (0.02, 60000, 9.614570298850502e-07),
+            (0.9, 400, 1.3158170182538829e-145),
+            (0.5, 2000, 5.4723149281146405e-127),
+        ],
+    )
+    def test_matches_high_precision_reference(self, r, n, want):
+        assert pcc_p_value(r, n) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_unconverged_fraction_is_compute_error(self, monkeypatch):
+        monkeypatch.setattr("ted.analytics._BETA_FRACTION_PAIRS", 2)
+        with pytest.raises(ComputeError, match="did not converge"):
+            pcc_p_value(0.03, 3232)
 
     def test_monotone_in_sample_size(self):
         values = [pcc_p_value(0.4, n) for n in (5, 10, 50, 200)]

@@ -144,6 +144,20 @@ class TestExitCodes:
             f"config error: profile 'custom' has AU {au} outside FACS range 1..64\n"
         )
 
+    def test_feature_au_column_outside_facs_range_is_2(self, tmp_path, capsys):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        features = manifest.parent / "P002_01_features.csv"
+        text = features.read_text(encoding="utf-8")
+        features.write_text(text.replace("AU43_r", "AU70_r", 1), encoding="utf-8")
+        code, _ = run(
+            manifest, tmp_path, "score", "--au-source", "predicted", "--profile", "pain_predicted"
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {features}: au_id 70 outside FACS range 1..64\n"
+        )
+
     @pytest.mark.parametrize(
         "labels, code, message",
         [
@@ -618,15 +632,38 @@ def open_recorder():
 
 
 class TestStartup:
-    def test_import_does_not_load_scipy(self):
-        """scipy is imported where p-values are computed, not at start-up."""
+    def test_no_command_needs_scipy(self, tmp_path):
+        """Every command runs where importing scipy fails, with an ordinary run's results."""
+        records = make_correlated_dataset(n_subjects=3, n_sequences=2, n_frames=40, seed=5)
+        manifest = write_dataset(records, tmp_path / "ds")
         path = [str(Path(ted.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        probe = "import sys, ted.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        # a None entry in sys.modules makes every import of scipy raise ImportError
+        probe = (
+            "import sys; sys.modules['scipy'] = None; from ted.cli import main; sys.exit(main())"
         )
-        assert done.stdout == "[]\n"
+
+        def blocked(*args):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+
+        blocked("--version")
+        stages = {
+            "score": [],
+            "sweep": ["--windows", "3,5"],
+            "evaluate": [],
+            "summarize": ["--scale", "VAS", "--plot-data", "plot.csv"],
+            "interpret": ["--trees", "5"],
+        }
+        for command, extra in stages.items():
+            args = [command, "--manifest", str(manifest), *extra, "--out"]
+            blocked(*args, str(tmp_path / "blocked" / command))
+            assert main([*args, str(tmp_path / "plain" / command)]) == 0
+            assert _artifacts(tmp_path / "blocked" / command) == _artifacts(
+                tmp_path / "plain" / command
+            ), command
 
 
 class TestRunFullAnalysis:
