@@ -10,11 +10,17 @@ a per-row search, so the trees do not depend on the grouping.
 
 All trees grow in lockstep. Each keeps its own depth-first stack and its own
 generator, so it visits its nodes and draws its candidate features in the
-order of a one-tree-at-a-time grower. A step pops the next node of every
-unfinished tree and searches all their splits with one segmented sort, in
-batches of at most ENTRY_BUDGET (node, candidate, group) entries. A tree has
-at most one node in a step, and each node's cuts keep their own order within
-a batch, so neither the batching nor the budget changes a tree.
+order of a one-tree-at-a-time grower. In a step every unfinished tree pops
+nodes, recording the leaves, until it reaches one to search; all those
+splits are then searched with one segmented sort, in batches of at most
+ENTRY_BUDGET (node, candidate, group) entries. A tree has at most one node
+searched in a step, and each node's cuts keep their own order within a batch,
+so neither the batching nor the budget changes a tree.
+
+A tree draws its candidate features DRAW_BLOCK nodes at a time, with one
+`permuted` call over a block of rows 0..n_features-1. That call makes the
+same shuffle draws, row after row, as one `permutation` call per node, so
+row k is the k-th node's permutation; rows past a tree's last node go unused.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ class Tree(NamedTuple):
 # (candidate, node, group) entries one batched split search may hold, unless
 # a single node needs more: it bounds the memory of a search
 ENTRY_BUDGET = 1 << 12
+
+# searched nodes per tree that one candidate-feature draw covers
+DRAW_BLOCK = 64
 
 
 def _group_rows(table):
@@ -107,7 +116,8 @@ def _split_batch(batch, codes, n_codes, values, labels, weights, min_leaf):
     n, pos = np.array(node_n)[cut_node], np.array(node_pos)[cut_node]
     cost = (_weighted_gini(n_left, pos_left) + _weighted_gini(n - n_left, pos - pos_left)) / n
     ranked = np.lexsort((cost, cut_node))
-    best = cut[ranked[np.unique(cut_node[ranked], return_index=True)[1]]]
+    by_node = cut_node[ranked]  # each node's first entry is its lowest cost
+    best = cut[ranked[np.flatnonzero(np.concatenate(([True], by_node[1:] != by_node[:-1])))]]
     split = seg[best] % k
     feature = candidates[split, seg[best] // k]
     below, above = members[at[best]], members[at[best + 1]]
@@ -133,6 +143,13 @@ def _split_batch(batch, codes, n_codes, values, labels, weights, min_leaf):
             yield batch[i], f, thr, members[lo:mid].copy(), members[mid:hi].copy(), rows, pain
 
 
+def _candidate_rows(rng, deck, n_subset):
+    """The candidate features of each searched node of one tree, in order;
+    `deck` is DRAW_BLOCK rows of 0..n_features-1, which `permuted` leaves as is."""
+    while True:
+        yield from rng.permuted(deck, axis=1)[:, :n_subset]
+
+
 def _grow_forest(codes, values, labels, weights, rngs, hp, n_subset) -> list[Tree]:
     """Grow every tree depth first, in a recursive grower's pre-order (left
     before right), all trees in lockstep as the module docstring describes.
@@ -147,22 +164,24 @@ def _grow_forest(codes, values, labels, weights, rngs, hp, n_subset) -> list[Tre
         [(np.nonzero(w)[0].astype(np.int32), int(w.sum()), int(w @ labels), 0, -1)]
         for w in weights
     ]
+    deck = np.tile(np.arange(codes.shape[0]), (DRAW_BLOCK, 1))
+    draws = [_candidate_rows(rng, deck, n_subset) for rng in rngs]
     trees: list[Tree] = [None] * len(rngs)
     live = range(len(rngs))
     while live:
         inner = []
         for t in live:
-            members, n, pos, depth, parent = stacks[t].pop()
-            fields, thresholds = nodes[t]
-            node = len(thresholds)
-            fields.extend((-1, -1, -1, n - pos, pos))
-            thresholds.append(0.0)
-            if parent >= 0:
-                fields[5 * parent + 2] = node
-            if pos == 0 or pos == n or n < 2 * min_leaf or depth >= max_depth:
-                continue
-            candidates = rngs[t].permutation(codes.shape[0])[:n_subset]
-            inner.append((t, node, members, n, pos, depth, candidates))
+            stack, (fields, thresholds) = stacks[t], nodes[t]
+            while stack:  # record leaves until a node to search
+                members, n, pos, depth, parent = stack.pop()
+                node = len(thresholds)
+                fields.extend((-1, -1, -1, n - pos, pos))
+                thresholds.append(0.0)
+                if parent >= 0:
+                    fields[5 * parent + 2] = node
+                if not (pos == 0 or pos == n or n < 2 * min_leaf or depth >= max_depth):
+                    inner.append((t, node, members, n, pos, depth, next(draws[t])))
+                    break
         while inner:  # the longest run of nodes within the budget, at least one
             entries = np.cumsum([item[2].size * item[6].size for item in inner])
             size = max(1, int(np.searchsorted(entries, ENTRY_BUDGET, side="right")))

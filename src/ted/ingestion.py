@@ -48,7 +48,8 @@ def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> 
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
-        data.decode("utf-8")  # a bad byte is reported here, with its offset
+        if not data.isascii():  # ASCII is UTF-8; a bad byte is reported here, with its offset
+            data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
     # decoded chunk by chunk, as open() does; a StringIO holds 4 bytes per character
@@ -143,7 +144,9 @@ def _load_feature_rows(fh, cols: list[int], width: int) -> Optional[np.ndarray]:
     data = fh.buffer.getvalue()  # the bytes read_input read
     breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
     # loadtxt skips blank lines, so every line must come back as a row; a lone \r ends one too
-    lines = breaks.size + data.count(b"\r") - data.count(b"\r\n")
+    lines = breaks.size
+    if b"\r" in data:
+        lines += data.count(b"\r") - data.count(b"\r\n")
     lines += not data.endswith((b"\n", b"\r"))
     # the csv reader fails on a cell over its size limit, even one it does not bind
     longest = np.diff(breaks, prepend=-1, append=len(data)).max()
@@ -360,13 +363,13 @@ def parse_pspi_file(path, digests: Optional[dict[str, str]] = None) -> list[floa
     """One pain-intensity value per line (or a single-column CSV with header)."""
     values: list[float] = []
     with read_input(path, digests) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if lines and lines[0].lower() == "pspi":
+        lines = [(number, ln.strip()) for number, ln in enumerate(fh, start=1)]
+    lines = [(number, ln) for number, ln in lines if ln]  # numbers stay physical
+    if lines and lines[0][1].lower() == "pspi":
         lines = lines[1:]
     if not lines:
         raise ParseError(f"{path}: empty file")
-    for number, raw in enumerate(lines, start=1):
+    for number, raw in lines:
         try:
             value = float(raw)
         except ValueError:

@@ -300,6 +300,24 @@ class TestLockstep:
         assert peak <= 1.5 * self.PER_TREE_PEAK
 
 
+class TestCandidateDraws:
+    """One `permuted` call per block makes the draws of one `permutation` per node."""
+
+    @pytest.mark.parametrize("n_features", [0, 1, 2, 6, 9, 17])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20260823])
+    def test_block_rows_equal_successive_permutations(self, n_features, seed):
+        blocks, calls = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (blocks, calls):  # the bootstrap draw that precedes them in `fit`
+            rng.integers(0, 100, 100)
+        deck = np.tile(np.arange(n_features), (forest.DRAW_BLOCK, 1))
+        rows = forest._candidate_rows(blocks, deck, n_features)
+        for _ in range(2 * forest.DRAW_BLOCK + 1):  # into a third block
+            row = next(rows)
+            assert row.dtype.kind == "i"
+            assert np.array_equal(row, calls.permutation(n_features))
+        assert np.array_equal(deck, np.tile(np.arange(n_features), (forest.DRAW_BLOCK, 1)))
+
+
 def assert_groups_like_unique(table):
     codes, first, group = _group_rows(table)
     _, want_first, want_group = np.unique(table, axis=0, return_index=True, return_inverse=True)

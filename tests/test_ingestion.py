@@ -390,6 +390,15 @@ class TestFastPathsMatchRowWise:
         with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError):
             assert len(parse_feature_csv(path)) == 5
 
+    def test_non_ascii_utf8_cells_read_as_before(self, workdir):
+        ascii_path, path = workdir / "ascii.csv", workdir / "non_ascii.csv"
+        ascii_path.write_text(_FEATURE_TEXTS[0], encoding="utf-8")
+        # the first row's face_id (unbound) and x_1 (bound; float() reads it as -1.5)
+        text = _FEATURE_TEXTS[0].replace("\n1,0,", "\n1,visage-é,", 1)
+        path.write_text(text.replace(",-1.5,", ",-١.٥,", 1), encoding="utf-8")
+        assert not path.read_bytes().isascii()
+        assert _same_columns(parse_feature_csv(path), parse_feature_csv(ascii_path))
+
     @settings(deadline=None, max_examples=200)
     @given(base=st.sampled_from(range(len(_FEATURE_TEXTS))), edits=text_mutations())
     @example(base=0, edits=[("blank", 3, 0, "")])  # loadtxt skips a blank line
@@ -500,6 +509,18 @@ class TestParsePspiFile:
         path = tmp_path / "p.txt"
         path.write_text("1\nhigh\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 2"):
+            parse_pspi_file(path)
+
+    def test_line_numbers_count_header_and_blank_lines(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("pspi\n1.0\n\nx\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"non-numeric value 'x' on line 4$"):
+            parse_pspi_file(path)
+
+    def test_line_numbers_count_blank_lines_without_header(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("\n1\n\n17\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"value 17.0 outside \[0, 16\] on line 4$"):
             parse_pspi_file(path)
 
     def test_empty(self, tmp_path):
