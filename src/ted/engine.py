@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ComputeError
 from .model import (
@@ -34,16 +34,20 @@ def _static_scores(levels: np.ndarray) -> np.ndarray:
 
 
 def _row_var(mat: np.ndarray) -> np.ndarray:
-    """Unbiased variance of each row of a 2-d matrix."""
-    var = mat.var(axis=1, ddof=1)
+    """Unbiased variance of each row of a 2-d matrix: `mat.var(axis=1, ddof=1)`,
+    computed as numpy computes it, without its Python wrapper."""
+    dev = mat - mat.sum(axis=1, keepdims=True) / mat.shape[1]
+    np.square(dev, out=dev)
+    var = dev.sum(axis=1) / (mat.shape[1] - 1)
     # a constant row has variance exactly 0; the float computation can miss
     # by an ulp of the mean, which would poison the guarded ratio below
     var[mat.max(axis=1) == mat.min(axis=1)] = 0.0
     return var
 
 
-def _relative_changes(mat: np.ndarray) -> np.ndarray:
-    """C_r between consecutive rows of an (n, d) feature matrix (length n-1).
+def _relative_changes(mat: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """C_r between consecutive rows of an (n, d) feature matrix (length n-1);
+    `step` is `np.diff(mat, axis=0)`.
 
     var(f_next - f_prev) / (var(f_prev) + var(f_next)) with unbiased sample
     variance over vector components, and 0 when both input variances vanish.
@@ -51,12 +55,13 @@ def _relative_changes(mat: np.ndarray) -> np.ndarray:
     var = _row_var(mat)
     denom = var[:-1] + var[1:]
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom == 0.0, 0.0, _row_var(np.diff(mat, axis=0)) / denom)
+        return np.where(denom == 0.0, 0.0, _row_var(step) / denom)
 
 
-def _direction_signs(mat: np.ndarray) -> np.ndarray:
-    """D_s between consecutive rows: +1 if the summed displacement is >= 0, else -1."""
-    return np.where(np.diff(mat, axis=0).sum(axis=1) >= 0.0, 1.0, -1.0)
+def _direction_signs(step: np.ndarray) -> np.ndarray:
+    """D_s from the row differences `step` of a feature matrix: +1 where the summed
+    displacement is >= 0, else -1."""
+    return np.where(step.sum(axis=1) >= 0.0, 1.0, -1.0)
 
 
 def static_score(au_levels: Sequence[float], profile: AuProfile) -> float:
@@ -87,12 +92,12 @@ def relative_change(f_prev, f_next) -> float:
     pair = _vector_pair(f_prev, f_next)
     if pair.shape[1] < 2:
         raise ComputeError("relative change needs vectors of length >= 2")
-    return float(_relative_changes(pair)[0])
+    return float(_relative_changes(pair, np.diff(pair, axis=0))[0])
 
 
 def direction_sign(f_prev, f_next) -> int:
     """+1 if the summed element-wise displacement is >= 0, else -1."""
-    return int(_direction_signs(_vector_pair(f_prev, f_next))[0])
+    return int(_direction_signs(np.diff(_vector_pair(f_prev, f_next), axis=0))[0])
 
 
 class DynamicsState:
@@ -119,6 +124,15 @@ class DynamicsState:
         return sum(buf) / len(buf)
 
 
+def _window_sums(products: np.ndarray, window: int) -> np.ndarray:
+    """The sum of every run of `window` consecutive products, in order; the runs
+    are rows of one strided view, as `sliding_window_view` lays them out."""
+    step = products.strides[0]
+    runs = as_strided(products, (products.size - window + 1, window), (step, step),
+                      writeable=False)
+    return runs.sum(axis=1)
+
+
 def _trailing_means(products: np.ndarray, window: int) -> np.ndarray:
     """M per frame (length len(products)+1, index 0 is the reference frame)."""
     m = products.size
@@ -128,7 +142,7 @@ def _trailing_means(products: np.ndarray, window: int) -> np.ndarray:
     k = min(window, m)
     out[1 : k + 1] = np.cumsum(products[:k]) / np.arange(1, k + 1)
     if m > window:
-        sums = sliding_window_view(products, window).sum(axis=1)
+        sums = _window_sums(products, window)
         out[window + 1 :] = sums[1:] / window
     return out
 
@@ -141,7 +155,7 @@ def _forward_means(products: np.ndarray, window: int) -> np.ndarray:
         return out
     full = m - window + 1
     if full > 0:
-        out[1 : full + 1] = sliding_window_view(products, window).sum(axis=1) / window
+        out[1 : full + 1] = _window_sums(products, window) / window
     start = max(full, 0)
     tail = products[start:]
     out[start + 1 :] = np.cumsum(tail[::-1])[::-1] / np.arange(tail.size, 0, -1)
@@ -197,7 +211,8 @@ class SequenceDynamics:
             if not np.isfinite(mat).all():
                 frame = cols.frame_index[np.argwhere(~np.isfinite(mat))[0][0]]
                 raise ComputeError(f"non-finite {fs} feature at frame {frame}")
-            self.products[fs] = _direction_signs(mat) * _relative_changes(mat)
+            step = np.diff(mat, axis=0)
+            self.products[fs] = _direction_signs(step) * _relative_changes(mat, step)
 
     def scores(self, window: int, orientation: str) -> SequenceScores:
         """The moving averages of the enabled streams at `window`, and the scores."""

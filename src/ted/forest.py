@@ -182,10 +182,15 @@ def _grow_forest(codes, values, labels, weights, rngs, hp, n_subset) -> list[Tre
                 if not (pos == 0 or pos == n or n < 2 * min_leaf or depth >= max_depth):
                     inner.append((t, node, members, n, pos, depth, next(draws[t])))
                     break
-        while inner:  # the longest run of nodes within the budget, at least one
-            entries = np.cumsum([item[2].size * item[6].size for item in inner])
-            size = max(1, int(np.searchsorted(entries, ENTRY_BUDGET, side="right")))
-            batch, inner = inner[:size], inner[size:]
+        # entries[k]: the search entries of the first k nodes. Each batch is the
+        # longest run of nodes within the budget, at least one
+        entries = np.cumsum([0] + [item[2].size * item[6].size for item in inner])
+        stop = 0
+        while stop < len(inner):
+            start = stop
+            cut = np.searchsorted(entries, entries[start] + ENTRY_BUDGET, side="right") - 1
+            stop = max(start + 1, int(cut))
+            batch = inner[start:stop]
             for (t, node, _, n, pos, depth, _), f, thr, left, right, rows, pain in _split_batch(
                 batch, codes, n_codes, values, labels, weights, min_leaf
             ):

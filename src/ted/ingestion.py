@@ -16,7 +16,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +34,10 @@ from .model import (
 
 _AU_COLUMN = re.compile(r"^AU(\d+)_r$")
 _LETTER_LEVELS = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0, "E": 5.0}
-# the one-character level cells, as the row-wise reader maps them
-_MANUAL_LEVELS = dict(zip("012345ABCDEabcde", map(float, "0123451234512345")))
+# the level of each one-character level cell as the row-wise reader maps it, by
+# ASCII code; NaN for a character it rejects or reads only after stripping
+_LEVEL_OF_BYTE = np.full(128, np.nan)
+_LEVEL_OF_BYTE[np.frombuffer(b"012345ABCDEabcde", np.uint8)] = [0, 1, 2, 3, 4, 5] + [1, 2, 3, 4, 5] * 2
 
 
 def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> io.TextIOWrapper:
@@ -211,13 +213,14 @@ def parse_feature_csv(
         if schema is None:
             schema = FeatureCsvSchema.infer(header)
         bound = schema.bound_columns()
-        for column in bound:
-            count = header.count(column)
-            if count == 0:
+        first = {column: i for i, column in reversed(list(enumerate(header)))}
+        cols = []
+        for column in bound:  # the first bound column that is missing or repeated fails
+            if column not in first:
                 raise SchemaError(f"{path}: missing bound column {column!r}")
-            if count > 1:
+            if len(first) < len(header) and (count := header.count(column)) > 1:
                 raise SchemaError(f"{path}: column {column!r} appears {count} times")
-        cols = [header.index(column) for column in bound]
+            cols.append(first[column])
         values = _load_feature_rows(fh, cols, len(header))
         lines = None  # numpy reads one line a row, after the header
         if values is None:
@@ -259,47 +262,71 @@ def parse_feature_csv(
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def parse_manual_au_file(
-    path, digests: Optional[dict[str, str]] = None
-) -> dict[int, dict[int, float]]:
-    """Parse frame,au,level rows; letter grades A-E map to 1-5."""
+class ManualCodes(NamedTuple):
+    """A manual-AU file's codings as aligned columns in file order: row i codes
+    action unit `au[i]` at `level[i]` on frame `frame[i]`."""
+
+    frame: np.ndarray  # (r,) int64
+    au: np.ndarray  # (r,) int64, each in 1..64
+    level: np.ndarray  # (r,) float64, each in 0..5
+
+
+def parse_manual_au_file(path, digests: Optional[dict[str, str]] = None) -> ManualCodes:
+    """Parse frame,au,level rows into columns, in file order; letter grades A-E map
+    to 1-5. numpy splits a plain file; the row-wise reader reads any other."""
     with read_input(path, digests, newline="") as fh:
         text = fh.read()
-    return _split_manual_rows(text) or _read_manual_rows(path, text)
+    codes = _split_manual_rows(text)
+    return codes if codes is not None else _read_manual_rows(path, text)
 
 
-def _split_manual_rows(text: str) -> Optional[dict[int, dict[int, float]]]:
-    """The table of a plain file: the exact header, three cells a row, one-character
-    levels, no blank lines, and no carriage returns but those of CRLF line ends. None
-    for any other file and for any row the row-wise reader would reject (a quote
-    fails int() and the levels)."""
-    header, _, body = text.replace("\r\n", "\n").partition("\n")
-    if header != "frame,au,level" or not body or "\r" in body:
+def _split_manual_rows(text: str) -> Optional[ManualCodes]:
+    """The codings of a plain file: the exact header, three cells a row, one-character
+    levels, ASCII, no blank lines, and no carriage returns but those of CRLF line
+    ends. None for any other file and for any row the row-wise reader would reject."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    header, _, body = text.partition("\n")
+    if header != "frame,au,level" or not body or "\r" in body or not body.isascii():
         return None
     body = body.removesuffix("\n")
-    n = body.count("\n") + 1
+    rows = body.split("\n")
     marks = np.frombuffer(body.encode(), np.uint8)
-    if not np.array_equal(marks[(marks == 44) | (marks == 10)], np.tile([44, 44, 10], n)[:-1]):
+    seps = np.flatnonzero((marks == 44) | (marks == 10))
+    kinds = np.append(marks[seps], 10)  # each row's two commas and its line end
+    if kinds.size != 3 * len(rows) or not (kinds.reshape(-1, 3) == (44, 44, 10)).all():
         return None  # some row has other than three cells
-    cells = body.replace("\n", ",").split(",")
-    try:  # int() as the row-wise reader calls it, so the same cells pass
-        frames = list(map(int, cells[0::3]))
-        au_ids = list(map(int, cells[1::3]))
-        levels = list(map(_MANUAL_LEVELS.__getitem__, cells[2::3]))
-    except (ValueError, KeyError):
+    # a row's level cell is the one character between its second comma and its end
+    second = seps[1::3]
+    if (np.append(seps[2::3], marks.size) - second != 2).any():
         return None
-    if not 1 <= min(au_ids) <= max(au_ids) <= 64:
+    level = _LEVEL_OF_BYTE[marks[second + 1]]
+    if np.isnan(level).any():
         return None
-    table: dict[int, dict[int, float]] = {}
-    for frame, au_id, level in zip(frames, au_ids, levels):
-        table.setdefault(frame, {})[au_id] = level
-    # a repeated (frame, AU) pair leaves fewer entries than rows
-    return table if sum(map(len, table.values())) == n else None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.24 only warns on a '2.0' id
+            # a subset of what int() takes, with the same values: not '1_0' or '2.0'
+            ids = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None,
+                             usecols=(0, 1), ndmin=2)
+    except Exception:  # any failure (an id past int64, say): read row-wise
+        return None
+    frame, au = ids.T.copy()
+    if not 1 <= au.min() <= au.max() <= 64:
+        return None
+    order = np.lexsort((au, frame))
+    f, a = frame[order], au[order]
+    if ((f[1:] == f[:-1]) & (a[1:] == a[:-1])).any():
+        return None  # a repeated (frame, AU) pair
+    return ManualCodes(frame, au, level)
 
 
-def _read_manual_rows(path, text: str) -> dict[int, dict[int, float]]:
-    """The table of a manual-AU file, read row-wise."""
-    table: dict[int, dict[int, float]] = {}
+def _read_manual_rows(path, text: str) -> ManualCodes:
+    """The codings of a manual-AU file, read row-wise."""
+    frames: list[int] = []
+    au_ids: list[int] = []
+    levels: list[float] = []
+    seen: set[tuple[int, int]] = set()
     reader = csv.DictReader(io.StringIO(text, newline=""))
     with csv_errors(path, reader.reader) as lines:
         if reader.fieldnames is None:
@@ -330,40 +357,73 @@ def _read_manual_rows(path, text: str) -> dict[int, dict[int, float]]:
                     ) from None
                 if level not in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
                     raise ParseError(f"{path}: manual level {raw} not in 0-5 (line {line})")
-            per_frame = table.setdefault(frame, {})
-            if au_id in per_frame:
+            if (frame, au_id) in seen:
                 raise ParseError(f"{path}: duplicate entry for frame {frame}, AU {au_id}")
-            per_frame[au_id] = level
-    return table
+            seen.add((frame, au_id))
+            # feature files hold int64 frame numbers, so a coding past int64 matches none
+            if -(2**63) <= frame < 2**63:
+                frames.append(frame)
+                au_ids.append(au_id)
+                levels.append(level)
+    return ManualCodes(
+        np.array(frames, dtype=np.int64),
+        np.array(au_ids, dtype=np.int64),
+        np.array(levels, dtype=np.float64),
+    )
 
 
 def merge_au_source(
-    frames: FrameColumns,
-    manual: Mapping[int, Mapping[int, float]],
-    profile: AuProfile,
+    frames: FrameColumns, manual: ManualCodes, profile: AuProfile
 ) -> FrameColumns:
     """Substitute manually coded intensities for the profile AUs.
 
     A profile AU without a coding on some frame reads 0 there; AUs outside
     the profile keep their predicted levels.
     """
-    try:
-        coded = [manual[frame] for frame in frames.frame_index.tolist()]
-    except KeyError as exc:
-        raise ParseError(f"manual coding does not cover frame {exc.args[0]}") from None
+    coded, row_frame = np.unique(manual.frame, return_inverse=True)
+    at = np.searchsorted(coded, frames.frame_index)
+    covered = at < coded.size
+    covered[covered] = coded[at[covered]] == frames.frame_index[covered]
+    if not covered.all():
+        frame = frames.frame_index[np.argmin(covered)]
+        raise ParseError(f"manual coding does not cover frame {frame}")
+    # the profile column of each AU id, -1 for AUs outside the profile
+    slot = np.full(65, -1)
+    slot[list(profile.au_ids)] = np.arange(len(profile))
+    col = slot[manual.au]
+    keep = col >= 0
+    table = np.zeros((coded.size, len(profile)))  # one row per coded frame
+    table[row_frame[keep], col[keep]] = manual.level[keep]
     au_ids = tuple(sorted(set(frames.au_ids) | set(profile.au_ids)))
     levels = frames.stream("I", au_ids)
-    levels[:, [au_ids.index(au) for au in profile.au_ids]] = np.array(
-        [[coding.get(au, 0.0) for au in profile.au_ids] for coding in coded]
-    ).reshape(len(frames), len(profile))
+    levels[:, [au_ids.index(au) for au in profile.au_ids]] = table[at]
     return replace(frames, au_ids=au_ids, au_levels=levels)
 
 
 def parse_pspi_file(path, digests: Optional[dict[str, str]] = None) -> list[float]:
-    """One pain-intensity value per line (or a single-column CSV with header)."""
-    values: list[float] = []
+    """One pain-intensity value per line (or a single-column CSV with header). A
+    plain file is converted in one call; the line-by-line reader reads any other."""
     with read_input(path, digests) as fh:
-        lines = [(number, ln.strip()) for number, ln in enumerate(fh, start=1)]
+        text = fh.read()  # line ends read as \n
+    values = _convert_pspi_lines(text)
+    return values if values is not None else _read_pspi_lines(path, text)
+
+
+def _convert_pspi_lines(text: str) -> Optional[list[float]]:
+    """The values of a plain file: an optional `pspi` header line, then one number
+    in [0, 16] a line, no blank lines. None for any other file."""
+    try:  # float() on every line, as the line-by-line reader calls it
+        values = list(map(float, text.removeprefix("pspi\n").removesuffix("\n").split("\n")))
+    except ValueError:  # a blank line, a second header, a word: read line by line
+        return None
+    in_range = np.array(values)
+    return values if ((in_range >= 0.0) & (in_range <= 16.0)).all() else None
+
+
+def _read_pspi_lines(path, text: str) -> list[float]:
+    """The values of a PSPI file, read line by line."""
+    values: list[float] = []
+    lines = [(number, ln.strip()) for number, ln in enumerate(text.split("\n"), start=1)]
     lines = [(number, ln) for number, ln in lines if ln]  # numbers stay physical
     if lines and lines[0][1].lower() == "pspi":
         lines = lines[1:]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import strategies as st
 
 from conftest import make_constant_sequence, make_frame, make_random_sequence
@@ -13,6 +14,7 @@ from naive import (
     naive_static,
     naive_window_mean,
 )
+from ted import engine
 from ted.engine import (
     DynamicsState,
     SequenceDynamics,
@@ -128,6 +130,28 @@ class TestRelativeChange:
         if len(a) != len(b):
             b = (b * len(a))[: len(a)]
         assert relative_change(a, b) >= 0.0
+
+
+class TestNumpyEquivalents:
+    """The engine's own forms of numpy reductions give numpy's bits."""
+
+    @pytest.mark.parametrize("shape", [(1, 2), (5, 3), (300, 6), (41, 136), (7, 1000)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_row_var_is_numpy_var(self, shape, layout):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        mat = rng.normal(size=(shape[0], 2 * shape[1])) * 10.0 ** rng.integers(-8, 8)
+        mat = mat[:, ::2] if layout == "strided" else mat[:, : shape[1]].copy(order=layout)
+        mat[-1] = 0.1 * 3  # a constant row reads exactly 0
+        want = mat.var(axis=1, ddof=1)
+        want[-1] = 0.0
+        got = engine._row_var(mat)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size, window", [(1, 1), (9, 1), (9, 4), (299, 10), (299, 299)])
+    def test_window_sums_are_sliding_window_sums(self, size, window):
+        products = np.random.default_rng(size).normal(size=size) * 1e-3
+        want = sliding_window_view(products, window).sum(axis=1)
+        assert engine._window_sums(products, window).tobytes() == want.tobytes()
 
 
 class TestDirectionSign:

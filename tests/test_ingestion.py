@@ -12,6 +12,7 @@ from ted import ingestion
 from ted.errors import ConfigError, ManifestError, ParseError, SchemaError
 from ted.ingestion import (
     FeatureCsvSchema,
+    ManualCodes,
     load_dataset,
     load_manifest,
     manifest_to_json,
@@ -171,6 +172,33 @@ class TestParseFeatureCsv:
         with pytest.raises(SchemaError, match="x_2"):
             parse_feature_csv(path, schema)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # x_1 goes missing too, but x_0 comes first in bound order
+            ("x_1", "x_0", "column 'x_0' appears 2 times"),
+            # AU06_r now appears twice, but x_0 comes first in bound order
+            ("x_0", "AU06_r", "missing bound column 'x_0'"),
+            ("pose_Rz,", "pose_Ry,", "column 'pose_Ry' appears 2 times"),
+            ("gaze_1_z", "frame", "column 'frame' appears 2 times"),
+        ],
+    )
+    def test_first_bad_bound_column_in_bound_order(self, tmp_path, old, new, message):
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row()])
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"{header.replace(old, new, 1)}\n{row}\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            parse_feature_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_repeated_unbound_column_is_read(self, tmp_path):
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row() + [7, 8]])
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"{header},note,note\n{row}\n", encoding="utf-8")
+        assert parse_feature_csv(path)[0] == parse_feature_csv(
+            write_feature_csv(tmp_path / "g.csv", [feature_row()])
+        )[0]
+
     def test_non_numeric_cell_names_location(self, tmp_path):
         row = feature_row()
         row[2] = "oops"
@@ -216,8 +244,11 @@ class TestParseManualAuFile:
         path.write_text(
             "frame,au,level\n1,4,C\n1,6,0\n2,4,e\n2,43,1\n", encoding="utf-8"
         )
-        table = parse_manual_au_file(path)
-        assert table == {1: {4: 3.0, 6: 0.0}, 2: {4: 5.0, 43: 1.0}}  # a-e accepted too
+        codes = parse_manual_au_file(path)
+        assert codes.frame.tolist() == [1, 1, 2, 2]
+        assert codes.au.tolist() == [4, 6, 4, 43]
+        assert codes.level.tolist() == [3.0, 0.0, 5.0, 1.0]  # a-e accepted too
+        assert [c.dtype for c in codes] == [np.int64, np.int64, np.float64]
 
     def test_duplicate_entry(self, tmp_path):
         path = tmp_path / "aus.csv"
@@ -243,6 +274,14 @@ class TestParseManualAuFile:
         with pytest.raises(ConfigError) as info:
             parse_manual_au_file(path)
         assert str(info.value) == f"{path}: au_id 70 outside FACS range 1..64 on line 3"
+
+    def test_frame_past_int64_is_accepted_and_never_matched(self, tmp_path):
+        path = tmp_path / "aus.csv"
+        path.write_text("frame,au,level\n1,4,2\n99999999999999999999,4,3\n", encoding="utf-8")
+        codes = parse_manual_au_file(path)
+        assert (codes.frame.tolist(), codes.au.tolist(), codes.level.tolist()) == ([1], [4], [2.0])
+        merged = merge_au_source(frame_columns(make_frame(1)), codes, PAIN_PROFILE)
+        assert merged.stream("I", (4,)).tolist() == [[2.0]]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "aus.csv"
@@ -281,6 +320,11 @@ _FEATURE_TEXTS = tuple(
 _MANUAL_TEXT = "frame,au,level\n" + "".join(
     f"{t},{au},{'0123450ABCDEabcde'[(t * au) % 17]}\n" for t in range(1, 5) for au in (4, 6, 43)
 )
+_PSPI_TEXT = "pspi\n" + "".join(
+    f"{v!r}\n" for v in (0.0, 16.0, 2.5, 1 / 3, 15.999999999999998, 7.0)
+)
+
+
 # cells that float(), int() and the two readers may take differently
 _TRAP_CELLS = [
     "", " ", "abc", "1_000", "١", "nan", "-nan", "inf", "-Infinity", "1e400", "0x1p3",
@@ -342,19 +386,30 @@ def _outcome(parse, path):
 def _rowwise(parse, path):
     """`parse` with its numpy fast path switched off: the row-wise reader alone."""
     with mock.patch.object(ingestion, "_load_feature_rows", return_value=None), \
-            mock.patch.object(ingestion, "_split_manual_rows", return_value=None):
+            mock.patch.object(ingestion, "_split_manual_rows", return_value=None), \
+            mock.patch.object(ingestion, "_convert_pspi_lines", return_value=None):
         return _outcome(parse, path)
 
 
-def _same_columns(a, b):
-    if not isinstance(a, FrameColumns) or not isinstance(b, FrameColumns):
-        return a == b
-    return a.au_ids == b.au_ids and all(
+def _same_arrays(xs, ys):
+    return len(xs) == len(ys) and all(
         x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        for x, y in zip(
-            (getattr(a, f) for f in _COLUMN_FIELDS), (getattr(b, f) for f in _COLUMN_FIELDS)
-        )
+        for x, y in zip(xs, ys)
     )
+
+
+def _same_result(a, b):
+    """The same outcome of two parses: the same exception type and message, or
+    the same values bit for bit, with the same dtypes and in the same order."""
+    if isinstance(a, FrameColumns) and isinstance(b, FrameColumns):
+        return a.au_ids == b.au_ids and _same_arrays(
+            [getattr(a, f) for f in _COLUMN_FIELDS], [getattr(b, f) for f in _COLUMN_FIELDS]
+        )
+    if isinstance(a, ManualCodes) and isinstance(b, ManualCodes):
+        return _same_arrays(a, b)
+    if isinstance(a, list) and isinstance(b, list):  # PSPI values
+        return {type(v) for v in a + b} == {float} and _same_arrays([np.array(a)], [np.array(b)])
+    return type(a) is type(b) is tuple and a == b
 
 
 _COLUMN_FIELDS = ("frame_index", "tracking_ok", "geometry", "au_levels")
@@ -376,13 +431,13 @@ class TestFastPathsMatchRowWise:
         with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError), \
                 mock.patch.object(ingestion, "_read_manual_rows", side_effect=AssertionError):
             assert len(parse_feature_csv(features)) == 5
-            assert len(parse_manual_au_file(manual)) == 4
+            assert len(parse_manual_au_file(manual).frame) == 12
 
     def test_crlf_manual_au_file_takes_the_fast_path(self, workdir):
         path = workdir / "crlf_aus.csv"
         path.write_bytes(_MANUAL_TEXT.replace("\n", "\r\n").encode())
         with mock.patch.object(ingestion, "_read_manual_rows", side_effect=AssertionError):
-            assert len(parse_manual_au_file(path)) == 4
+            assert len(parse_manual_au_file(path).frame) == 12
 
     def test_crlf_feature_file_takes_the_fast_path(self, workdir):
         path = workdir / "crlf.csv"
@@ -397,7 +452,7 @@ class TestFastPathsMatchRowWise:
         text = _FEATURE_TEXTS[0].replace("\n1,0,", "\n1,visage-é,", 1)
         path.write_text(text.replace(",-1.5,", ",-١.٥,", 1), encoding="utf-8")
         assert not path.read_bytes().isascii()
-        assert _same_columns(parse_feature_csv(path), parse_feature_csv(ascii_path))
+        assert _same_result(parse_feature_csv(path), parse_feature_csv(ascii_path))
 
     @settings(deadline=None, max_examples=200)
     @given(base=st.sampled_from(range(len(_FEATURE_TEXTS))), edits=text_mutations())
@@ -418,7 +473,7 @@ class TestFastPathsMatchRowWise:
     def test_feature_csv(self, workdir, base, edits):
         path = workdir / "features.csv"
         path.write_bytes(mutate(_FEATURE_TEXTS[base], edits).encode())
-        assert _same_columns(_outcome(parse_feature_csv, path), _rowwise(parse_feature_csv, path))
+        assert _same_result(_outcome(parse_feature_csv, path), _rowwise(parse_feature_csv, path))
 
     @settings(deadline=None, max_examples=200)
     @given(edits=text_mutations())
@@ -428,6 +483,8 @@ class TestFastPathsMatchRowWise:
     @example(edits=[("cell", 3, 2, "3.0"), ("cell", 4, 2, " e")])
     @example(edits=[("cell", 2, 1, "70")])  # outside the FACS range
     @example(edits=[("cell", 2, 1, "99999999999999999999")])
+    @example(edits=[("cell", 2, 0, "99999999999999999999")])  # past int64: never matched
+    @example(edits=[("cell", 2, 0, "2.0")])  # int() rejects it; numpy 1.24 only warns
     @example(edits=[("cell", 2, 0, "1_0"), ("cell", 3, 0, "١")])  # int() takes both
     @example(edits=[("repeat_row", 5, 0, "")])  # a repeated (frame, AU) pair
     @example(edits=[("cell", 2, 2, '"2"')])
@@ -444,22 +501,54 @@ class TestFastPathsMatchRowWise:
     def test_manual_au_file(self, workdir, edits):
         path = workdir / "aus.csv"
         path.write_bytes(mutate(_MANUAL_TEXT, edits).encode())
-        fast, slow = _outcome(parse_manual_au_file, path), _rowwise(parse_manual_au_file, path)
-        assert fast == slow
-        if isinstance(fast, dict):  # the same insertion order too
-            assert [(f, list(aus.items())) for f, aus in fast.items()] == [
-                (f, list(aus.items())) for f, aus in slow.items()
-            ]
+        assert _same_result(
+            _outcome(parse_manual_au_file, path), _rowwise(parse_manual_au_file, path)
+        )
+
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"])
+    def test_clean_pspi_files_take_the_fast_path(self, workdir, ends):
+        path = workdir / "clean_pspi.csv"
+        path.write_bytes(_PSPI_TEXT.replace("\n", ends).encode())
+        with mock.patch.object(ingestion, "_read_pspi_lines", side_effect=AssertionError):
+            assert len(parse_pspi_file(path)) == 6
+
+    @settings(deadline=None, max_examples=200)
+    @given(edits=text_mutations())
+    @example(edits=[("cell", 0, 0, "PSPI")])  # the line-by-line reader takes any case
+    @example(edits=[("blank", 3, 0, ""), ("blank", 0, 0, "")])
+    @example(edits=[("crlf", row, 0, "") for row in range(7)])
+    @example(edits=[("lone_cr", 2, 0, ""), ("crlf", 4, 0, "")])
+    @example(edits=[("long", 2, 0, "3")])  # two numbers on one line
+    @example(edits=[("cell", 2, 0, "1 2")])
+    @example(edits=[("cell", 2, 0, "1_0"), ("cell", 3, 0, "١")])  # float() takes both
+    @example(edits=[("cell", 2, 0, "nan")])
+    @example(edits=[("cell", 2, 0, "16.5")])
+    @example(edits=[("cell", 2, 0, " 7 "), ("cell", 3, 0, "-0")])
+    @example(edits=[("cell", 0, 0, "pspi"), ("cell", 1, 0, "pspi")])  # a second header
+    @example(edits=[("short", 0, 0, ""), ("cell", 1, 0, "pspi")])  # the first line is blank
+    def test_pspi_file(self, workdir, edits):
+        path = workdir / "pspi.csv"
+        path.write_bytes(mutate(_PSPI_TEXT, edits).encode())
+        assert _same_result(_outcome(parse_pspi_file, path), _rowwise(parse_pspi_file, path))
 
 
 def frame_columns(*frames):
     return FrameColumns.from_frames(list(frames))
 
 
+def manual_codes(*rows):
+    """ManualCodes of (frame, au, level) rows."""
+    frame, au, level = zip(*rows) if rows else ((), (), ())
+    return ManualCodes(
+        np.array(frame, dtype=np.int64), np.array(au, dtype=np.int64),
+        np.array(level, dtype=np.float64),
+    )
+
+
 class TestMergeAuSource:
     def test_manual_substitutes_profile_aus(self):
         cols = frame_columns(make_frame(1, au_levels={4: 1.1, 6: 2.2, 12: 3.3}))
-        merged = merge_au_source(cols, {1: {4: 5.0}}, PAIN_PROFILE)
+        merged = merge_au_source(cols, manual_codes((1, 4, 5.0)), PAIN_PROFILE)
         assert merged[0].au_level(4) == 5.0
         # profile AUs without manual coding become inactive
         assert merged[0].au_level(6) == 0.0
@@ -470,18 +559,34 @@ class TestMergeAuSource:
 
     def test_matches_frames_by_index_not_position(self):
         cols = frame_columns(make_frame(7), make_frame(3))
-        manual = {3: {4: 1.0}, 5: {4: 2.0}, 7: {4: 4.0, 43: 1.0}}
+        manual = manual_codes((7, 43, 1.0), (3, 4, 1.0), (5, 4, 2.0), (7, 4, 4.0))
         merged = merge_au_source(cols, manual, PAIN_PROFILE)
         assert merged.stream("I", (4, 43)).tolist() == [[4.0, 1.0], [1.0, 0.0]]
 
+    def test_repeated_frame_reads_its_coding_each_time(self):
+        cols = frame_columns(make_frame(2), make_frame(1), make_frame(2))
+        manual = manual_codes((1, 6, 3.0), (2, 6, 5.0))
+        merged = merge_au_source(cols, manual, PAIN_PROFILE)
+        assert merged.stream("I", (6,)).tolist() == [[5.0], [3.0], [5.0]]
+
     def test_requires_full_coverage(self):
         cols = frame_columns(make_frame(1), make_frame(2))
+        # frame 1 is coded only for an AU outside the profile
         with pytest.raises(ParseError, match="frame 2"):
-            merge_au_source(cols, {1: {}}, PAIN_PROFILE)
+            merge_au_source(cols, manual_codes((1, 12, 2.0)), PAIN_PROFILE)
+
+    @pytest.mark.parametrize(
+        "manual", [manual_codes((5, 4, 1.0)), manual_codes()], ids=["one frame", "none"]
+    )
+    def test_names_first_uncovered_frame_in_file_order(self, manual):
+        cols = frame_columns(make_frame(9), make_frame(5), make_frame(2))
+        with pytest.raises(ParseError) as info:
+            merge_au_source(cols, manual, PAIN_PROFILE)
+        assert str(info.value) == "manual coding does not cover frame 9"
 
     def test_merge_is_idempotent(self):
         cols = frame_columns(make_frame(1))
-        manual = {1: {4: 3.0, 25: 1.0}}
+        manual = manual_codes((1, 4, 3.0), (1, 25, 1.0))
         once = merge_au_source(cols, manual, PAIN_PROFILE)
         twice = merge_au_source(once, manual, PAIN_PROFILE)
         assert once.au_ids == twice.au_ids
@@ -666,7 +771,7 @@ class TestLoadDataset:
         for got, want in zip(loaded, records):
             # the writer's 17-significant-digit format round-trips floats exactly:
             # geometry and AU levels come back bit for bit
-            assert _same_columns(got.frames, want.frames)
+            assert _same_result(got.frames, want.frames)
             assert got.pspi == want.pspi
             assert got.labels == want.labels
             assert got.gender == want.gender
