@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__, interpret
 from .analytics import (
     DEFAULT_WINDOW_SWEEP,
@@ -21,13 +23,7 @@ from .analytics import (
 from .engine import score_dataset, write_scores_csv
 from .errors import ComputeError, ConfigError, ParseError
 from .ingestion import FeatureCsvSchema, load_dataset, load_manifest
-from .interpret import (
-    AgreementThresholds,
-    LosoResult,
-    build_frame_table,
-    read_predictions_csv,
-    write_predictions_csv,
-)
+from .interpret import AgreementThresholds, build_frame_table, write_predictions_csv
 from .forest import ForestHyperparams
 from .model import BUILTIN_PROFILES, FEATURE_SETS, AuProfile, TedConfig, overall_profile
 
@@ -261,36 +257,25 @@ def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
         min_samples_leaf=args.min_samples_leaf,
         stratified_bootstrap=args.stratified_bootstrap,
     )
-    ted_by_key = {
-        (subject, sequence, frame): ted
-        for (subject, sequence), scores in score_dataset(records, cfg).items()
-        for frame, ted in zip(scores.frame_index.tolist(), scores.ted.tolist())
-    }
+    scores = score_dataset(records, cfg)
     table = build_frame_table(records, cfg.profile, pspi_threshold=args.pspi_threshold)
-    thresholds = AgreementThresholds(
-        ted_high=args.ted_high,
-        conf_low=args.conf_low,
-        ted_low=args.ted_low,
-        conf_high=args.conf_high,
-    )
+    ted = np.concatenate([s.ted for s in scores.values()])  # in the frame table's row order
+    thresholds = AgreementThresholds(args.ted_high, args.conf_low, args.ted_low, args.conf_high)
     # loso_validate and agreement_analysis go through the module: perfbench wraps them there
     if args.predictions:
-        external = read_predictions_csv(args.predictions, digests)
-        loso = LosoResult(
-            per_subject_f1={},
-            mean_f1=float("nan"),
-            predictions=interpret.join_labels(table, external),
-            findings=["external predictions: no LOSO F1 computed"],
-        )
+        external = interpret.read_predictions_csv(args.predictions, digests)
+        predictions, rows = interpret.join_labels(table, external, args.predictions)
+        findings = ["external predictions: no LOSO F1 computed"]
+        loso = interpret.LosoResult({}, float("nan"), predictions, rows, findings)
     else:
         loso = interpret.loso_validate(table, hyperparams=hyperparams, seed=args.seed)
-    agreement = interpret.agreement_analysis(loso.predictions, ted_by_key, thresholds)
+    agreement = interpret.agreement_analysis(loso.predictions, ted[loso.rows], thresholds)
     payload = {
         "per_subject_f1": loso.per_subject_f1,
         "mean_f1": loso.mean_f1,
         "scenario_counts": agreement.scenario_counts,
         "scenario_correlation": agreement.scenario_correlation,
-        "flags": [flag.to_dict() for flag in agreement.flags],
+        "flags": [dataclasses.asdict(flag) for flag in agreement.flags],
         "findings": loso.findings + agreement.findings,
     }
     _dump_json(payload, out_dir / "interpret.json")

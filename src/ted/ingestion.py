@@ -538,8 +538,14 @@ def load_dataset(
                 )
             if profile is None:
                 raise ManifestError("manual AU source requires a profile")
-            manual = parse_manual_au_file(base / entry.manual_au_file_path, digests)
-            frames = merge_au_source(frames, manual, profile)
+            manual_path = base / entry.manual_au_file_path
+            manual = parse_manual_au_file(manual_path, digests)
+            try:
+                frames = merge_au_source(frames, manual, profile)
+            except ParseError as exc:  # it names the frame; this names the file and sequence
+                raise ParseError(
+                    f"{manual_path}: {exc} of {entry.subject_id}/{entry.sequence_id}"
+                ) from None
         pspi = None
         if entry.pspi_file_path is not None:
             pspi_path = base / entry.pspi_file_path

@@ -4,13 +4,17 @@ Trains the pain/neutral forest on manually coded AU intensities, validates it
 leave-one-subject-out with per-subject F1, partitions predictions into the
 four outcome scenarios, and checks the agreement expectation: classifier
 confidence should rise and fall with the expressiveness score.
+
+Predictions travel as columns (`Predictions`). The per-frame `Prediction`,
+`scenario_partition` and the list-and-dict form of `agreement_analysis` are
+adapters for the acceptance tests; no command calls them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +31,14 @@ SCENARIOS = ("TP", "TN", "type1", "type2")
 CONFIDENCE_THRESHOLD = 0.5
 
 
+class Predictions(NamedTuple):
+    """Classifier output as aligned columns; row i is frame keys[i]."""
+
+    keys: list[FrameKey]
+    confidence: np.ndarray  # (n,) pain confidence
+    label_pain: Optional[np.ndarray] = None  # (n,) bool ground truth, once joined
+
+
 @dataclass(frozen=True)
 class Prediction:
     key: FrameKey
@@ -34,21 +46,22 @@ class Prediction:
     label_pain: Optional[bool] = None
 
     @property
-    def predicted_pain(self) -> bool:
-        return self.confidence_pain >= CONFIDENCE_THRESHOLD
-
-    @property
     def scenario(self) -> str:
         if self.label_pain is None:
             raise ComputeError(f"prediction {self.key} has no ground truth")
+        pain = self.confidence_pain >= CONFIDENCE_THRESHOLD
         if self.label_pain:
-            return "TP" if self.predicted_pain else "type2"
-        return "type1" if self.predicted_pain else "TN"
+            return "TP" if pain else "type2"
+        return "type1" if pain else "TN"
 
 
 @dataclass
 class FrameTable:
-    """Feature matrix of profile AU intensities plus pain labels per frame."""
+    """Feature matrix of profile AU intensities plus pain labels per frame.
+
+    Rows hold the sequences in key order, each sequence's frames in file
+    order: the order of the `score_dataset` arrays, concatenated.
+    """
 
     keys: list[FrameKey]  # (subject, sequence, frame) per row
     X: np.ndarray
@@ -60,14 +73,18 @@ def build_frame_table(
     profile: AuProfile = PAIN_PROFILE,
     pspi_threshold: float = 0.0,
 ) -> FrameTable:
-    """Label each frame pain iff its PSPI exceeds the threshold."""
+    """Label each frame pain iff its PSPI exceeds the threshold. A frame number
+    that repeats within a sequence is an error: it would key two rows alike."""
     records = sorted(records, key=lambda r: r.key)
     pspi = [rec.pspi_array() for rec in records]
-    keys: list[FrameKey] = [
-        (rec.subject_id, rec.sequence_id, frame)
-        for rec in records
-        for frame in rec.frames.frame_index.tolist()
-    ]
+    keys: list[FrameKey] = []
+    for rec in records:
+        frames = rec.frames.frame_index
+        first = np.unique(frames, return_index=True)[1]
+        if first.size < frames.size:
+            repeat = frames[np.setdiff1d(np.arange(frames.size), first)[0]]
+            raise ComputeError(f"sequence {'/'.join(rec.key)} repeats frame {repeat}")
+        keys += [(rec.subject_id, rec.sequence_id, frame) for frame in frames.tolist()]
     if not keys:
         raise ComputeError("no labeled frames")
     return FrameTable(
@@ -91,7 +108,8 @@ def f1_pain(labels: np.ndarray, predicted: np.ndarray) -> float:
 class LosoResult:
     per_subject_f1: dict[str, float]  # folds that ran
     mean_f1: float
-    predictions: list[Prediction]
+    predictions: Predictions
+    rows: np.ndarray  # the frame-table row of each prediction
     findings: list[str]
 
 
@@ -110,7 +128,7 @@ def loso_validate(
     if len(subjects) < 2:
         raise ComputeError("leave-one-subject-out needs at least 2 subjects")
     per_subject_f1: dict[str, float] = {}
-    predictions: list[Prediction] = []
+    confidence = np.full(len(table.keys), np.nan)  # NaN where the fold was skipped
     findings: list[str] = []
     for subject in subjects:
         held = subject_arr == subject
@@ -118,35 +136,35 @@ def loso_validate(
             findings.append(f"subject {subject}: training set has a single class; fold skipped")
             continue
         forest = RandomForest(hyperparams, seed).fit(table.X[~held], table.y[~held])
-        conf = forest.predict_confidences(table.X[held])
-        labels = table.y[held]
-        per_subject_f1[subject] = f1_pain(labels, (conf >= CONFIDENCE_THRESHOLD).astype(int))
-        predictions += [
-            Prediction(key=table.keys[idx], confidence_pain=float(c), label_pain=bool(label))
-            for idx, c, label in zip(np.nonzero(held)[0], conf, labels)
-        ]
+        confidence[held] = conf = forest.predict_confidences(table.X[held])
+        per_subject_f1[subject] = f1_pain(table.y[held], conf >= CONFIDENCE_THRESHOLD)
     if not per_subject_f1:
         raise ComputeError("every LOSO training set has a single class; no fold ran")
     if findings:
         findings.append(f"mean F1 covers {len(per_subject_f1)} of {len(subjects)} folds")
-    predictions.sort(key=lambda p: p.key)
+    # predictions in key order: a file's frame numbers need not ascend
+    order = np.array(sorted(range(len(table.keys)), key=table.keys.__getitem__))
+    rows = order[~np.isnan(confidence[order])]
     return LosoResult(
         per_subject_f1=per_subject_f1,
         mean_f1=sum(per_subject_f1.values()) / len(per_subject_f1),
-        predictions=predictions,
+        predictions=Predictions(
+            [table.keys[row] for row in rows.tolist()], confidence[rows], table.y[rows] == 1
+        ),
+        rows=rows,
         findings=findings,
     )
 
 
-def join_labels(table: FrameTable, predictions: Sequence[Prediction]) -> list[Prediction]:
-    """External predictions with their ground truth taken from the frame table."""
-    label_by_key = {k: bool(v) for k, v in zip(table.keys, table.y)}
-    joined = []
-    for pred in predictions:
-        if pred.key not in label_by_key:
-            raise ComputeError(f"external prediction {pred.key} not in dataset")
-        joined.append(replace(pred, label_pain=label_by_key[pred.key]))
-    return joined
+def join_labels(table: FrameTable, external: Predictions, path) -> tuple[Predictions, np.ndarray]:
+    """Predictions read from `path` with their ground truth taken from the frame
+    table, and the table row of each."""
+    row_of = {key: row for row, key in enumerate(table.keys)}
+    rows = np.array([row_of.get(key, -1) for key in external.keys], dtype=np.intp)
+    if (rows < 0).any():
+        key = external.keys[np.argmax(rows < 0)]
+        raise ComputeError(f"{path}: external prediction {key} not in dataset")
+    return external._replace(label_pain=table.y[rows] == 1), rows
 
 
 def scenario_partition(
@@ -176,22 +194,17 @@ class AgreementThresholds:
 
 @dataclass(frozen=True)
 class DisagreementFlag:
-    key: FrameKey
+    subject: str
+    sequence: str
+    frame: int
     ted_score: float
     confidence_pain: float
     scenario: str
     reason: str
 
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.key[0],
-            "sequence": self.key[1],
-            "frame": self.key[2],
-            "ted_score": self.ted_score,
-            "confidence_pain": self.confidence_pain,
-            "scenario": self.scenario,
-            "reason": self.reason,
-        }
+    @property
+    def key(self) -> FrameKey:
+        return (self.subject, self.sequence, self.frame)
 
 
 @dataclass
@@ -203,70 +216,72 @@ class AgreementResult:
 
 
 def agreement_analysis(
-    predictions: Sequence[Prediction],
-    ted_by_key: Mapping[FrameKey, float],
-    thresholds: Optional[AgreementThresholds] = None,
+    predictions: Union[Predictions, Sequence[Prediction]],
+    ted: Union[np.ndarray, Mapping[FrameKey, float]],
+    thresholds: AgreementThresholds = AgreementThresholds(),
 ) -> AgreementResult:
-    """Correlate score with confidence per scenario and flag disagreements."""
-    thresholds = thresholds or AgreementThresholds()
-    for pred in predictions:
-        if pred.key not in ted_by_key:
-            raise ComputeError(f"prediction {pred.key} has no expressiveness score")
+    """Correlate score with confidence per scenario and flag disagreements.
 
-    buckets = scenario_partition(predictions)
+    `ted` holds the score of each prediction's frame. The per-frame form, a list
+    of `Prediction` and a key -> score mapping, is turned into columns first.
+    """
+    if not isinstance(predictions, Predictions):
+        for pred in predictions:
+            if pred.key not in ted:
+                raise ComputeError(f"prediction {pred.key} has no expressiveness score")
+        ted = np.array([ted[p.key] for p in predictions], dtype=float)
+        predictions = Predictions(
+            [p.key for p in predictions],
+            np.array([p.confidence_pain for p in predictions], dtype=float),
+            # .scenario raises for a prediction without ground truth
+            np.array([p.scenario in ("TP", "type2") for p in predictions], dtype=bool),
+        )
+    keys, conf, label = predictions  # label None (never joined) fails the arithmetic below
+    pain = conf >= CONFIDENCE_THRESHOLD
+    code = np.where(pain, 2 - 2 * label, 1 + 2 * label)  # index into SCENARIOS
+    counts = np.bincount(code, minlength=len(SCENARIOS)).tolist()
     correlations: dict[str, float] = {}
     findings: list[str] = []
-    for scenario in SCENARIOS:
-        preds = buckets[scenario]
-        if not preds:
+    for c, scenario in enumerate(SCENARIOS):
+        if not counts[c]:
             findings.append(f"scenario {scenario} is empty; omitted")
             continue
-        ted = [ted_by_key[p.key] for p in preds]
-        conf = [p.confidence_pain for p in preds]
-        try:
-            correlations[scenario] = pearson(ted, conf)
+        try:  # over the predictions' own order, as the sums depend on it
+            correlations[scenario] = pearson(ted[code == c], conf[code == c])
         except ComputeError as exc:
             findings.append(f"scenario {scenario}: {exc}")
 
-    flags: list[DisagreementFlag] = []
-    for pred in sorted(predictions, key=lambda p: p.key):
-        ted = ted_by_key[pred.key]
-        reason = None
-        if ted >= thresholds.ted_high and pred.confidence_pain <= thresholds.conf_low:
-            reason = "high score, low confidence"
-        elif ted <= thresholds.ted_low and pred.confidence_pain >= thresholds.conf_high:
-            reason = "low score, high confidence"
-        if reason is not None:
-            flags.append(
-                DisagreementFlag(pred.key, ted, pred.confidence_pain, pred.scenario, reason)
-            )
+    high = (ted >= thresholds.ted_high) & (conf <= thresholds.conf_low)
+    low = (ted <= thresholds.ted_low) & (conf >= thresholds.conf_high)
+    flagged = sorted(np.flatnonzero(high | low).tolist(), key=keys.__getitem__)
     return AgreementResult(
-        scenario_counts={s: len(buckets[s]) for s in SCENARIOS},
+        scenario_counts=dict(zip(SCENARIOS, counts)),
         scenario_correlation=correlations,
-        flags=flags,
+        flags=[
+            DisagreementFlag(
+                *keys[i], float(ted[i]), float(conf[i]), SCENARIOS[code[i]],
+                "high score, low confidence" if high[i] else "low score, high confidence",
+            )
+            for i in flagged
+        ],
         findings=findings,
     )
 
 
-def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
+def write_predictions_csv(predictions: Predictions, path) -> None:
+    """One row per prediction, in the given order (`loso_validate` gives key order)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject", "sequence", "frame", "confidence_pain", "predicted"])
-        for pred in sorted(predictions, key=lambda p: p.key):
-            writer.writerow(
-                [
-                    pred.key[0],
-                    pred.key[1],
-                    pred.key[2],
-                    format(pred.confidence_pain, ".17g"),
-                    "pain" if pred.predicted_pain else "neutral",
-                ]
-            )
+        writer.writerows(
+            (*key, "%.17g" % c, "pain" if c >= CONFIDENCE_THRESHOLD else "neutral")
+            for key, c in zip(predictions.keys, predictions.confidence.tolist())
+        )
 
 
-def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> list[Prediction]:
-    predictions = []
-    first_line: dict[FrameKey, int] = {}
+def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> Predictions:
+    confidences = []
+    first_line: dict[FrameKey, int] = {}  # the keys in file order
     with read_input(path, digests, newline="") as fh:
         reader = csv.DictReader(fh)
         with csv_errors(path, reader.reader) as lines:
@@ -291,5 +306,5 @@ def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> list
                 first = first_line.setdefault(key, line)
                 if first != line:
                     raise ParseError(f"{path}: line {line} repeats frame {key} of line {first}")
-                predictions.append(Prediction(key=key, confidence_pain=confidence))
-    return predictions
+                confidences.append(confidence)
+    return Predictions(list(first_line), np.array(confidences, dtype=float))

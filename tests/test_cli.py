@@ -385,7 +385,7 @@ class TestExitCodes:
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_compute_error_is_4(self, dataset, tmp_path):
+    def test_compute_error_is_4(self, dataset, tmp_path, capsys):
         # external predictions referencing frames outside the dataset
         preds = tmp_path / "preds.csv"
         preds.write_text(
@@ -393,6 +393,41 @@ class TestExitCodes:
         )
         code, _ = run(dataset, tmp_path, "interpret", "--predictions", str(preds))
         assert code == 4
+        assert capsys.readouterr().err == (
+            f"compute error: {preds}: external prediction ('ZZ', '99', 1) not in dataset\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, code", [("score", 0), ("sweep", 0), ("evaluate", 0), ("summarize", 0),
+                          ("interpret", 4)],
+    )
+    def test_repeated_frame_fails_only_interpret(self, tmp_path, capsys, command, code):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        features = manifest.parent / "P001_01_features.csv"
+        data = features.read_bytes()
+        assert data.count(b"\r\n6,") == 1
+        features.write_bytes(data.replace(b"\r\n6,", b"\r\n5,"))  # row 6 repeats frame 5
+        extra = {"interpret": ("--trees", "3"), "summarize": ("--no-log",)}.get(command, ())
+        assert run(manifest, tmp_path, command, *extra)[0] == code
+        err = capsys.readouterr().err
+        # every command warns; interpret cannot key two rows by one frame
+        assert "warning: P001/01 frame_index (frame 5): not strictly increasing after 5\n" in err
+        assert ("compute error: sequence P001/01 repeats frame 5" in err) == (code == 4)
+
+    def test_uncovered_manual_au_frame_names_file_and_sequence_is_3(self, tmp_path, capsys):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        manual = manifest.parent / "P002_01_manual_aus.csv"
+        lines = manual.read_text(encoding="utf-8").splitlines()
+        manual.write_text(
+            "\n".join(line for line in lines if not line.startswith("7,")) + "\n",
+            encoding="utf-8",
+        )
+        assert run(manifest, tmp_path, "score")[0] == 3
+        assert capsys.readouterr().err == (
+            f"input error: {manual}: manual coding does not cover frame 7 of P002/01\n"
+        )
 
 
 class TestSweep:

@@ -1,15 +1,21 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from naive import naive_f1
+from ted.analytics import pearson
 from ted.errors import ComputeError, ParseError
 from ted.forest import ForestHyperparams
 from ted.interpret import (
+    AgreementResult,
     AgreementThresholds,
+    DisagreementFlag,
     Prediction,
+    Predictions,
     SCENARIOS,
     agreement_analysis,
     build_frame_table,
@@ -113,8 +119,30 @@ class TestLoso:
         result = loso_validate(table, ForestHyperparams(n_trees=30), seed=7)
         assert set(result.per_subject_f1) == {r.subject_id for r in separable}
         assert result.mean_f1 >= 0.95
-        assert len(result.predictions) == len(table.keys)
-        assert result.predictions == sorted(result.predictions, key=lambda p: p.key)
+        assert len(result.predictions.keys) == len(table.keys)
+        assert result.predictions.keys == sorted(result.predictions.keys)
+        # each prediction names its frame-table row and carries that row's label
+        assert [table.keys[row] for row in result.rows] == result.predictions.keys
+        assert np.array_equal(result.predictions.label_pain, table.y[result.rows] == 1)
+        assert result.predictions.confidence.shape == result.rows.shape
+
+    def test_predictions_in_key_order_when_frames_do_not_ascend(self, separable):
+        rec = separable[1]
+        perm = np.r_[0:10, 11, 10, 12:len(rec.frames)]  # frames 11 and 12 swap rows
+        frames = dataclasses.replace(
+            rec.frames,
+            frame_index=rec.frames.frame_index[perm],
+            tracking_ok=rec.frames.tracking_ok[perm],
+            geometry=rec.frames.geometry[perm],
+            au_levels=rec.frames.au_levels[perm],
+        )
+        swapped = dataclasses.replace(rec, frames=frames, pspi=list(np.array(rec.pspi)[perm]))
+        table = build_frame_table([separable[0], swapped, *separable[2:]], PAIN_PROFILE)
+        assert table.keys[60 + 10][2] == 12  # the table keeps file order
+        result = loso_validate(table, ForestHyperparams(n_trees=5), seed=1)
+        assert result.predictions.keys == sorted(table.keys)
+        assert [table.keys[row] for row in result.rows] == result.predictions.keys
+        assert result.rows[70:72].tolist() == [71, 70]
 
     def test_single_subject_rejected(self, separable):
         table = build_frame_table(separable[:1], PAIN_PROFILE)
@@ -132,14 +160,18 @@ class TestLoso:
             f"subject {subjects[0]}: training set has a single class; fold skipped",
             f"mean F1 covers {len(subjects) - 1} of {len(subjects)} folds",
         ]
-        assert {p.key[0] for p in result.predictions} == set(subjects[1:])
+        assert {key[0] for key in result.predictions.keys} == set(subjects[1:])
+        assert not np.isnan(result.predictions.confidence).any()
 
     def test_deterministic_for_seed(self, separable):
         table = build_frame_table(separable, PAIN_PROFILE)
         a = loso_validate(table, ForestHyperparams(n_trees=10), seed=1)
         b = loso_validate(table, ForestHyperparams(n_trees=10), seed=1)
         assert a.per_subject_f1 == b.per_subject_f1
-        assert a.predictions == b.predictions
+        assert a.predictions.keys == b.predictions.keys
+        assert np.array_equal(a.predictions.confidence, b.predictions.confidence)
+        assert np.array_equal(a.predictions.label_pain, b.predictions.label_pain)
+        assert np.array_equal(a.rows, b.rows)
 
 
 def planted_predictions():
@@ -161,6 +193,85 @@ def planted_predictions():
         ("S1", "01", 6): 6.5,
     }
     return preds, ted
+
+
+def per_frame_agreement(predictions, ted_by_key, thresholds):
+    """The per-frame agreement loop that `agreement_analysis` replaced: the oracle."""
+    buckets = {s: [p for p in predictions if p.scenario == s] for s in SCENARIOS}
+    correlations, findings = {}, []
+    for scenario in SCENARIOS:
+        preds = buckets[scenario]
+        if not preds:
+            findings.append(f"scenario {scenario} is empty; omitted")
+            continue
+        ted = [ted_by_key[p.key] for p in preds]
+        conf = [p.confidence_pain for p in preds]
+        try:
+            correlations[scenario] = pearson(ted, conf)
+        except ComputeError as exc:
+            findings.append(f"scenario {scenario}: {exc}")
+    flags = []
+    for pred in sorted(predictions, key=lambda p: p.key):
+        ted = ted_by_key[pred.key]
+        reason = None
+        if ted >= thresholds.ted_high and pred.confidence_pain <= thresholds.conf_low:
+            reason = "high score, low confidence"
+        elif ted <= thresholds.ted_low and pred.confidence_pain >= thresholds.conf_high:
+            reason = "low score, high confidence"
+        if reason is not None:
+            flags.append(
+                DisagreementFlag(*pred.key, ted, pred.confidence_pain, pred.scenario, reason)
+            )
+    return AgreementResult(
+        scenario_counts={s: len(buckets[s]) for s in SCENARIOS},
+        scenario_correlation=correlations,
+        flags=flags,
+        findings=findings,
+    )
+
+
+# scores on and around the default thresholds, so that ties and constant series occur
+_ted = st.one_of(st.floats(0, 300), st.sampled_from([0.0, 10.0, 100.0, 250.0]))
+_conf = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+
+
+class TestAgreementMatchesPerFrameOracle:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                # unique keys drawn in any order: frame numbers need not ascend
+                st.tuples(
+                    st.sampled_from(["S1", "S2", "S10"]),
+                    st.sampled_from(["01", "02"]),
+                    st.integers(1, 400),
+                ),
+                _conf,
+                st.booleans(),
+                _ted,
+            ),
+            max_size=80,
+            unique_by=lambda row: row[0],
+        ),
+        thresholds=st.builds(
+            AgreementThresholds, ted_high=_ted, conf_low=_conf, ted_low=_ted, conf_high=_conf
+        ),
+    )
+    def test_columns_equal_the_per_frame_loop(self, rows, thresholds):
+        keys = [row[0] for row in rows]
+        predictions = Predictions(
+            keys,
+            np.array([row[1] for row in rows], dtype=float),
+            np.array([row[2] for row in rows], dtype=bool),
+        )
+        ted = np.array([row[3] for row in rows], dtype=float)
+        result = agreement_analysis(predictions, ted, thresholds)
+        expected = per_frame_agreement(
+            [Prediction(key, conf, label) for key, conf, label, _ in rows],
+            {key: score for key, _, _, score in rows},
+            thresholds,
+        )
+        assert result == expected
+        assert [flag.key for flag in result.flags] == sorted(flag.key for flag in result.flags)
 
 
 class TestAgreement:
@@ -205,29 +316,46 @@ class TestAgreement:
 class TestJoinLabels:
     def test_ground_truth_comes_from_the_table(self, separable):
         table = build_frame_table(separable, PAIN_PROFILE)
-        joined = join_labels(table, [Prediction(key, 0.7) for key in table.keys])
-        assert [p.key for p in joined] == table.keys
-        assert [p.label_pain for p in joined] == [bool(label) for label in table.y]
-        assert all(p.confidence_pain == 0.7 for p in joined)
+        n = len(table.keys)
+        joined, rows = join_labels(table, Predictions(table.keys, np.full(n, 0.7)), "p.csv")
+        assert joined.keys == table.keys
+        assert rows.tolist() == list(range(n))
+        assert np.array_equal(joined.label_pain, table.y == 1)
+        assert np.all(joined.confidence == 0.7)
+
+    def test_external_order_is_kept(self, separable):
+        table = build_frame_table(separable, PAIN_PROFILE)
+        keys = table.keys[::-1]
+        conf = np.linspace(0, 1, len(keys))
+        joined, rows = join_labels(table, Predictions(keys, conf), "p.csv")
+        assert joined.keys == keys
+        assert np.array_equal(joined.confidence, conf)
+        assert rows.tolist() == list(range(len(keys)))[::-1]
+        assert np.array_equal(joined.label_pain, table.y[::-1] == 1)
 
     def test_unknown_frame_rejected(self, separable):
         table = build_frame_table(separable, PAIN_PROFILE)
-        with pytest.raises(ComputeError, match="not in dataset"):
-            join_labels(table, [Prediction(("ZZ", "99", 1), 0.7)])
+        external = Predictions([table.keys[0], ("ZZ", "99", 1)], np.array([0.7, 0.7]))
+        with pytest.raises(ComputeError) as info:
+            join_labels(table, external, "p.csv")
+        assert str(info.value) == "p.csv: external prediction ('ZZ', '99', 1) not in dataset"
 
 
 class TestPredictionsCsv:
     def test_round_trip(self, tmp_path):
-        preds, _ = planted_predictions()
+        planted, _ = planted_predictions()
+        keys = [p.key for p in planted] + [('S "2", left', "01", 1)]  # a key that needs quotes
+        conf = np.array([p.confidence_pain for p in planted] + [1 / 3])
         path = tmp_path / "p.csv"
-        write_predictions_csv(preds, path)
+        write_predictions_csv(Predictions(keys, conf, np.ones(len(keys), dtype=bool)), path)
         loaded = read_predictions_csv(path)
-        assert [p.key for p in loaded] == [p.key for p in preds]
-        assert [p.confidence_pain for p in loaded] == [
-            p.confidence_pain for p in preds
-        ]
+        assert loaded.keys == keys
+        assert np.array_equal(loaded.confidence, conf)
         # labels do not travel through the CSV
-        assert all(p.label_pain is None for p in loaded)
+        assert loaded.label_pain is None
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[1] == b"S1,01,1,0.94999999999999996,pain"
+        assert lines[-2] == b'"S ""2"", left",01,1,0.33333333333333331,neutral'
 
     def test_bad_confidence_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
