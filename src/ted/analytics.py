@@ -314,13 +314,12 @@ def summarize(
     for rec in sorted(records, key=lambda r: r.key):
         label = rec.labels.get(scale) if rec.labels is not None else None
         if label is None:
-            raise ComputeError(f"sequence {rec.key} has no {scale} label")
+            raise ComputeError(f"sequence {'/'.join(rec.key)} has no {scale} label")
         values = [float(v) for v in ted_series[rec.key]]
         if transform == "log":
             if min(values) <= 0.0:
                 raise ComputeError(
-                    f"sequence {rec.key} has a non-positive score; "
-                    "use the raw transform"
+                    f"sequence {'/'.join(rec.key)} has a non-positive score; use --no-log"
                 )
             values = [math.log(v) for v in values]
         grouped.setdefault((label, rec.gender), []).extend(values)

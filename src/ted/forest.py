@@ -8,24 +8,20 @@ together, so `fit` groups them once and each bootstrap becomes an integer
 weight per group; split costs use the same integers and float expressions as
 a per-row search, so the trees do not depend on the grouping.
 
-All trees grow in lockstep. Each keeps its own depth-first stack and its own
-generator, so it visits its nodes and draws its candidate features in the
-order of a one-tree-at-a-time grower. In a step every unfinished tree pops
-nodes, recording the leaves, until it reaches one to search; all those
-splits are then searched with one segmented sort, in batches of at most
-ENTRY_BUDGET (node, candidate, group) entries. A tree has at most one node
-searched in a step, and each node's cuts keep their own order within a batch,
-so neither the batching nor the budget changes a tree.
-
-A tree draws its candidate features DRAW_BLOCK nodes at a time, with one
-`permuted` call over a block of rows 0..n_features-1. That call makes the
-same shuffle draws, row after row, as one `permutation` call per node, so
-row k is the k-th node's permutation; rows past a tree's last node go unused.
+All trees grow together, one level per step, breadth first. The frontier
+holds a level's nodes of every tree as arrays: their groups, concatenated node
+after node, and each node's tree, group count, rows and pain rows. A step
+marks the leaves, lets each tree draw the candidate features of all its
+searched nodes with one `permuted` call over that many rows of
+0..n_features-1 (the same draws, row after row, as one `permutation` call per
+node in breadth-first order), and searches all those nodes with one segmented
+sort, in batches of at most ENTRY_BUDGET (node, candidate, group) entries.
+Each node's cuts keep their own order within a batch, so the budget changes
+no tree, and the sort's partition of each node's groups is the next frontier.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -35,7 +31,8 @@ from .errors import ComputeError, ConfigError
 
 
 class Tree(NamedTuple):
-    """One fitted tree as parallel node arrays in pre-order (node 0 is the root).
+    """One fitted tree as parallel node arrays in breadth-first order (node 0 is
+    the root, and the children of the j-th inner node are 2j + 1 and 2j + 2).
 
     A row at inner node i goes to `left[i]` when `row[feature[i]] < threshold[i]`
     and to `right[i]` otherwise. Leaves have feature, left and right -1 and
@@ -52,9 +49,6 @@ class Tree(NamedTuple):
 # (candidate, node, group) entries one batched split search may hold, unless
 # a single node needs more: it bounds the memory of a search
 ENTRY_BUDGET = 1 << 12
-
-# searched nodes per tree that one candidate-feature draw covers
-DRAW_BLOCK = 64
 
 
 def _group_rows(table):
@@ -79,132 +73,137 @@ def _weighted_gini(n, pos):
     return n * (1.0 - p1**2 - (1.0 - p1) ** 2)
 
 
-def _split_batch(batch, codes, n_codes, values, labels, weights, min_leaf):
-    """Best cut of each node in `batch`, searched for all nodes at once.
+def _split_batch(
+    members, sizes, tree, node_n, node_pos, candidates,
+    codes, n_codes, values, labels, weights, min_leaf,
+):
+    """Best cut of each of k nodes of one level, searched for all at once.
 
-    An item is (tree, node, groups, rows, pain rows, depth, candidates). Yields
-    (item, feature, threshold, left groups, right groups, left rows, left pain
-    rows) for each node whose lowest weighted-Gini cut leaves at least
-    `min_leaf` rows on each side. Ties keep the first candidate, then the
-    lowest cut.
+    Node i holds the next `sizes[i]` groups of `members` and `node_n[i]`
+    bootstrap rows of tree `tree[i]`, `node_pos[i]` of them pain; its
+    candidate features are `candidates[i]`. Returns each node's feature and
+    threshold, -1 and 0 where no cut leaves at least `min_leaf` rows on each
+    side, and the children of the nodes that split, left then right, as
+    (groups, group counts, tree, rows, pain rows). Ties keep the first
+    candidate, then the lowest cut.
     """
-    tree, _, groups, node_n, node_pos, _, candidates = zip(*batch)
-    k = len(batch)
-    sizes = np.array([g.size for g in groups])
-    starts = np.cumsum(sizes) - sizes
-    members = np.concatenate(groups)
+    k = sizes.size
     member_node = np.repeat(np.arange(k), sizes)
-    candidates = np.array(candidates)
     # (rows, pain rows) of each member group in its tree's bootstrap
-    w_rows = weights[np.array(tree)[member_node], members]
+    w_rows = weights[np.repeat(tree, sizes), members]
     w_pain = w_rows * labels[members]
     # entries in (candidate, node, group) order, then sorted by code within each
     # (candidate, node) segment, so each node's cuts keep (candidate, code) order
     seg = (np.arange(candidates.shape[1])[:, None] * k + member_node).reshape(-1)
-    key = seg * n_codes + codes[candidates[member_node].T, members].reshape(-1)
+    key = seg * n_codes + codes[np.repeat(candidates.T, sizes, axis=1), members].reshape(-1)
     order = np.argsort(key, kind="stable")
     key, at = key[order], order % members.size  # at: the member of each sorted entry
     # cuts only between distinct consecutive codes of one segment
     cut = np.nonzero((key[1:] > key[:-1]) & (seg[1:] == seg[:-1]))[0]
-    if not cut.size:
-        return
-    # (rows, pain rows) left of each cut: a running sum less its segment's start
-    cum = np.cumsum(np.stack((w_rows, w_pain))[:, at], axis=1)
-    start = np.searchsorted(seg, seg[cut])
-    n_left, pos_left = cum[:, cut] - np.hstack(([[0], [0]], cum))[:, start]
     cut_node = seg[cut] % k
-    n, pos = np.array(node_n)[cut_node], np.array(node_pos)[cut_node]
+    first = np.cumsum(sizes) - sizes  # each node's first member
+    start = seg[cut] // k * members.size + first[cut_node]  # each cut's segment start
+
+    def left_of(w):  # the weight left of each cut: a running sum less its segment's start
+        cum = np.concatenate(([0], np.cumsum(w[at])))
+        return cum[cut + 1] - cum[start]
+
+    n_left, pos_left = left_of(w_rows), left_of(w_pain)
+    n, pos = node_n[cut_node], node_pos[cut_node]
     cost = (_weighted_gini(n_left, pos_left) + _weighted_gini(n - n_left, pos - pos_left)) / n
-    ranked = np.lexsort((cost, cut_node))
-    by_node = cut_node[ranked]  # each node's first entry is its lowest cost
-    best = cut[ranked[np.flatnonzero(np.concatenate(([True], by_node[1:] != by_node[:-1])))]]
-    split = seg[best] % k
-    feature = candidates[split, seg[best] // k]
-    below, above = members[at[best]], members[at[best + 1]]
-    threshold = (values[below, feature] + values[above, feature]) / 2.0
+    # each node's lowest cost, and the first of its cuts in (candidate, code)
+    # order that has it
+    low = np.full(k, np.inf)
+    np.minimum.at(low, cut_node, cost)
+    lowest = np.flatnonzero(cost == low[cut_node])
+    pick = np.full(k, cut.size)
+    np.minimum.at(pick, cut_node[lowest], lowest)
+    split = np.flatnonzero(pick < cut.size)
+    best = cut[pick[split]]
     # partition the groups of every node at once, left ones first (no value is
     # below -inf, so a node without a cut sends all right)
-    node_feature = np.zeros(k, dtype=np.intp)
-    node_threshold = np.full(k, -np.inf)
-    node_feature[split], node_threshold[split] = feature, threshold
-    go_left = values[members, node_feature[member_node]] < node_threshold[member_node]
-    n_go, rows_left, pain_left = np.add.reduceat(
-        np.column_stack((go_left, w_rows * go_left, w_pain * go_left)), starts
-    )[split].T
+    feature = np.zeros(k, dtype=np.intp)
+    threshold = np.full(k, -np.inf)
+    feature[split] = candidates[split, seg[best] // k]
+    below, above = members[at[best]], members[at[best + 1]]
+    threshold[split] = (values[below, feature[split]] + values[above, feature[split]]) / 2.0
+    go_left = values[members, np.repeat(feature, sizes)] < np.repeat(threshold, sizes)
+    n_go, rows, pain = np.add.reduceat(
+        np.column_stack((go_left, w_rows * go_left, w_pain * go_left)), first
+    ).T
+    # a node without a cut has no rows on its left, so it fails this too
+    valid = (min_leaf <= rows) & (rows <= node_n - min_leaf)
+
+    def pairs(left, whole):  # (left, right) of each node that splits, interleaved
+        return np.column_stack((left, whole - left))[valid].reshape(-1)
+
     members = members[np.argsort(2 * member_node + ~go_left, kind="stable")]
-    begin = starts[split]
-    for i, f, thr, lo, mid, hi, rows, pain in zip(
-        split.tolist(), feature.tolist(), threshold.tolist(), begin.tolist(),
-        (begin + n_go).tolist(), (begin + sizes[split]).tolist(),
-        rows_left.tolist(), pain_left.tolist(),
-    ):
-        if min_leaf <= rows <= node_n[i] - min_leaf:
-            # copies: a slice would keep the whole batch's partition alive
-            yield batch[i], f, thr, members[lo:mid].copy(), members[mid:hi].copy(), rows, pain
-
-
-def _candidate_rows(rng, deck, n_subset):
-    """The candidate features of each searched node of one tree, in order;
-    `deck` is DRAW_BLOCK rows of 0..n_features-1, which `permuted` leaves as is."""
-    while True:
-        yield from rng.permuted(deck, axis=1)[:, :n_subset]
+    children = (
+        members[np.repeat(valid, sizes)], pairs(n_go, sizes), np.repeat(tree[valid], 2),
+        pairs(rows, node_n), pairs(pain, node_pos),
+    )
+    return np.where(valid, feature, -1), np.where(valid, threshold, 0.0), children
 
 
 def _grow_forest(codes, values, labels, weights, rngs, hp, n_subset) -> list[Tree]:
-    """Grow every tree depth first, in a recursive grower's pre-order (left
-    before right), all trees in lockstep as the module docstring describes.
-    """
+    """Grow every tree breadth first, all trees one level per step, as the
+    module docstring describes."""
+    n_trees, n_features = len(rngs), codes.shape[0]
     n_codes = int(codes.max(initial=0)) + 1
-    max_depth = np.inf if hp.max_depth is None else hp.max_depth
+    # without features no node can split
+    max_depth = 0 if not n_features else np.inf if hp.max_depth is None else hp.max_depth
     min_leaf = hp.min_samples_leaf
-    # per tree: (feature, left, right, neutral, pain) of each node, and its threshold
-    nodes = [(array("q"), array("d")) for _ in rngs]
-    # per tree: (groups, rows, pain rows, depth, parent if a right child else -1)
-    stacks = [
-        [(np.nonzero(w)[0].astype(np.int32), int(w.sum()), int(w @ labels), 0, -1)]
-        for w in weights
-    ]
-    deck = np.tile(np.arange(codes.shape[0]), (DRAW_BLOCK, 1))
-    draws = [_candidate_rows(rng, deck, n_subset) for rng in rngs]
-    trees: list[Tree] = [None] * len(rngs)
-    live = range(len(rngs))
-    while live:
-        inner = []
-        for t in live:
-            stack, (fields, thresholds) = stacks[t], nodes[t]
-            while stack:  # record leaves until a node to search
-                members, n, pos, depth, parent = stack.pop()
-                node = len(thresholds)
-                fields.extend((-1, -1, -1, n - pos, pos))
-                thresholds.append(0.0)
-                if parent >= 0:
-                    fields[5 * parent + 2] = node
-                if not (pos == 0 or pos == n or n < 2 * min_leaf or depth >= max_depth):
-                    inner.append((t, node, members, n, pos, depth, next(draws[t])))
-                    break
-        # entries[k]: the search entries of the first k nodes. Each batch is the
-        # longest run of nodes within the budget, at least one
-        entries = np.cumsum([0] + [item[2].size * item[6].size for item in inner])
+    # the frontier: each node's groups, after those of the node before it, and
+    # per node its tree, group count, rows and pain rows; nodes in tree order
+    drawn = weights > 0
+    members = np.broadcast_to(np.arange(weights.shape[1], dtype=np.int32), weights.shape)[drawn]
+    sizes, tree = drawn.sum(axis=1), np.arange(n_trees)
+    n, pos = weights.sum(axis=1, dtype=np.int64), weights @ labels
+    # per tree, per level: (feature, threshold, counts) of its nodes
+    parts: list[list] = [[] for _ in rngs]
+    depth = 0
+    while True:
+        searched = (0 < pos) & (pos < n) & (n >= 2 * min_leaf) & (depth < max_depth)
+        members = members[np.repeat(searched, sizes)]
+        todo = np.flatnonzero(searched)
+        per_tree = np.bincount(tree[todo], minlength=n_trees).tolist()
+        deck = np.tile(np.arange(n_features), (max(per_tree), 1))
+        draws = [rng.permuted(deck[:k], axis=1) for rng, k in zip(rngs, per_tree) if k]
+        candidates = np.concatenate(draws)[:, :n_subset] if draws else None
+        feature, threshold = np.full(tree.size, -1), np.zeros(tree.size)
+        # each batch is the longest run of searched nodes within the budget, at
+        # least one; offsets[i]: the groups of the first i searched nodes
+        offsets = np.concatenate(([0], np.cumsum(sizes[todo])))
+        entries = offsets * min(n_subset, n_features)
+        children = []
         stop = 0
-        while stop < len(inner):
+        while stop < todo.size:
             start = stop
             cut = np.searchsorted(entries, entries[start] + ENTRY_BUDGET, side="right") - 1
             stop = max(start + 1, int(cut))
-            batch = inner[start:stop]
-            for (t, node, _, n, pos, depth, _), f, thr, left, right, rows, pain in _split_batch(
-                batch, codes, n_codes, values, labels, weights, min_leaf
-            ):
-                fields, thresholds = nodes[t]
-                fields[5 * node], fields[5 * node + 1], thresholds[node] = f, node + 1, thr
-                stacks[t].append((right, n - rows, pos - pain, depth + 1, node))
-                stacks[t].append((left, rows, pain, depth + 1, -1))
-        for t in live:
-            if not stacks[t]:  # finished: its records become arrays now
-                fields = np.array(nodes[t][0], dtype=int).reshape(-1, 5)
-                feature, left, right = fields[:, :3].T
-                trees[t] = Tree(feature, np.array(nodes[t][1]), left, right, fields[:, 3:])
-                nodes[t] = None
-        live = [t for t in live if stacks[t]]
+            nodes = todo[start:stop]
+            feature[nodes], threshold[nodes], kids = _split_batch(
+                members[offsets[start] : offsets[stop]], sizes[nodes], tree[nodes],
+                n[nodes], pos[nodes], candidates[start:stop],
+                codes, n_codes, values, labels, weights, min_leaf,
+            )
+            children.append(kids)
+        records = (feature, threshold, np.column_stack((n - pos, pos)))
+        bounds = np.searchsorted(tree, np.arange(n_trees + 1)).tolist()
+        for t, lo, hi in zip(range(n_trees), bounds, bounds[1:]):
+            if lo < hi:  # copies: a view would keep the whole level alive
+                parts[t].append([a[lo:hi].copy() for a in records])
+        if not children:  # no node was searched: every tree is done
+            break
+        members, sizes, tree, n, pos = map(np.concatenate, zip(*children))
+        depth += 1
+    trees = []
+    for t in range(n_trees):
+        feature, threshold, counts = map(np.concatenate, zip(*parts[t]))
+        parts[t] = None
+        inner = feature >= 0
+        left = np.where(inner, 2 * np.cumsum(inner) - 1, -1)
+        trees.append(Tree(feature, threshold, left, np.where(inner, left + 1, -1), counts))
     return trees
 
 

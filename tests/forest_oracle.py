@@ -1,13 +1,16 @@
-"""Reference forest grower: one recursive node object per split.
+"""Reference forest grower: one node object per split, grown breadth first.
 
-This is the grower `ted.forest` used before trees became flat arrays. It
-copies the bootstrap rows, argsorts every candidate feature at every node and
-walks rows one at a time. `ted.forest` must grow exactly the same trees, and
-`flatten` turns an oracle tree into the same pre-order arrays for comparison.
+Each tree takes its nodes from a first-in, first-out queue and draws one
+`permutation` of the features for every node it searches, so candidate draws
+follow breadth-first order. It copies the bootstrap rows, argsorts every
+candidate feature at every node and walks rows one at a time. `ted.forest`
+must grow exactly the same trees, and `flatten` turns an oracle tree into the
+same breadth-first arrays for comparison.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,32 +64,37 @@ def _grow(
     X: np.ndarray,
     y: np.ndarray,
     rng: np.random.Generator,
-    depth: int,
     max_depth: Optional[int],
     min_samples_leaf: int,
     n_subset: int,
 ) -> TreeNode:
-    counts = (int((y == 0).sum()), int((y == 1).sum()))
-    if (
-        counts[0] == 0
-        or counts[1] == 0
-        or (max_depth is not None and depth >= max_depth)
-        or y.size < 2 * min_samples_leaf
-    ):
-        return TreeNode(counts=counts)
-    features = rng.permutation(X.shape[1])[:n_subset]
-    cost, feature, threshold = _gini_best_split(X, y, features)
-    if feature is None:
-        return TreeNode(counts=counts)
-    mask = X[:, feature] < threshold
-    if mask.sum() < min_samples_leaf or (~mask).sum() < min_samples_leaf:
-        return TreeNode(counts=counts)
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(X[mask], y[mask], rng, depth + 1, max_depth, min_samples_leaf, n_subset),
-        right=_grow(X[~mask], y[~mask], rng, depth + 1, max_depth, min_samples_leaf, n_subset),
-    )
+    root = TreeNode()
+    queue = deque([(root, X, y, 0)])
+    while queue:
+        node, X, y, depth = queue.popleft()
+        counts = (int((y == 0).sum()), int((y == 1).sum()))
+        if (
+            counts[0] == 0
+            or counts[1] == 0
+            or (max_depth is not None and depth >= max_depth)
+            or y.size < 2 * min_samples_leaf
+        ):
+            node.counts = counts
+            continue
+        features = rng.permutation(X.shape[1])[:n_subset]
+        cost, feature, threshold = _gini_best_split(X, y, features)
+        if feature is None:
+            node.counts = counts
+            continue
+        mask = X[:, feature] < threshold
+        if mask.sum() < min_samples_leaf or (~mask).sum() < min_samples_leaf:
+            node.counts = counts
+            continue
+        node.feature, node.threshold = feature, threshold
+        node.left, node.right = TreeNode(), TreeNode()
+        queue.append((node.left, X[mask], y[mask], depth + 1))
+        queue.append((node.right, X[~mask], y[~mask], depth + 1))
+    return root
 
 
 def _tree_vote(node: TreeNode, row: np.ndarray) -> int:
@@ -123,7 +131,6 @@ def fit(X, y, hp: ForestHyperparams, seed: int) -> list[TreeNode]:
                 X[boot],
                 y[boot],
                 rng,
-                depth=0,
                 max_depth=hp.max_depth,
                 min_samples_leaf=hp.min_samples_leaf,
                 n_subset=n_subset,
@@ -139,26 +146,25 @@ def predict_confidences(trees: list[TreeNode], X) -> np.ndarray:
 
 
 def flatten(tree: TreeNode) -> dict[str, np.ndarray]:
-    """Pre-order parallel arrays in the layout of `ted.forest.Tree`.
+    """Breadth-first parallel arrays in the layout of `ted.forest.Tree`.
 
     An inner node's counts are the sum of its children's, as every bootstrap
     row reaching it goes to exactly one child.
     """
-    out: dict[str, list] = {k: [] for k in Tree._fields}
-
-    def visit(node: TreeNode) -> int:
-        i = len(out["feature"])
-        out["feature"].append(-1 if node.is_leaf else node.feature)
-        out["threshold"].append(0.0 if node.is_leaf else node.threshold)
-        out["left"].append(-1)
-        out["right"].append(-1)
-        out["counts"].append(node.counts)
+    nodes = [tree]
+    for node in nodes:  # the list grows behind the loop: breadth-first order
         if not node.is_leaf:
-            out["left"][i] = visit(node.left)
-            out["right"][i] = visit(node.right)
+            nodes += [node.left, node.right]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    out: dict[str, list] = {
+        "feature": [-1 if n.is_leaf else n.feature for n in nodes],
+        "threshold": [0.0 if n.is_leaf else n.threshold for n in nodes],
+        "left": [-1 if n.is_leaf else index[id(n.left)] for n in nodes],
+        "right": [-1 if n.is_leaf else index[id(n.right)] for n in nodes],
+        "counts": [n.counts for n in nodes],
+    }
+    for i in reversed(range(len(nodes))):  # children come after their parent
+        if not nodes[i].is_leaf:
             left, right = out["counts"][out["left"][i]], out["counts"][out["right"][i]]
             out["counts"][i] = (left[0] + right[0], left[1] + right[1])
-        return i
-
-    visit(tree)
     return {k: np.array(v) for k, v in out.items()}

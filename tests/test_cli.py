@@ -397,6 +397,24 @@ class TestExitCodes:
             f"compute error: {preds}: external prediction ('ZZ', '99', 1) not in dataset\n"
         )
 
+    def test_summarize_non_positive_score_is_4(self, dataset, tmp_path, capsys):
+        # separable scores reach 0, which the default log transform cannot take
+        code, _ = run(dataset, tmp_path, "summarize")
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "compute error: sequence P001/01 has a non-positive score; use --no-log\n"
+        )
+
+    def test_summarize_missing_label_is_4(self, tmp_path, capsys):
+        records = make_separable_dataset(n_subjects=2, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        del payload["entries"][1]["labels"]
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        code, _ = run(manifest, tmp_path, "summarize", "--no-log")
+        assert code == 4
+        assert capsys.readouterr().err == "compute error: sequence P002/01 has no VAS label\n"
+
     @pytest.mark.parametrize(
         "command, code", [("score", 0), ("sweep", 0), ("evaluate", 0), ("summarize", 0),
                           ("interpret", 4)],

@@ -27,7 +27,7 @@ def same_trees(a: Tree, b: Tree) -> bool:
 
 
 def depths(tree: Tree) -> np.ndarray:
-    """Depth per node; pre-order puts every parent before its children."""
+    """Depth per node; breadth-first order puts every parent before its children."""
     depth = np.zeros(tree.feature.size, dtype=int)
     for i in np.nonzero(tree.feature >= 0)[0]:
         depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
@@ -126,7 +126,9 @@ class TestFit:
             inner = np.nonzero(t.feature >= 0)[0]
             leaves = t.feature < 0
             assert (t.left[leaves] == -1).all() and (t.right[leaves] == -1).all()
-            assert (t.left[inner] == inner + 1).all()  # pre-order: left child next
+            # breadth first: the j-th inner node's children are 2j + 1 and 2j + 2
+            assert (t.left[inner] == 2 * np.arange(inner.size) + 1).all()
+            assert (t.right[inner] == t.left[inner] + 1).all()
             assert (t.counts[inner] == t.counts[t.left[inner]] + t.counts[t.right[inner]]).all()
             assert t.counts[0].sum() == y.size
 
@@ -252,9 +254,9 @@ class TestLockstep:
         batches = []
         search = forest._split_batch
 
-        def spy(batch, *args):
-            batches.append(len(batch))
-            return search(batch, *args)
+        def spy(members, sizes, *args):
+            batches.append(sizes.size)
+            return search(members, sizes, *args)
 
         monkeypatch.setattr(forest, "ENTRY_BUDGET", 500)
         monkeypatch.setattr(forest, "_split_batch", spy)
@@ -262,6 +264,34 @@ class TestLockstep:
         hp = ForestHyperparams(n_trees=6)
         assert_matches_oracle(X, y, hp, 0)
         assert 1 < batches[0] < hp.n_trees
+
+    def test_budget_cuts_a_level_inside_a_tree(self, monkeypatch):
+        X, y = dataset("continuous", 0)
+
+        def batches(budget):  # the tree of each searched node, batch by batch
+            trees = []
+            search = forest._split_batch
+
+            def spy(members, sizes, tree, *args):
+                trees.append(tree.tolist())
+                return search(members, sizes, tree, *args)
+
+            monkeypatch.setattr(forest, "ENTRY_BUDGET", budget)
+            monkeypatch.setattr(forest, "_split_batch", spy)
+            assert_matches_oracle(X, y, ForestHyperparams(n_trees=3), 0)
+            monkeypatch.undo()
+            return trees
+
+        def ends(trees):  # the position in the node sequence where each batch ends
+            return set(np.cumsum([len(t) for t in trees]).tolist())
+
+        levels, cut = batches(1 << 30), batches(300)  # one batch per level, or several
+        nodes = sum(levels, [])
+        assert sum(cut, []) == nodes
+        # a batch of several nodes ends inside a level, between two nodes of one tree
+        inside = ends(cut) - ends(levels)
+        assert any(nodes[p - 1] == nodes[p] for p in inside)
+        assert any(len(trees) > 1 for trees in cut)
 
     def test_trees_finishing_at_very_different_steps(self):
         # x0 alone separates the classes: a tree that draws it at the root stops
@@ -301,21 +331,26 @@ class TestLockstep:
 
 
 class TestCandidateDraws:
-    """One `permuted` call per block makes the draws of one `permutation` per node."""
+    """One `permuted` call over a level's block of rows makes the draws of one
+    `permutation` per node, node after node, as the breadth-first oracle does."""
 
     @pytest.mark.parametrize("n_features", [0, 1, 2, 6, 9, 17])
     @pytest.mark.parametrize("seed", [0, 1, 7, 20260823])
     def test_block_rows_equal_successive_permutations(self, n_features, seed):
-        blocks, calls = np.random.default_rng(seed), np.random.default_rng(seed)
-        for rng in (blocks, calls):  # the bootstrap draw that precedes them in `fit`
+        levels, calls = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (levels, calls):  # the bootstrap draw that precedes them in `fit`
             rng.integers(0, 100, 100)
-        deck = np.tile(np.arange(n_features), (forest.DRAW_BLOCK, 1))
-        rows = forest._candidate_rows(blocks, deck, n_features)
-        for _ in range(2 * forest.DRAW_BLOCK + 1):  # into a third block
-            row = next(rows)
-            assert row.dtype.kind == "i"
-            assert np.array_equal(row, calls.permutation(n_features))
-        assert np.array_equal(deck, np.tile(np.arange(n_features), (forest.DRAW_BLOCK, 1)))
+        # the grower's deck: rows of 0..n_features-1, one per searched node of a level
+        deck = np.tile(np.arange(n_features), (200, 1))
+        for k in (1, 2, 5, 64, 65, 200):  # searched nodes on successive levels
+            rows = levels.permuted(deck[:k], axis=1)
+            assert rows.dtype.kind == "i" and rows.shape == (k, n_features)
+            for row in rows:
+                assert np.array_equal(row, calls.permutation(n_features))
+        # both generators are in the same state afterwards, and the deck is intact
+        # for the next tree
+        assert levels.integers(0, 2**62) == calls.integers(0, 2**62)
+        assert np.array_equal(deck, np.tile(np.arange(n_features), (200, 1)))
 
 
 def assert_groups_like_unique(table):
