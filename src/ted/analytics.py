@@ -130,11 +130,12 @@ def _subject_correlations(
 ) -> list[SubjectCorrelation]:
     """Score-vs-PSPI correlation per subject, in subject order.
 
-    Each subject's frames are taken in (sequence, frame) order; frames whose
-    tracking failed are excluded from the correlation. A subject whose
-    correlation is undefined (a constant series, or under 3 frames) is left
-    out; `findings` name it and say how many subjects the means cover. With no
-    subject left it is a ComputeError naming them all.
+    Each subject's sequences are taken in sequence order, each sequence's frames
+    in file order; frames whose tracking failed are excluded from the
+    correlation. A subject whose correlation is undefined (a constant series,
+    or under 3 frames) is left out; `findings` name it and say how many
+    subjects the means cover. With no subject left it is a ComputeError naming
+    them all.
     """
     parts: dict[str, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for rec in sorted(records, key=lambda r: r.key):

@@ -283,7 +283,8 @@ _CSV_COLUMNS = ("subject", "sequence", "frame", "S", *(f"M_{fs}" for fs in FEATU
 
 
 def write_scores_csv(results: dict[tuple[str, str], SequenceScores], path) -> None:
-    """Deterministic scored-output CSV, ordered by (subject, sequence, frame)."""
+    """Deterministic scored-output CSV: sequences in (subject, sequence) order, each
+    sequence's frames in file order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(_CSV_COLUMNS)
         for key in sorted(results):

@@ -222,10 +222,11 @@ def parse_feature_csv(
                 raise SchemaError(f"{path}: column {column!r} appears {count} times")
             cols.append(first[column])
         values = _load_feature_rows(fh, cols, len(header))
-        lines = None  # numpy reads one line a row, after the header
         if values is None:
             fh.seek(0)
             values, lines = _read_feature_rows(path, csv.reader(fh), bound, cols, len(header))
+        else:  # numpy reads one line a row, after the header
+            lines = range(2, len(values) + 2)
 
     position = {column: j for j, column in enumerate(bound)}
 
@@ -238,16 +239,21 @@ def parse_feature_csv(
         value = frame[bad[0]]
         raise ParseError(
             f"{path}: frame number {value} in column {schema.frame!r}, "
-            f"line {lines[bad[0]] if lines else bad[0] + 2} is not "
-            + ("an integer" if abs(value) < 2.0**63 else "finite")
+            f"line {lines[bad[0]]} is not " + ("an integer" if abs(value) < 2.0**63 else "finite")
         )
+    frame = frame.astype(np.int64)
+    first = np.unique(frame, return_index=True)[1]  # the row where each frame number first shows
+    if first.size < frame.size:
+        row = np.setdiff1d(np.arange(frame.size), first)[0]  # the first repeat in file order
+        raise ParseError(f"{path}: line {lines[row]} repeats frame {frame[row]} "
+                         f"of line {lines[np.argmax(frame == frame[row])]}")
     # a schema's x column without a y partner (or the reverse) is not read
     n_landmarks = min(len(schema.landmark_x), len(schema.landmark_y))
     au_ids = tuple(sorted(schema.au_intensity))
     levels = block([schema.au_intensity[au] for au in au_ids])
     try:
         return FrameColumns(
-            frame_index=frame.astype(np.int64),
+            frame_index=frame,
             tracking_ok=values[:, position[schema.success]] != 0.0,
             geometry=block([
                 *schema.landmark_x[:n_landmarks], *schema.landmark_y[:n_landmarks],
@@ -400,46 +406,32 @@ def merge_au_source(
     return replace(frames, au_ids=au_ids, au_levels=levels)
 
 
-def parse_pspi_file(path, digests: Optional[dict[str, str]] = None) -> list[float]:
-    """One pain-intensity value per line (or a single-column CSV with header). A
-    plain file is converted in one call; the line-by-line reader reads any other."""
+def parse_pspi_file(path, digests: Optional[dict[str, str]] = None) -> np.ndarray:
+    """One pain-intensity value in [0, 16] per non-blank line, after an optional
+    `pspi` header in any case, as a float64 array; whitespace around a value is
+    ignored. Line numbers in messages are physical, blank lines included."""
     with read_input(path, digests) as fh:
-        text = fh.read()  # line ends read as \n
-    values = _convert_pspi_lines(text)
-    return values if values is not None else _read_pspi_lines(path, text)
-
-
-def _convert_pspi_lines(text: str) -> Optional[list[float]]:
-    """The values of a plain file: an optional `pspi` header line, then one number
-    in [0, 16] a line, no blank lines. None for any other file."""
-    try:  # float() on every line, as the line-by-line reader calls it
-        values = list(map(float, text.removeprefix("pspi\n").removesuffix("\n").split("\n")))
-    except ValueError:  # a blank line, a second header, a word: read line by line
-        return None
-    in_range = np.array(values)
-    return values if ((in_range >= 0.0) & (in_range <= 16.0)).all() else None
-
-
-def _read_pspi_lines(path, text: str) -> list[float]:
-    """The values of a PSPI file, read line by line."""
-    values: list[float] = []
-    lines = [(number, ln.strip()) for number, ln in enumerate(text.split("\n"), start=1)]
-    lines = [(number, ln) for number, ln in lines if ln]  # numbers stay physical
-    if lines and lines[0][1].lower() == "pspi":
-        lines = lines[1:]
-    if not lines:
+        lines = fh.read().split("\n")  # \r\n and \r line ends read as \n
+    cells = list(filter(None, map(str.strip, lines)))
+    if cells and cells[0].lower() == "pspi":
+        del cells[0]
+    if not cells:
         raise ParseError(f"{path}: empty file")
-    for number, raw in lines:
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        if ((values >= 0.0) & (values <= 16.0)).all():
+            return values
+    except ValueError:
+        pass
+    # the first line that fails; the values are the last len(cells) non-blank lines
+    numbers = [number for number, line in enumerate(lines, start=1) if line.strip()]
+    for number, raw in zip(numbers[-len(cells):], cells):
         try:
             value = float(raw)
         except ValueError:
             raise ParseError(f"{path}: non-numeric value {raw!r} on line {number}") from None
         if not 0.0 <= value <= 16.0:
-            raise ParseError(
-                f"{path}: value {value} outside [0, 16] on line {number}"
-            )
-        values.append(value)
-    return values
+            raise ParseError(f"{path}: value {value} outside [0, 16] on line {number}")
 
 
 def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetManifest:

@@ -1,6 +1,7 @@
 """Classifier expectation and interpretation against expressiveness scores.
 
-Trains the pain/neutral forest on manually coded AU intensities, validates it
+Trains the pain/neutral forest on the profile AU intensities that were loaded
+(manual codings or tracker predictions, as `--au-source` chose), validates it
 leave-one-subject-out with per-subject F1, partitions predictions into the
 four outcome scenarios, and checks the agreement expectation: classifier
 confidence should rise and fall with the expressiveness score.

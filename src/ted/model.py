@@ -228,19 +228,22 @@ class SequenceLabels:
 class SequenceRecord:
     """One video sequence: ordered frames plus optional labels.
 
-    A list of FrameFeatures passed as `frames` is converted to columns.
+    A list of FrameFeatures passed as `frames` is converted to columns, and
+    PSPI labels passed as a list to a float64 array.
     """
 
     subject_id: str
     sequence_id: str
     frames: FrameColumns
-    pspi: Optional[list[float]] = None
+    pspi: Optional[np.ndarray] = None  # (n,) float64, one label per frame
     labels: Optional[SequenceLabels] = None
     gender: str = "unspecified"
 
     def __post_init__(self):
         if not isinstance(self.frames, FrameColumns):
             self.frames = FrameColumns.from_frames(self.frames)
+        if self.pspi is not None:
+            self.pspi = np.asarray(self.pspi, dtype=np.float64)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -248,14 +251,14 @@ class SequenceRecord:
 
     def pspi_array(self) -> np.ndarray:
         """PSPI labels aligned with the frames."""
+        name = "/".join(self.key)
         if self.pspi is None:
-            raise ComputeError(f"sequence {self.key} has no PSPI labels")
+            raise ComputeError(f"sequence {name} has no PSPI labels")
         if len(self.pspi) != len(self.frames):
             raise ComputeError(
-                f"sequence {self.key} has {len(self.pspi)} PSPI labels "
-                f"for {len(self.frames)} frames"
+                f"sequence {name} has {len(self.pspi)} PSPI labels for {len(self.frames)} frames"
             )
-        return np.asarray(self.pspi, dtype=float)
+        return self.pspi
 
 
 @dataclass(frozen=True)

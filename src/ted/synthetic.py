@@ -108,7 +108,7 @@ def make_correlated_dataset(
                     subject_id=subject,
                     sequence_id=f"{q + 1:02d}",
                     frames=frames,
-                    pspi=[float(v) for v in pspi],
+                    pspi=pspi,
                     labels=labels,
                     gender=gender,
                 )
@@ -160,7 +160,7 @@ def make_separable_dataset(
                     subject_id=subject,
                     sequence_id=f"{q + 1:02d}",
                     frames=frames,
-                    pspi=[float(v) for v in pspi],
+                    pspi=pspi,
                     labels=SequenceLabels(vas=5, opi=3),
                     gender="female" if s % 2 == 0 else "male",
                 )
@@ -212,9 +212,7 @@ def write_dataset(records: Sequence[SequenceRecord], out_dir) -> Path:
         if rec.pspi is not None:
             pspi_file = f"{stem}_pspi.csv"
             with open(out_dir / pspi_file, "w", encoding="utf-8") as fh:
-                fh.write("pspi\n")
-                for value in rec.pspi:
-                    fh.write(format(value, ".17g") + "\n")
+                fh.write("pspi\n" + "".join(map("%.17g\n".__mod__, rec.pspi.tolist())))
 
         entries.append(
             ManifestEntry(

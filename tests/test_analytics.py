@@ -206,14 +206,14 @@ class TestEvaluate:
     @pytest.mark.parametrize("n_labels", [8, 12])
     def test_pspi_length_mismatch_rejected(self, n_labels):
         rec = make_random_sequence(10)
-        rec.pspi = [1.0] * n_labels
+        rec.pspi = np.full(n_labels, 1.0)
         with pytest.raises(ComputeError, match=f"{n_labels} PSPI labels for 10 frames"):
             evaluate_dataset([rec], TedConfig(window=2))
 
 
     def test_undefined_subject_left_out_with_finding(self):
         records = _labeled_records()
-        records[1].pspi = [2.0] * len(records[1].pspi)
+        records[1].pspi = np.full_like(records[1].pspi, 2.0)
         findings = []
         result = evaluate_dataset(records, TedConfig(window=2), findings)
         assert [c.subject_id for c in result] == ["S0", "S2"]
@@ -236,7 +236,7 @@ def _labeled_records(n_subjects=3, n_frames=30):
     rng = np.random.default_rng(0)
     for s in range(n_subjects):
         rec = make_random_sequence(n_frames, seed=s, subject=f"S{s}")
-        rec.pspi = [float(v) for v in rng.uniform(0, 16, n_frames)]
+        rec.pspi = rng.uniform(0, 16, n_frames)
         rec.labels = SequenceLabels(vas=s * 2, opi=s)
         rec.gender = "female" if s % 2 == 0 else "male"
         records.append(rec)

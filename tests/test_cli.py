@@ -415,11 +415,8 @@ class TestExitCodes:
         assert code == 4
         assert capsys.readouterr().err == "compute error: sequence P002/01 has no VAS label\n"
 
-    @pytest.mark.parametrize(
-        "command, code", [("score", 0), ("sweep", 0), ("evaluate", 0), ("summarize", 0),
-                          ("interpret", 4)],
-    )
-    def test_repeated_frame_fails_only_interpret(self, tmp_path, capsys, command, code):
+    @pytest.mark.parametrize("command", ["score", "sweep", "evaluate", "summarize", "interpret"])
+    def test_repeated_frame_is_3(self, tmp_path, capsys, command):
         records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
         manifest = write_dataset(records, tmp_path / "ds")
         features = manifest.parent / "P001_01_features.csv"
@@ -427,11 +424,22 @@ class TestExitCodes:
         assert data.count(b"\r\n6,") == 1
         features.write_bytes(data.replace(b"\r\n6,", b"\r\n5,"))  # row 6 repeats frame 5
         extra = {"interpret": ("--trees", "3"), "summarize": ("--no-log",)}.get(command, ())
-        assert run(manifest, tmp_path, command, *extra)[0] == code
-        err = capsys.readouterr().err
-        # every command warns; interpret cannot key two rows by one frame
-        assert "warning: P001/01 frame_index (frame 5): not strictly increasing after 5\n" in err
-        assert ("compute error: sequence P001/01 repeats frame 5" in err) == (code == 4)
+        assert run(manifest, tmp_path, command, *extra)[0] == 3
+        # every row is keyed by (subject, sequence, frame): two rows cannot share a key
+        assert capsys.readouterr().err == (
+            f"input error: {features}: line 7 repeats frame 5 of line 6\n"
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "interpret"])
+    def test_sequence_without_pspi_labels_is_4(self, tmp_path, capsys, command):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        del payload["entries"][1]["pspi_file"]
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        extra = ("--trees", "3") if command == "interpret" else ()
+        assert run(manifest, tmp_path, command, *extra)[0] == 4
+        assert capsys.readouterr().err == "compute error: sequence P002/01 has no PSPI labels\n"
 
     def test_uncovered_manual_au_frame_names_file_and_sequence_is_3(self, tmp_path, capsys):
         records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
@@ -446,6 +454,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"input error: {manual}: manual coding does not cover frame 7 of P002/01\n"
         )
+
+
+class TestRowOrder:
+    def test_scores_keep_file_order_and_predictions_key_order(self, tmp_path, capsys):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        features = manifest.parent / "P001_01_features.csv"
+        data = features.read_bytes()
+        data = data.replace(b"\r\n6,", b"\r\nsix,").replace(b"\r\n7,", b"\r\n6,")
+        features.write_bytes(data.replace(b"\r\nsix,", b"\r\n7,"))  # rows 6 and 7 swap frames
+        file_order = [1, 2, 3, 4, 5, 7, 6, *range(8, 41)]
+
+        def frames(path):
+            with open(path, newline="", encoding="utf-8") as fh:
+                return [int(row["frame"]) for row in csv.DictReader(fh) if row["subject"] == "P001"]
+
+        code, out = run(manifest, tmp_path / "score", "score")
+        assert code == 0
+        assert frames(out / "scores.csv") == file_order
+        code, out = run(manifest, tmp_path / "interpret", "interpret", "--trees", "3")
+        assert code == 0
+        assert frames(out / "predictions.csv") == sorted(file_order)
+        # a frame number that descends without repeating is only a warning
+        warning = "warning: P001/01 frame_index (frame 6): not strictly increasing after 7\n"
+        assert capsys.readouterr().err == 2 * warning
 
 
 class TestSweep:
@@ -891,7 +924,7 @@ class TestUndefinedCorrelation:
         records = make_correlated_dataset(n_subjects=3, n_sequences=2, n_frames=40)
         for rec in records:
             if rec.subject_id in constant:
-                rec.pspi = [0.0] * len(rec.pspi)
+                rec.pspi[:] = 0.0
         return write_dataset(records, tmp_path / "ds")
 
     def test_evaluate_leaves_the_subject_out(self, tmp_path, capsys):

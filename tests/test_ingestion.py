@@ -149,6 +149,15 @@ class TestParseFeatureCsv:
             f"{path}: frame number {float(value)} in column 'frame', line 3 is not {what}"
         )
 
+    def test_repeated_frame_names_both_lines(self, tmp_path):
+        rows = [feature_row(frame) for frame in (2, 1, 2, 1)]
+        path = write_feature_csv(tmp_path / "f.csv", rows)
+        with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError):
+            with pytest.raises(ParseError) as info:
+                parse_feature_csv(path)
+        # the first row, in file order, that repeats an earlier row's frame
+        assert str(info.value) == f"{path}: line 4 repeats frame 2 of line 2"
+
     @pytest.mark.parametrize("field", ["landmark_x", "landmark_y"])
     def test_landmark_without_partner_is_not_read(self, tmp_path, field):
         path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(2)])
@@ -212,6 +221,7 @@ class TestParseFeatureCsv:
             (3, "oops", "non-numeric value 'oops' in column 'x_0', line 4"),
             (1, "nan", "frame number nan in column 'frame', line 4 is not finite"),
             (1, "2.5", "frame number 2.5 in column 'frame', line 4 is not an integer"),
+            (1, "1", "line 4 repeats frame 1 of line 3"),
         ],
     )
     def test_line_numbers_count_physical_lines(self, tmp_path, column, value, message):
@@ -386,9 +396,36 @@ def _outcome(parse, path):
 def _rowwise(parse, path):
     """`parse` with its numpy fast path switched off: the row-wise reader alone."""
     with mock.patch.object(ingestion, "_load_feature_rows", return_value=None), \
-            mock.patch.object(ingestion, "_split_manual_rows", return_value=None), \
-            mock.patch.object(ingestion, "_convert_pspi_lines", return_value=None):
+            mock.patch.object(ingestion, "_split_manual_rows", return_value=None):
         return _outcome(parse, path)
+
+
+def _read_pspi_lines(path, text: str) -> list[float]:
+    """The values of a PSPI file, read line by line: the reference reader."""
+    values: list[float] = []
+    lines = [(number, ln.strip()) for number, ln in enumerate(text.split("\n"), start=1)]
+    lines = [(number, ln) for number, ln in lines if ln]  # numbers stay physical
+    if lines and lines[0][1].lower() == "pspi":
+        lines = lines[1:]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    for number, raw in lines:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric value {raw!r} on line {number}") from None
+        if not 0.0 <= value <= 16.0:
+            raise ParseError(
+                f"{path}: value {value} outside [0, 16] on line {number}"
+            )
+        values.append(value)
+    return values
+
+
+def _reference_pspi(path):
+    """`parse_pspi_file` as the line-by-line reference reader gives it."""
+    with ingestion.read_input(path, None) as fh:
+        return np.array(_read_pspi_lines(path, fh.read()), dtype=np.float64)
 
 
 def _same_arrays(xs, ys):
@@ -407,8 +444,8 @@ def _same_result(a, b):
         )
     if isinstance(a, ManualCodes) and isinstance(b, ManualCodes):
         return _same_arrays(a, b)
-    if isinstance(a, list) and isinstance(b, list):  # PSPI values
-        return {type(v) for v in a + b} == {float} and _same_arrays([np.array(a)], [np.array(b)])
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):  # PSPI values
+        return _same_arrays([a], [b])
     return type(a) is type(b) is tuple and a == b
 
 
@@ -417,7 +454,8 @@ _COLUMN_FIELDS = ("frame_index", "tracking_ok", "geometry", "au_levels")
 
 class TestFastPathsMatchRowWise:
     """numpy's fast paths accept what the row-wise readers accept, with the same
-    values bit for bit, and leave every rejection and its message to them."""
+    values bit for bit, and leave every rejection and its message to them. The
+    one PSPI reader matches the line-by-line reference reader above."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -470,6 +508,7 @@ class TestFastPathsMatchRowWise:
     @example(base=0, edits=[("cell", 1, 0, "nan")])  # a frame number that is not finite
     @example(base=0, edits=[("blank", 99, 0, ""), ("no_final_newline", 0, 0, "")])
     @example(base=0, edits=[("cell", 2, 2, "1" * 140_000)])  # over the csv field limit
+    @example(base=0, edits=[("repeat_row", 2, 0, "")])  # a repeated frame
     def test_feature_csv(self, workdir, base, edits):
         path = workdir / "features.csv"
         path.write_bytes(mutate(_FEATURE_TEXTS[base], edits).encode())
@@ -506,15 +545,15 @@ class TestFastPathsMatchRowWise:
         )
 
     @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"])
-    def test_clean_pspi_files_take_the_fast_path(self, workdir, ends):
+    def test_clean_pspi_files_read_with_every_line_end(self, workdir, ends):
         path = workdir / "clean_pspi.csv"
         path.write_bytes(_PSPI_TEXT.replace("\n", ends).encode())
-        with mock.patch.object(ingestion, "_read_pspi_lines", side_effect=AssertionError):
-            assert len(parse_pspi_file(path)) == 6
+        want = np.array([0.0, 16.0, 2.5, 1 / 3, 15.999999999999998, 7.0])
+        assert _same_result(parse_pspi_file(path), want)
 
     @settings(deadline=None, max_examples=200)
     @given(edits=text_mutations())
-    @example(edits=[("cell", 0, 0, "PSPI")])  # the line-by-line reader takes any case
+    @example(edits=[("cell", 0, 0, "PSPI")])  # a header in any case
     @example(edits=[("blank", 3, 0, ""), ("blank", 0, 0, "")])
     @example(edits=[("crlf", row, 0, "") for row in range(7)])
     @example(edits=[("lone_cr", 2, 0, ""), ("crlf", 4, 0, "")])
@@ -529,7 +568,7 @@ class TestFastPathsMatchRowWise:
     def test_pspi_file(self, workdir, edits):
         path = workdir / "pspi.csv"
         path.write_bytes(mutate(_PSPI_TEXT, edits).encode())
-        assert _same_result(_outcome(parse_pspi_file, path), _rowwise(parse_pspi_file, path))
+        assert _same_result(_outcome(parse_pspi_file, path), _outcome(_reference_pspi, path))
 
 
 def frame_columns(*frames):
@@ -597,12 +636,12 @@ class TestParsePspiFile:
     def test_plain_lines(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("0\n1.5\n16\n", encoding="utf-8")
-        assert parse_pspi_file(path) == [0.0, 1.5, 16.0]
+        assert _same_result(parse_pspi_file(path), np.array([0.0, 1.5, 16.0]))
 
     def test_headed_column(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("pspi\n2\n0\n", encoding="utf-8")
-        assert parse_pspi_file(path) == [2.0, 0.0]
+        assert _same_result(parse_pspi_file(path), np.array([2.0, 0.0]))
 
     def test_out_of_range(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -770,9 +809,9 @@ class TestLoadDataset:
         assert [r.key for r in loaded] == [r.key for r in records]
         for got, want in zip(loaded, records):
             # the writer's 17-significant-digit format round-trips floats exactly:
-            # geometry and AU levels come back bit for bit
+            # geometry, AU levels and PSPI labels come back bit for bit
             assert _same_result(got.frames, want.frames)
-            assert got.pspi == want.pspi
+            assert _same_result(got.pspi, want.pspi)
             assert got.labels == want.labels
             assert got.gender == want.gender
 
@@ -823,7 +862,7 @@ class TestLoadDataset:
         assert str(info.value) == f"cannot read {tmp_path / 'gone.csv'}: No such file or directory"
 
     def test_validation_problems_surface_as_findings(self, tmp_path):
-        write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(1)])
+        write_feature_csv(tmp_path / "f.csv", [feature_row(2), feature_row(1)])
         (tmp_path / "manifest.json").write_text(
             json.dumps(
                 {

@@ -136,7 +136,7 @@ class TestLoso:
             geometry=rec.frames.geometry[perm],
             au_levels=rec.frames.au_levels[perm],
         )
-        swapped = dataclasses.replace(rec, frames=frames, pspi=list(np.array(rec.pspi)[perm]))
+        swapped = dataclasses.replace(rec, frames=frames, pspi=rec.pspi[perm])
         table = build_frame_table([separable[0], swapped, *separable[2:]], PAIN_PROFILE)
         assert table.keys[60 + 10][2] == 12  # the table keeps file order
         result = loso_validate(table, ForestHyperparams(n_trees=5), seed=1)

@@ -133,6 +133,14 @@ class TestFrameColumns:
             dataclasses.replace(cols, au_ids=(4, 70))
 
 
+class TestSequenceRecord:
+    def test_pspi_list_becomes_a_float64_array(self):
+        rec = SequenceRecord("S1", "01", [make_frame(1), make_frame(2)], pspi=[0, 3])
+        assert rec.pspi.dtype == np.float64
+        assert rec.pspi.tolist() == [0.0, 3.0]
+        assert rec.pspi_array() is rec.pspi
+
+
 class TestTedConfig:
     def test_defaults(self):
         cfg = TedConfig()
