@@ -34,10 +34,11 @@ from .model import (
 
 _AU_COLUMN = re.compile(r"^AU(\d+)_r$")
 _LETTER_LEVELS = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0, "E": 5.0}
-# the level of each one-character level cell as the row-wise reader maps it, by
-# ASCII code; NaN for a character it rejects or reads only after stripping
-_LEVEL_OF_BYTE = np.full(128, np.nan)
-_LEVEL_OF_BYTE[np.frombuffer(b"012345ABCDEabcde", np.uint8)] = [0, 1, 2, 3, 4, 5] + [1, 2, 3, 4, 5] * 2
+_JSON_KINDS = {str: "a string", list: "a list of strings", dict: "an object of strings"}
+# the bytes numpy reads as the csv module, int() and float() do: printable ASCII but
+# the quote, and the blanks all of them strip (numpy also strips \x1c-\x1f, and its
+# int parser reads some non-ASCII letters as digits: 'Ǿ2' as 4622)
+_PLAIN_BYTES = bytes(c for c in range(32, 127) if c != 34) + b"\t\n\v\f\r"
 
 
 def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> io.TextIOWrapper:
@@ -120,50 +121,51 @@ class FeatureCsvSchema:
         try:
             with read_input(path, digests) as fh:
                 raw = json.load(fh)
-            return cls(
-                frame=raw["frame"],
-                success=raw["success"],
-                landmark_x=tuple(raw["landmark_x"]),
-                landmark_y=tuple(raw["landmark_y"]),
-                pose_translation=tuple(raw["pose_translation"]),
-                pose_rotation=tuple(raw["pose_rotation"]),
-                gaze_left=tuple(raw["gaze_left"]),
-                gaze_right=tuple(raw["gaze_right"]),
-                au_intensity={int(k): v for k, v in raw["au_intensity"].items()},
-            )
+            fields = {}
+            for key in cls.__dataclass_fields__:
+                kind = {"frame": str, "success": str, "au_intensity": dict}.get(key, list)
+                value = raw[key]
+                if not isinstance(value, kind) or kind is not str and not all(
+                    isinstance(cell, str) for cell in (value.values() if kind is dict else value)
+                ):
+                    raise SchemaError(f"{key} must be {_JSON_KINDS[kind]}")
+                fields[key] = tuple(value) if kind is list else value
+            fields["au_intensity"] = {int(k): v for k, v in raw["au_intensity"].items()}
+            return cls(**fields)
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from None
         except SchemaError as exc:
             raise SchemaError(f"schema file {path}: {exc}") from None
-        except (ValueError, TypeError, AttributeError) as exc:
-            # not JSON, not an object, or a column list that is not a list
+        except (ValueError, TypeError) as exc:
+            # not JSON, not an object, or an au_intensity key that is not an integer
             raise SchemaError(f"schema file {path} is malformed: {exc}") from None
 
 
-def _load_feature_rows(fh, cols: list[int], width: int) -> Optional[np.ndarray]:
-    """The bound columns of the rows after the header, as `np.loadtxt` reads them;
-    None where it fails or where it could accept or read a row the csv reader would not."""
+def _bulk_rows(fh, usecols: Sequence[int], dtype) -> Optional[np.ndarray]:
+    """The rows after the header of `fh`, a `read_input` wrapper, as `np.loadtxt` reads
+    their `usecols` into `dtype`; None where it fails, or where the file has a quote
+    (it can hide commas), a byte outside `_PLAIN_BYTES`, a CR outside a CRLF line end,
+    a line over the csv field limit or a blank line: the row-wise readers read those."""
     data = fh.buffer.getvalue()  # the bytes read_input read
-    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
-    # loadtxt skips blank lines, so every line must come back as a row; a lone \r ends one too
-    lines = breaks.size
-    if b"\r" in data:
-        lines += data.count(b"\r") - data.count(b"\r\n")
-    lines += not data.endswith((b"\n", b"\r"))
-    # the csv reader fails on a cell over its size limit, even one it does not bind
-    longest = np.diff(breaks, prepend=-1, append=len(data)).max()
-    # a quoted cell can hide commas from loadtxt
-    if b'"' in data or lines < 2 or longest > csv.field_size_limit():
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    if lone_cr or data.translate(None, _PLAIN_BYTES):
+        return None
+    text = fh.read()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the file's last line end
+    limit = csv.field_size_limit()  # no line is longer than the text
+    if not lines or len(text) > limit and max(map(len, lines)) > limit:
         return None
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # the header's last column makes a short row fail; no comment character
-            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                usecols=[*cols, width - 1])
+            warnings.simplefilter("error")  # numpy 1.24 only warns on an int cell '2.0'
+            # no comment character; a structured dtype reads an (n, 1) array of records
+            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=2,
+                              usecols=usecols)
     except Exception:  # any failure (float() takes '1_000', loadtxt does not): read row-wise
         return None
-    return values[:, : len(cols)] if len(values) == lines - 1 else None
+    return rows if len(rows) == len(lines) else None  # loadtxt skips a blank line
 
 
 def _read_feature_rows(
@@ -186,12 +188,11 @@ def _read_feature_rows(
                 rows.append([float(cells[i]) for i in cols])
             except ValueError:
                 for column, i in zip(bound, cols):
-                    raw = cells[i].strip()
                     try:
-                        float(raw)
+                        float(cells[i])
                     except ValueError:
                         raise ParseError(
-                            f"{path}: non-numeric value {raw!r} in column {column!r}, "
+                            f"{path}: non-numeric value {cells[i]!r} in column {column!r}, "
                             f"line {line}"
                         ) from None
     if not rows:
@@ -221,12 +222,13 @@ def parse_feature_csv(
             if len(first) < len(header) and (count := header.count(column)) > 1:
                 raise SchemaError(f"{path}: column {column!r} appears {count} times")
             cols.append(first[column])
-        values = _load_feature_rows(fh, cols, len(header))
+        # the header's last column too, so that a short row fails
+        values = _bulk_rows(fh, [*cols, len(header) - 1], np.float64)
         if values is None:
             fh.seek(0)
             values, lines = _read_feature_rows(path, csv.reader(fh), bound, cols, len(header))
         else:  # numpy reads one line a row, after the header
-            lines = range(2, len(values) + 2)
+            values, lines = values[:, :-1], range(2, len(values) + 2)
 
     position = {column: j for j, column in enumerate(bound)}
 
@@ -277,63 +279,35 @@ class ManualCodes(NamedTuple):
     level: np.ndarray  # (r,) float64, each in 0..5
 
 
+# a manual-AU row as numpy reads it: ids the way int() does, the level as float() does
+_MANUAL_ROW = np.dtype([("frame", np.int64), ("au", np.int64), ("level", np.float64)])
+
+
 def parse_manual_au_file(path, digests: Optional[dict[str, str]] = None) -> ManualCodes:
     """Parse frame,au,level rows into columns, in file order; letter grades A-E map
-    to 1-5. numpy splits a plain file; the row-wise reader reads any other."""
+    to 1-5. numpy reads a file with the exact header, AUs in 1..64, whole-number levels
+    in 0..5 and no repeated (frame, AU) pair; the row-wise reader reads any other."""
     with read_input(path, digests, newline="") as fh:
-        text = fh.read()
-    codes = _split_manual_rows(text)
-    return codes if codes is not None else _read_manual_rows(path, text)
+        if fh.readline().rstrip("\r\n") == "frame,au,level" and (
+            rows := _bulk_rows(fh, (0, 1, 2), _MANUAL_ROW)
+        ) is not None:
+            codes = ManualCodes(*(rows[name].ravel() for name in ManualCodes._fields))
+            order = np.lexsort((codes.au, codes.frame))
+            f, a = codes.frame[order], codes.au[order]
+            if (1 <= a.min() <= a.max() <= 64 and np.isin(codes.level, np.arange(6.0)).all()
+                    and not ((f[1:] == f[:-1]) & (a[1:] == a[:-1])).any()):
+                return codes
+        fh.seek(0)
+        return _read_manual_rows(path, fh)
 
 
-def _split_manual_rows(text: str) -> Optional[ManualCodes]:
-    """The codings of a plain file: the exact header, three cells a row, one-character
-    levels, ASCII, no blank lines, and no carriage returns but those of CRLF line
-    ends. None for any other file and for any row the row-wise reader would reject."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    header, _, body = text.partition("\n")
-    if header != "frame,au,level" or not body or "\r" in body or not body.isascii():
-        return None
-    body = body.removesuffix("\n")
-    rows = body.split("\n")
-    marks = np.frombuffer(body.encode(), np.uint8)
-    seps = np.flatnonzero((marks == 44) | (marks == 10))
-    kinds = np.append(marks[seps], 10)  # each row's two commas and its line end
-    if kinds.size != 3 * len(rows) or not (kinds.reshape(-1, 3) == (44, 44, 10)).all():
-        return None  # some row has other than three cells
-    # a row's level cell is the one character between its second comma and its end
-    second = seps[1::3]
-    if (np.append(seps[2::3], marks.size) - second != 2).any():
-        return None
-    level = _LEVEL_OF_BYTE[marks[second + 1]]
-    if np.isnan(level).any():
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.24 only warns on a '2.0' id
-            # a subset of what int() takes, with the same values: not '1_0' or '2.0'
-            ids = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None,
-                             usecols=(0, 1), ndmin=2)
-    except Exception:  # any failure (an id past int64, say): read row-wise
-        return None
-    frame, au = ids.T.copy()
-    if not 1 <= au.min() <= au.max() <= 64:
-        return None
-    order = np.lexsort((au, frame))
-    f, a = frame[order], au[order]
-    if ((f[1:] == f[:-1]) & (a[1:] == a[:-1])).any():
-        return None  # a repeated (frame, AU) pair
-    return ManualCodes(frame, au, level)
-
-
-def _read_manual_rows(path, text: str) -> ManualCodes:
-    """The codings of a manual-AU file, read row-wise."""
+def _read_manual_rows(path, fh) -> ManualCodes:
+    """The codings of a manual-AU file, read row-wise from `fh`."""
     frames: list[int] = []
     au_ids: list[int] = []
     levels: list[float] = []
     seen: set[tuple[int, int]] = set()
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(fh)
     with csv_errors(path, reader.reader) as lines:
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file")

@@ -225,6 +225,30 @@ class TestExitCodes:
             f"schema file {schema}: {key} must name 3 columns, got {len(columns)}"
         )
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("frame", ["frame"], "a string"),
+            ("success", 7, "a string"),
+            ("pose_translation", "xyz", "a list of strings"),
+            ("landmark_x", ["x_0", 1], "a list of strings"),
+            ("au_intensity", {"4": 5}, "an object of strings"),
+        ],
+    )
+    def test_schema_value_of_wrong_json_type_is_3(
+        self, dataset, tmp_path, capsys, key, value, kind
+    ):
+        schema = _write_default_schema(tmp_path / "schema.json")
+        raw = json.loads(schema.read_text(encoding="utf-8"))
+        raw[key] = value
+        schema.write_text(json.dumps(raw), encoding="utf-8")
+        code, out = run(dataset, tmp_path, "score", "--schema", str(schema))
+        assert code == 3
+        assert not (out / "scores.csv").exists()
+        assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+            f"schema file {schema}: {key} must be {kind}"
+        )
+
     @pytest.mark.parametrize("command", ["evaluate", "interpret"])
     @pytest.mark.parametrize("delta", [-5, 5])
     def test_pspi_length_mismatch_is_3(self, tmp_path, capsys, command, delta):
@@ -360,6 +384,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"input error: {path}: line {line}: field larger than field limit" in err
         assert not (out / "interpret.json").exists()
+
+    def test_manual_au_id_over_the_field_limit_is_3(self, tmp_path, capsys):
+        """int() and numpy read the padded frame cell as 1; the csv reader rejects it."""
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        path = manifest.parent / "P002_01_manual_aus.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = " " * 140_000 + lines[2]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out = run(manifest, tmp_path, "score", "--au-source", "manual")
+        assert code == 3
+        assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+            f"input error: {path}: line 3: field larger than field limit (131072)"
+        )
+        assert not (out / "scores.csv").exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",

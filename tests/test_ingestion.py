@@ -208,12 +208,15 @@ class TestParseFeatureCsv:
             write_feature_csv(tmp_path / "g.csv", [feature_row()])
         )[0]
 
-    def test_non_numeric_cell_names_location(self, tmp_path):
-        row = feature_row()
-        row[2] = "oops"
-        path = write_feature_csv(tmp_path / "f.csv", [feature_row(), row])
-        with pytest.raises(ParseError, match="'x_0', line 3"):
+    # float() rejects '\x1c2', though str.strip() and numpy take '\x1c' as a blank
+    @pytest.mark.parametrize("value", ["oops", "\x1c2"])
+    def test_non_numeric_cell_names_location(self, tmp_path, value):
+        row = feature_row(frame=2)
+        row[2] = value
+        path = write_feature_csv(tmp_path / "f.csv", [feature_row(), row, feature_row(frame=3)])
+        with pytest.raises(ParseError) as info:
             parse_feature_csv(path)
+        assert str(info.value) == f"{path}: non-numeric value {value!r} in column 'x_0', line 3"
 
     @pytest.mark.parametrize(
         "column, value, message",
@@ -327,8 +330,9 @@ _FEATURE_TEXTS = tuple(
     )
     for tail in ("", ",AU04_c")
 )
+# whole-number levels, so that edits reach the bulk path; letters are trap cells
 _MANUAL_TEXT = "frame,au,level\n" + "".join(
-    f"{t},{au},{'0123450ABCDEabcde'[(t * au) % 17]}\n" for t in range(1, 5) for au in (4, 6, 43)
+    f"{t},{au},{(t * au) % 6}\n" for t in range(1, 5) for au in (4, 6, 43)
 )
 _PSPI_TEXT = "pspi\n" + "".join(
     f"{v!r}\n" for v in (0.0, 16.0, 2.5, 1 / 3, 15.999999999999998, 7.0)
@@ -339,7 +343,7 @@ _PSPI_TEXT = "pspi\n" + "".join(
 _TRAP_CELLS = [
     "", " ", "abc", "1_000", "١", "nan", "-nan", "inf", "-Infinity", "1e400", "0x1p3",
     "#", "1#2", '"', '"1,2"', '"0,0,0"', " 7 ", "3.0", "2.5", "F", "e", "70", "0", "-1",
-    "99999999999999999999", " 1", "1\x0c",
+    "99999999999999999999", " 1", "1\x0c", "A", "c", "\x1c1",
 ]
 _EDITS = ["blank", "short", "long", "cell", "duplicate_header", "lone_cr", "crlf",
           "repeat_row", "no_final_newline"]
@@ -394,9 +398,8 @@ def _outcome(parse, path):
 
 
 def _rowwise(parse, path):
-    """`parse` with its numpy fast path switched off: the row-wise reader alone."""
-    with mock.patch.object(ingestion, "_load_feature_rows", return_value=None), \
-            mock.patch.object(ingestion, "_split_manual_rows", return_value=None):
+    """`parse` with its numpy bulk path switched off: the row-wise reader alone."""
+    with mock.patch.object(ingestion, "_bulk_rows", return_value=None):
         return _outcome(parse, path)
 
 
@@ -453,9 +456,9 @@ _COLUMN_FIELDS = ("frame_index", "tracking_ok", "geometry", "au_levels")
 
 
 class TestFastPathsMatchRowWise:
-    """numpy's fast paths accept what the row-wise readers accept, with the same
-    values bit for bit, and leave every rejection and its message to them. The
-    one PSPI reader matches the line-by-line reference reader above."""
+    """numpy's bulk path accepts only what the row-wise readers accept, with the
+    same values bit for bit, and leaves every rejection and its message to them.
+    The one PSPI reader matches the line-by-line reference reader above."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -469,7 +472,41 @@ class TestFastPathsMatchRowWise:
         with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError), \
                 mock.patch.object(ingestion, "_read_manual_rows", side_effect=AssertionError):
             assert len(parse_feature_csv(features)) == 5
-            assert len(parse_manual_au_file(manual).frame) == 12
+            codes = parse_manual_au_file(manual)
+        assert len(codes.frame) == 12
+        # letter grades for levels 1-5: read row-wise, to the same values
+        letters = workdir / "letter_aus.csv"
+        head, *rows = _MANUAL_TEXT.splitlines()
+        letters.write_text(
+            "\n".join([head] + [row[:-1] + "0ABCDE"[int(row[-1])] for row in rows]) + "\n",
+            encoding="utf-8",
+        )
+        with mock.patch.object(
+            ingestion, "_read_manual_rows", wraps=ingestion._read_manual_rows
+        ) as rowwise:
+            assert _same_result(parse_manual_au_file(letters), codes)
+        rowwise.assert_called_once()
+
+    @pytest.mark.parametrize("n_rows", [3, 3_000])  # 3,000 feature rows: about 290 KB
+    def test_lone_cr_files_are_read_row_wise(self, workdir, n_rows):
+        """A lone \\r sends a file of any size to the row-wise reader, which reads the
+        values of the same file with \\n line ends."""
+        features = write_feature_csv(
+            workdir / "lf.csv", [feature_row(t) for t in range(1, n_rows + 1)]
+        )
+        manual = workdir / "lf_aus.csv"
+        manual.write_text(
+            "frame,au,level\n" + "".join(f"{t},4,{t % 6}\n" for t in range(1, n_rows + 1)),
+            encoding="utf-8",
+        )
+        for parse, path, reader in [(parse_feature_csv, features, "_read_feature_rows"),
+                                    (parse_manual_au_file, manual, "_read_manual_rows")]:
+            lone_cr = workdir / f"cr_{path.name}"
+            lone_cr.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+            want = parse(path)
+            with mock.patch.object(ingestion, reader, wraps=getattr(ingestion, reader)) as rowwise:
+                assert _same_result(parse(lone_cr), want)
+            rowwise.assert_called_once()
 
     def test_crlf_manual_au_file_takes_the_fast_path(self, workdir):
         path = workdir / "crlf_aus.csv"
@@ -509,6 +546,7 @@ class TestFastPathsMatchRowWise:
     @example(base=0, edits=[("blank", 99, 0, ""), ("no_final_newline", 0, 0, "")])
     @example(base=0, edits=[("cell", 2, 2, "1" * 140_000)])  # over the csv field limit
     @example(base=0, edits=[("repeat_row", 2, 0, "")])  # a repeated frame
+    @example(base=0, edits=[("cell", 2, 5, "\x1c1")])  # a blank to numpy, not to float()
     def test_feature_csv(self, workdir, base, edits):
         path = workdir / "features.csv"
         path.write_bytes(mutate(_FEATURE_TEXTS[base], edits).encode())
@@ -537,6 +575,10 @@ class TestFastPathsMatchRowWise:
     @example(  # two cells, then four that the first row's would take as its own
         edits=[("short", 2, 2, ""), ("cell", 3, 0, "5"), ("cell", 3, 2, "2"), ("long", 3, 0, "1")]
     )
+    @example(edits=[("cell", 2, 0, " " * 140_000 + "1")])  # over the csv field limit
+    @example(edits=[("cell", 2, 2, "-0"), ("cell", 3, 2, "A"), ("cell", 4, 2, "e")])
+    @example(edits=[("cell", 2, 2, "-0"), ("cell", 3, 2, "3.0")])  # whole numbers: bulk
+    @example(edits=[("cell", 2, 0, "\x1c2")])  # a blank to numpy, not to int()
     def test_manual_au_file(self, workdir, edits):
         path = workdir / "aus.csv"
         path.write_bytes(mutate(_MANUAL_TEXT, edits).encode())
