@@ -125,7 +125,6 @@ def _subject_correlations(
     records: Sequence[SequenceRecord],
     dynamics: dict[tuple[str, str], SequenceDynamics],
     window: int,
-    orientation: str,
     findings: list[str],
 ) -> list[SubjectCorrelation]:
     """Score-vs-PSPI correlation per subject, in subject order.
@@ -143,7 +142,7 @@ def _subject_correlations(
         dyn = dynamics[rec.key]
         ok = dyn.tracking_ok
         ts, ps = parts.setdefault(rec.subject_id, ([], []))
-        ts.append(dyn.scores(window, orientation).ted[ok])
+        ts.append(dyn.scores(window).ted[ok])
         ps.append(pspi[ok])
     correlations, undefined = [], []
     for subject, (ts, ps) in sorted(parts.items()):
@@ -166,8 +165,7 @@ def evaluate_dataset(
     """Correlation per subject with a defined one; `findings` gets those left out."""
     dynamics = dataset_dynamics(records, cfg)
     return _subject_correlations(
-        records, dynamics, cfg.window, cfg.window_orientation,
-        [] if findings is None else findings,
+        records, dynamics, cfg.window, [] if findings is None else findings
     )
 
 
@@ -216,9 +214,7 @@ def window_ablation(
     results, findings = [], []
     for window in sorted(set(windows)):
         undefined: list[str] = []
-        subjects = tuple(
-            _subject_correlations(records, dynamics, window, cfg.window_orientation, undefined)
-        )
+        subjects = tuple(_subject_correlations(records, dynamics, window, undefined))
         findings += [f"window {window}: {finding}" for finding in undefined]
         pccs = np.array([s.pcc for s in subjects])
         results.append(

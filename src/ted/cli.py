@@ -251,6 +251,8 @@ def cmd_summarize(args, records, cfg, out_dir, digests) -> dict:
 
 
 def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     hyperparams = ForestHyperparams(
         n_trees=args.trees,
         max_depth=args.max_depth,

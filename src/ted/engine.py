@@ -137,28 +137,11 @@ def _trailing_means(products: np.ndarray, window: int) -> np.ndarray:
     """M per frame (length len(products)+1, index 0 is the reference frame)."""
     m = products.size
     out = np.zeros(m + 1)
-    if m == 0:
-        return out
     k = min(window, m)
     out[1 : k + 1] = np.cumsum(products[:k]) / np.arange(1, k + 1)
     if m > window:
         sums = _window_sums(products, window)
         out[window + 1 :] = sums[1:] / window
-    return out
-
-
-def _forward_means(products: np.ndarray, window: int) -> np.ndarray:
-    """Forward-window variant: M at frame i averages the next `window` products."""
-    m = products.size
-    out = np.zeros(m + 1)
-    if m == 0:
-        return out
-    full = m - window + 1
-    if full > 0:
-        out[1 : full + 1] = _window_sums(products, window) / window
-    start = max(full, 0)
-    tail = products[start:]
-    out[start + 1 :] = np.cumsum(tail[::-1])[::-1] / np.arange(tail.size, 0, -1)
     return out
 
 
@@ -187,6 +170,7 @@ class SequenceDynamics:
         self.frame_indices = cols.frame_index
         self.tracking_ok = cols.tracking_ok
         self.enabled = sorted(cfg.feature_sets, key=FEATURE_SETS.index)
+        self.forward = cfg.window_orientation == "forward"
 
         levels = cols.stream("I", cfg.profile.au_ids)
         bad = (levels < 0.0) | (levels > 5.0) | ~np.isfinite(levels)
@@ -214,13 +198,16 @@ class SequenceDynamics:
             step = np.diff(mat, axis=0)
             self.products[fs] = _direction_signs(step) * _relative_changes(mat, step)
 
-    def scores(self, window: int, orientation: str) -> SequenceScores:
+    def scores(self, window: int) -> SequenceScores:
         """The moving averages of the enabled streams at `window`, and the scores."""
-        roll = _trailing_means if orientation == "trailing" else _forward_means
         dynamics = np.zeros((len(self.static), len(FEATURE_SETS)))
         prod = np.ones(len(self.static))
         for fs in self.enabled:
-            means = roll(self.products[fs], window)
+            if self.forward:  # the trailing means of the reversed products, read back
+                means = _trailing_means(self.products[fs][::-1], window)
+                means[1:] = means[:0:-1]
+            else:
+                means = _trailing_means(self.products[fs], window)
             dynamics[1:, FEATURE_SETS.index(fs)] = means[1:]
             prod *= means
         prod[0] = 0.0  # reference frame has no dynamics
@@ -235,7 +222,7 @@ class SequenceDynamics:
 
 def score_sequence(seq: SequenceRecord, cfg: TedConfig) -> list[ScoredFrame]:
     """Per-frame view of one sequence's scores; output length equals input length."""
-    s = SequenceDynamics(seq, cfg).scores(cfg.window, cfg.window_orientation)
+    s = SequenceDynamics(seq, cfg).scores(cfg.window)
     return [
         ScoredFrame(
             frame_index=frame,
@@ -271,10 +258,7 @@ def score_dataset(
     records: Sequence[SequenceRecord], cfg: TedConfig
 ) -> dict[tuple[str, str], SequenceScores]:
     """Score arrays of every sequence, in key order."""
-    return {
-        key: dyn.scores(cfg.window, cfg.window_orientation)
-        for key, dyn in dataset_dynamics(records, cfg).items()
-    }
+    return {key: dyn.scores(cfg.window) for key, dyn in dataset_dynamics(records, cfg).items()}
 
 
 # the dynamics columns follow SequenceScores.dynamics, in FEATURE_SETS order

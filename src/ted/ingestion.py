@@ -130,14 +130,19 @@ class FeatureCsvSchema:
                 ):
                     raise SchemaError(f"{key} must be {_JSON_KINDS[kind]}")
                 fields[key] = tuple(value) if kind is list else value
-            fields["au_intensity"] = {int(k): v for k, v in raw["au_intensity"].items()}
+            au_intensity = fields["au_intensity"] = {}
+            for key, column in raw["au_intensity"].items():
+                try:
+                    au_intensity[int(key)] = column
+                except ValueError:
+                    raise SchemaError(f"au_intensity must be keyed by integers, got {key!r}")
             return cls(**fields)
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from None
         except SchemaError as exc:
             raise SchemaError(f"schema file {path}: {exc}") from None
         except (ValueError, TypeError) as exc:
-            # not JSON, not an object, or an au_intensity key that is not an integer
+            # not JSON, or not an object
             raise SchemaError(f"schema file {path} is malformed: {exc}") from None
 
 
@@ -429,9 +434,7 @@ def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetMani
                 )
             gender = item.get("gender", "unspecified")
             if gender not in GENDERS:
-                raise ManifestError(
-                    f"manifest entry {i}: unknown gender {gender!r}"
-                )
+                raise ManifestError(f"manifest {path}: entry {i}: unknown gender {gender!r}")
             paths = [item["feature_file"], item.get("pspi_file"), item.get("manual_au_file")]
             if not all(isinstance(p, str) or (j and p is None) for j, p in enumerate(paths)):
                 raise TypeError("file paths must be strings")
@@ -447,16 +450,16 @@ def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetMani
                 )
             )
         except KeyError as exc:
-            raise ManifestError(f"manifest entry {i} missing field {exc}") from None
+            raise ManifestError(f"manifest {path}: entry {i} missing field {exc}") from None
         except (AttributeError, TypeError) as exc:
             # an entry or its labels not an object, a label not an integer, a path not a string
-            raise ManifestError(f"manifest entry {i} is malformed: {exc}") from None
+            raise ManifestError(f"manifest {path}: entry {i} is malformed: {exc}") from None
         except ConfigError as exc:  # a label out of range
-            raise ConfigError(f"manifest entry {i}: {exc}") from None
+            raise ConfigError(f"manifest {path}: entry {i}: {exc}") from None
     try:
         return DatasetManifest(entries, base_dir=path.parent)
     except Exception as exc:
-        raise ManifestError(str(exc)) from None
+        raise ManifestError(f"manifest {path}: {exc}") from None
 
 
 def manifest_to_json(manifest: DatasetManifest) -> dict:

@@ -163,7 +163,7 @@ def join_labels(table: FrameTable, external: Predictions, path) -> tuple[Predict
     row_of = {key: row for row, key in enumerate(table.keys)}
     rows = np.array([row_of.get(key, -1) for key in external.keys], dtype=np.intp)
     if (rows < 0).any():
-        key = external.keys[np.argmax(rows < 0)]
+        key = "{}/{} frame {}".format(*external.keys[np.argmax(rows < 0)])
         raise ComputeError(f"{path}: external prediction {key} not in dataset")
     return external._replace(label_pain=table.y[rows] == 1), rows
 
@@ -306,6 +306,7 @@ def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> Pred
                 key = (row["subject"], row["sequence"], frame)
                 first = first_line.setdefault(key, line)
                 if first != line:
-                    raise ParseError(f"{path}: line {line} repeats frame {key} of line {first}")
+                    raise ParseError("{}: line {} repeats {}/{} frame {} of line {}".format(
+                        path, line, *key, first))
                 confidences.append(confidence)
     return Predictions(list(first_line), np.array(confidences, dtype=float))

@@ -280,7 +280,7 @@ class DatasetManifest:
     def __post_init__(self):
         keys = [(e.subject_id, e.sequence_id) for e in self.entries]
         if len(set(keys)) != len(keys):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
+            dupes = ", ".join(f"{s}/{q}" for s, q in sorted({k for k in keys if keys.count(k) > 1}))
             raise ConfigError(f"duplicate (subject, sequence) entries: {dupes}")
 
 

@@ -159,24 +159,34 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "labels, code, message",
+        "edit, code, message",
         [
-            ({"vas": 3.7}, 3, "input error: manifest entry 1 is malformed: "
-                              "vas label 3.7 is not an integer"),
-            ({"opi": "2"}, 3, "input error: manifest entry 1 is malformed: "
-                              "opi label '2' is not an integer"),
-            ({"vas": 11}, 2, "config error: manifest entry 1: vas label 11 outside [0, 10]"),
+            (lambda es: es[1].update(labels={"vas": 3.7}), 3,
+             "input error: manifest {}: entry 1 is malformed: vas label 3.7 is not an integer"),
+            (lambda es: es[1].update(labels={"opi": "2"}), 3,
+             "input error: manifest {}: entry 1 is malformed: opi label '2' is not an integer"),
+            (lambda es: es[1].update(labels={"vas": 11}), 2,
+             "config error: manifest {}: entry 1: vas label 11 outside [0, 10]"),
+            (lambda es: es[1].pop("sequence_id"), 3,
+             "input error: manifest {}: entry 1 missing field 'sequence_id'"),
+            (lambda es: es[1].update(pspi_file=3), 3,
+             "input error: manifest {}: entry 1 is malformed: file paths must be strings"),
+            (lambda es: es[1].update(gender="x"), 3,
+             "input error: manifest {}: entry 1: unknown gender 'x'"),
+            (lambda es: es.append(dict(es[0])), 3,
+             "input error: manifest {}: duplicate (subject, sequence) entries: P001/01"),
         ],
-        ids=["fraction", "string", "out-of-range"],
+        ids=["fraction", "string", "out-of-range", "missing-field", "path-type", "gender",
+             "duplicate"],
     )
-    def test_bad_manifest_label(self, tmp_path, capsys, labels, code, message):
+    def test_bad_manifest_entry(self, tmp_path, capsys, edit, code, message):
         records = make_separable_dataset(n_subjects=2, n_sequences=1, n_frames=40, seed=7)
         manifest = write_dataset(records, tmp_path / "ds")
         payload = json.loads(manifest.read_text(encoding="utf-8"))
-        payload["entries"][1]["labels"] = labels
+        edit(payload["entries"])
         manifest.write_text(json.dumps(payload), encoding="utf-8")
         assert run(manifest, tmp_path, "summarize")[0] == code
-        assert capsys.readouterr().err == message + "\n"
+        assert capsys.readouterr().err == message.format(manifest) + "\n"
 
     def test_empty_feature_sets_is_2(self, dataset, tmp_path):
         code, _ = run(dataset, tmp_path, "score", "--feature-sets", "")
@@ -233,6 +243,7 @@ class TestExitCodes:
             ("pose_translation", "xyz", "a list of strings"),
             ("landmark_x", ["x_0", 1], "a list of strings"),
             ("au_intensity", {"4": 5}, "an object of strings"),
+            ("au_intensity", {"x": "AU04_r"}, "keyed by integers, got 'x'"),
         ],
     )
     def test_schema_value_of_wrong_json_type_is_3(
@@ -307,7 +318,7 @@ class TestExitCodes:
         code, _ = run(dataset, tmp_path / "audit", "interpret", "--predictions", str(preds))
         assert code == 3
         err = capsys.readouterr().err
-        assert f"{preds}: line 122 repeats frame ('P001', '01', 1) of line 2" in err
+        assert f"{preds}: line 122 repeats P001/01 frame 1 of line 2" in err
 
     @pytest.mark.parametrize(
         "name", ["manifest.json", "P002_01_features.csv", "P002_01_manual_aus.csv",
@@ -408,6 +419,7 @@ class TestExitCodes:
             ("--max-depth", "-1", "max_depth must be >= 0, got -1"),
             ("--min-samples-leaf", "-3", "min_samples_leaf must be >= 1, got -3"),
             ("--min-samples-leaf", "0", "min_samples_leaf must be >= 1, got 0"),
+            ("--seed", "-1", "--seed must be >= 0, got -1"),
         ],
     )
     def test_bad_forest_argument_is_2(self, dataset, tmp_path, capsys, flag, value, message):
@@ -424,6 +436,24 @@ class TestExitCodes:
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra, result", [("score", (), "scores.csv"),
+                                   ("sweep", ("--windows", "3,5"), "ablation.json")]
+    )
+    def test_forward_orientation_is_the_same_across_jobs(
+        self, dataset, tmp_path, command, extra, result
+    ):
+        runs = {}
+        for orientation, jobs in (("forward", "1"), ("forward", "8"), ("trailing", "1")):
+            code, out = run(dataset, tmp_path / f"{orientation}-{jobs}", command,
+                            "--orientation", orientation, "--jobs", jobs, *extra)
+            assert code == 0
+            runs[orientation, jobs] = _artifacts(out)
+        forward = runs["forward", "1"]
+        assert forward["run_metadata.json"]["config"]["window_orientation"] == "forward"
+        assert forward == runs["forward", "8"]
+        assert forward[result] != runs["trailing", "1"][result]
+
     def test_compute_error_is_4(self, dataset, tmp_path, capsys):
         # external predictions referencing frames outside the dataset
         preds = tmp_path / "preds.csv"
@@ -433,7 +463,7 @@ class TestExitCodes:
         code, _ = run(dataset, tmp_path, "interpret", "--predictions", str(preds))
         assert code == 4
         assert capsys.readouterr().err == (
-            f"compute error: {preds}: external prediction ('ZZ', '99', 1) not in dataset\n"
+            f"compute error: {preds}: external prediction ZZ/99 frame 1 not in dataset\n"
         )
 
     def test_summarize_non_positive_score_is_4(self, dataset, tmp_path, capsys):
@@ -791,14 +821,19 @@ class TestStartup:
             ), command
 
 
+def _run_full_analysis():
+    script = Path(__file__).parent.parent / "scripts" / "run_full_analysis.py"
+    spec = importlib.util.spec_from_file_location("run_full_analysis", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestRunFullAnalysis:
     def test_loads_once_and_matches_separate_runs(self, tmp_path, monkeypatch):
         records = make_separable_dataset(n_subjects=3, n_sequences=2, n_frames=40, seed=3)
         manifest = write_dataset(records, tmp_path / "ds")
-        script = Path(__file__).parent.parent / "scripts" / "run_full_analysis.py"
-        spec = importlib.util.spec_from_file_location("run_full_analysis", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = _run_full_analysis()
         loads = []
         monkeypatch.setattr(
             ted.cli, "load_dataset", lambda *a, **k: loads.append(a) or load_dataset(*a, **k)
@@ -820,6 +855,15 @@ class TestRunFullAnalysis:
             assert main([command, *common, "--out", str(alone), *extra]) == 0
             assert _artifacts(tmp_path / "all" / command) == _artifacts(alone), command
         assert len(loads) == 1 + len(stages)
+
+    def test_negative_seed_is_2(self, tmp_path, capsys):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=3)
+        manifest = write_dataset(records, tmp_path / "ds")
+        args = [str(manifest), str(tmp_path / "all"), "--seed", "-1"]
+        assert _run_full_analysis().main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error: --seed must be >= 0, got -1" in err
+        assert "interpret failed with exit code 2" in err
 
 
 def _artifacts(out_dir):

@@ -272,11 +272,29 @@ class TestScoreSequence:
         cfg = TedConfig(window=6, window_orientation="forward")
         seq = make_random_sequence(30, seed=13)
         dyn = SequenceDynamics(seq, cfg)
-        dynamics = dyn.scores(6, "forward").dynamics
+        dynamics = dyn.scores(6).dynamics
         for fs in dyn.enabled:
             means = dynamics[:, FEATURE_SETS.index(fs)]
             want = _naive_forward_means(list(dyn.products[fs]), 6)
             assert np.allclose(means, want, rtol=1e-12, atol=1e-12)
+
+    @given(st.integers(1, 60), st.integers(1, 80), st.integers(0, 2**16))
+    @example(n_frames=1, window=1, seed=0)
+    @example(n_frames=2, window=1, seed=1)
+    @example(n_frames=30, window=31, seed=2)  # windows longer than the sequence
+    @example(n_frames=40, window=80, seed=3)
+    @example(n_frames=60, window=59, seed=4)
+    @settings(deadline=None)
+    def test_forward_means_match_naive(self, n_frames, window, seed):
+        seq = make_random_sequence(n_frames, seed=seed)
+        dyn = SequenceDynamics(seq, TedConfig(window_orientation="forward"))
+        s = dyn.scores(window)
+        assert (s.dynamics[0] == 0.0).all()  # frame 1 is the reference frame
+        assert s.ted[0] == s.static[0]
+        for fs in dyn.enabled:
+            want = _naive_forward_means(dyn.products[fs].tolist(), window)
+            assert np.allclose(s.dynamics[:, FEATURE_SETS.index(fs)], want,
+                               rtol=1e-12, atol=1e-12)
 
     def test_window_larger_than_sequence(self):
         cfg = TedConfig(window=500)

@@ -821,14 +821,18 @@ class TestManifest:
         path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
         with pytest.raises(ConfigError) as info:
             load_manifest(path)
-        assert str(info.value) == "manifest entry 1: vas label 11 outside [0, 10]"
+        assert str(info.value) == f"manifest {path}: entry 1: vas label 11 outside [0, 10]"
 
     def test_duplicate_entries(self, tmp_path):
-        entry = {"subject_id": "S1", "sequence_id": "01", "feature_file": "f.csv"}
+        entries = [{"subject_id": s, "sequence_id": "01", "feature_file": "f.csv"}
+                   for s in ("S2", "S1", "S2", "S3", "S1")]
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"entries": [entry, entry]}), encoding="utf-8")
-        with pytest.raises(ManifestError, match="duplicate"):
+        path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+        with pytest.raises(ManifestError) as info:
             load_manifest(path)
+        assert str(info.value) == (
+            f"manifest {path}: duplicate (subject, sequence) entries: S1/01, S2/01"
+        )
 
 
 @pytest.fixture(scope="module")

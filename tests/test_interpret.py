@@ -338,7 +338,7 @@ class TestJoinLabels:
         external = Predictions([table.keys[0], ("ZZ", "99", 1)], np.array([0.7, 0.7]))
         with pytest.raises(ComputeError) as info:
             join_labels(table, external, "p.csv")
-        assert str(info.value) == "p.csv: external prediction ('ZZ', '99', 1) not in dataset"
+        assert str(info.value) == "p.csv: external prediction ZZ/99 frame 1 not in dataset"
 
 
 class TestPredictionsCsv:
@@ -369,7 +369,7 @@ class TestPredictionsCsv:
         "rows, message",
         [
             ("S1,01,1,0.5\n\nS1,01,2,1.5\n", "confidence outside [0, 1] on line 4"),
-            ("\nS1,01,1,0.5\n\nS1,01,1,0.6\n", "line 5 repeats frame ('S1', '01', 1) of line 3"),
+            ("\nS1,01,1,0.5\n\nS1,01,1,0.6\n", "line 5 repeats S1/01 frame 1 of line 3"),
         ],
     )
     def test_line_numbers_count_blank_lines(self, tmp_path, rows, message):
