@@ -5,13 +5,14 @@ Scores every frame, sweeps the dynamics window, correlates scores against
 PSPI per subject, summarizes by label group, and trains/validates the pain
 classifier — each step into its own subdirectory of the output directory.
 The dataset is read once and shared by all five steps; each step writes what
-`ted <step>` would write and fails with the same exit code.
+`ted <step>` would write and fails with the same exit code. Every step's
+arguments are checked before the first step reads an input.
 """
 
 import argparse
 import sys
 
-from ted.cli import build_parser, exit_code, load_inputs, run_command
+from ted.cli import build_parser, check_arguments, exit_code, load_inputs, run_command
 
 
 def main(argv=None) -> int:
@@ -49,6 +50,11 @@ def main(argv=None) -> int:
         ),
         ("interpret", ["--seed", str(args.seed)]),
     ]
+    parser = build_parser()
+    runs = [
+        (command, parser.parse_args([command, *common, "--out", f"{args.out}/{command}", *extra]))
+        for command, extra in steps
+    ]
     loaded = []
 
     def run_step(step_args) -> None:
@@ -56,14 +62,18 @@ def main(argv=None) -> int:
             loaded.extend(load_inputs(step_args))
         run_command(step_args, *loaded)
 
-    for command, extra in steps:
-        print(f"== {command} ==")
-        step_args = build_parser().parse_args(
-            [command, *common, "--out", f"{args.out}/{command}", *extra]
-        )
-        code = exit_code(lambda: run_step(step_args))
+    def failed(command, step) -> int:
+        code = exit_code(step)
         if code != 0:
             print(f"{command} failed with exit code {code}", file=sys.stderr)
+        return code
+
+    for command, step_args in runs:
+        if code := failed(command, lambda: check_arguments(step_args)):
+            return code
+    for command, step_args in runs:
+        print(f"== {command} ==")
+        if code := failed(command, lambda: run_step(step_args)):
             return code
     return 0
 

@@ -24,6 +24,8 @@ def pearson(x, y) -> float:
         raise ComputeError(f"series length mismatch: {x.size} vs {y.size}")
     if x.size < 3:
         raise ComputeError(f"need at least 3 points, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ComputeError("correlation undefined for a non-finite series")
     # a power-of-two scale is exact and keeps the means and sums of squares in normal range
     x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])

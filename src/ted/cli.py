@@ -25,7 +25,8 @@ from .errors import ComputeError, ConfigError, ParseError
 from .ingestion import FeatureCsvSchema, load_dataset, load_manifest
 from .interpret import AgreementThresholds, build_frame_table, write_predictions_csv
 from .forest import ForestHyperparams
-from .model import BUILTIN_PROFILES, FEATURE_SETS, AuProfile, TedConfig, overall_profile
+from .model import BUILTIN_PROFILES, FEATURE_SETS, PAIN_PROFILE, AuProfile, TedConfig
+from .model import overall_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,11 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_profile(name: str, records) -> AuProfile:
+def _resolve_profile(name: str) -> AuProfile:
     if name in BUILTIN_PROFILES:
         return BUILTIN_PROFILES[name]
-    if name == "overall":
-        return overall_profile(records)
     try:
         au_ids = tuple(int(tok) for tok in name.split(",") if tok.strip())
     except ValueError:
@@ -143,31 +142,57 @@ def _resolve_profile(name: str, records) -> AuProfile:
     return AuProfile("custom", au_ids)
 
 
-def load_inputs(args):
-    """Records, config and input digests (SHA-256 per path read) of one run."""
+def check_arguments(args) -> TedConfig:
+    """The run's config, from every argument check that reads no file.
+
+    Sets `args.window_lengths` (sweep) and `args.hyperparams` (interpret).
+    An overall profile comes from the data: `load_inputs` puts it in.
+    """
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    digests: dict[str, str] = {}
-    schema = FeatureCsvSchema.from_json(args.schema, digests) if args.schema else None
-    manifest = load_manifest(args.manifest, digests)
-    # every profile but 'overall' resolves before the dataset is read
-    profile = None if args.profile == "overall" else _resolve_profile(args.profile, [])
-    if args.au_source == "manual" and profile is None:
+    overall = args.profile == "overall"
+    if overall and args.au_source == "manual":
         raise ConfigError("the overall profile requires --au-source predicted")
-    records, findings = load_dataset(
-        manifest, schema=schema, au_source=args.au_source, profile=profile, digests=digests
-    )
-    _warn(findings)
-    profile = profile or _resolve_profile(args.profile, records)
     cfg = TedConfig(
         window=args.w,
         window_orientation=args.orientation,
-        profile=profile,
-        au_source=args.au_source,
-        feature_sets=frozenset(
-            fs.strip() for fs in args.feature_sets.split(",") if fs.strip()
-        ),
+        profile=PAIN_PROFILE if overall else _resolve_profile(args.profile),
+        feature_sets=frozenset(fs.strip() for fs in args.feature_sets.split(",") if fs.strip()),
     )
+    if args.command == "sweep":
+        args.window_lengths = []
+        for tok in filter(str.strip, args.windows.split(",")):
+            try:
+                window = int(tok)
+            except ValueError:
+                window = 0  # not a window length either: the same message names it
+            if window < 1:
+                raise ConfigError(f"--windows: window must be >= 1, got {tok.strip()!r}")
+            args.window_lengths.append(window)
+        if not args.window_lengths:
+            raise ConfigError(f"--windows: no window length in {args.windows!r}")
+    elif args.command == "interpret":
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        args.hyperparams = ForestHyperparams(
+            args.trees, args.max_depth, args.min_samples_leaf, args.stratified_bootstrap
+        )
+    return cfg
+
+
+def load_inputs(args):
+    """Records, config and input digests (SHA-256 per path read) of one run."""
+    cfg = check_arguments(args)
+    digests: dict[str, str] = {}
+    schema = FeatureCsvSchema.from_json(args.schema, digests) if args.schema else None
+    manifest = load_manifest(args.manifest, digests)
+    overall = args.profile == "overall"
+    records, findings = load_dataset(
+        manifest, schema, args.au_source, None if overall else cfg.profile, digests
+    )
+    _warn(findings)
+    if overall:
+        cfg = dataclasses.replace(cfg, profile=overall_profile(records))
     return records, cfg, digests
 
 
@@ -186,7 +211,8 @@ def _write_metadata(args, cfg: TedConfig, out_dir: Path, extra: dict, digests: d
     metadata = {
         "artifact_version": __version__,
         "command": args.command,
-        "config": {**dataclasses.asdict(cfg), "feature_sets": sorted(cfg.feature_sets), **extra},
+        "config": {**dataclasses.asdict(cfg), "au_source": args.au_source,
+                   "feature_sets": sorted(cfg.feature_sets), **extra},
         "input_digests": names,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -206,23 +232,12 @@ def cmd_score(args, records, cfg, out_dir, digests) -> dict:
 
 
 def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
-    windows = []
-    for tok in filter(str.strip, args.windows.split(",")):
-        try:
-            window = int(tok)
-        except ValueError:
-            window = 0  # not a window length either: the same message names it
-        if window < 1:
-            raise ConfigError(f"--windows: window must be >= 1, got {tok.strip()!r}")
-        windows.append(window)
-    if not windows:
-        raise ConfigError(f"--windows: no window length in {args.windows!r}")
-    report = window_ablation(records, cfg, windows)
+    report = window_ablation(records, cfg, args.window_lengths)
     _warn(report.findings)
     _dump_json(report.to_dict(), out_dir / "ablation.json")
     (out_dir / "ablation.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     print(report.to_text())
-    return {"windows": sorted(set(windows))}
+    return {"windows": sorted(set(args.window_lengths))}
 
 
 def cmd_evaluate(args, records, cfg, out_dir, digests) -> dict:
@@ -251,14 +266,6 @@ def cmd_summarize(args, records, cfg, out_dir, digests) -> dict:
 
 
 def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    hyperparams = ForestHyperparams(
-        n_trees=args.trees,
-        max_depth=args.max_depth,
-        min_samples_leaf=args.min_samples_leaf,
-        stratified_bootstrap=args.stratified_bootstrap,
-    )
     scores = score_dataset(records, cfg)
     table = build_frame_table(records, cfg.profile, pspi_threshold=args.pspi_threshold)
     ted = np.concatenate([s.ted for s in scores.values()])  # in the frame table's row order
@@ -270,7 +277,7 @@ def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
         findings = ["external predictions: no LOSO F1 computed"]
         loso = interpret.LosoResult({}, float("nan"), predictions, rows, findings)
     else:
-        loso = interpret.loso_validate(table, hyperparams=hyperparams, seed=args.seed)
+        loso = interpret.loso_validate(table, hyperparams=args.hyperparams, seed=args.seed)
     agreement = interpret.agreement_analysis(loso.predictions, ted[loso.rows], thresholds)
     payload = {
         "per_subject_f1": loso.per_subject_f1,
@@ -304,7 +311,7 @@ _COMMANDS = {
 
 
 def run_command(args, records, cfg, digests) -> None:
-    """Run `args.command` on loaded inputs; write its outputs and run_metadata.json."""
+    """Run `args.command` on checked arguments and loaded inputs; write its outputs."""
     out_dir = Path(args.out or os.environ.get("TED_OUTPUT_DIR") or "ted-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     extra = _COMMANDS[args.command](args, records, cfg, out_dir, digests)

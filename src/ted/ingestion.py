@@ -132,10 +132,10 @@ class FeatureCsvSchema:
                 fields[key] = tuple(value) if kind is list else value
             au_intensity = fields["au_intensity"] = {}
             for key, column in raw["au_intensity"].items():
-                try:
-                    au_intensity[int(key)] = column
-                except ValueError:
+                # only the form str(int) writes: "04", "6_0" or " 7" would misread silently
+                if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
                     raise SchemaError(f"au_intensity must be keyed by integers, got {key!r}")
+                au_intensity[int(key)] = column
             return cls(**fields)
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from None
@@ -494,19 +494,26 @@ def load_dataset(
     digests: Optional[dict[str, str]] = None,
 ) -> tuple[list[SequenceRecord], list[str]]:
     """Materialize all manifest entries; soft problems come back as findings."""
+    # the AU-source rules are checked before the first file is read
+    if au_source not in ("manual", "predicted"):
+        raise ConfigError(f"unknown AU source {au_source!r}")
+    if au_source == "predicted" and profile is not None and 43 in profile.au_ids:
+        raise ConfigError("predicted AU source cannot score AU 43; use the pain_predicted profile")
+    if au_source == "manual":
+        if profile is None:
+            raise ConfigError("manual AU source requires a profile")
+        for entry in manifest.entries:
+            if entry.manual_au_file_path is None:
+                raise ManifestError(
+                    f"{entry.subject_id}/{entry.sequence_id}: manual AU source "
+                    "requested but no manual_au_file in manifest"
+                )
     base = manifest.base_dir
     records: list[SequenceRecord] = []
     findings: list[str] = []
     for entry in manifest.entries:
         frames = parse_feature_csv(base / entry.feature_file_path, schema, digests)
         if au_source == "manual":
-            if entry.manual_au_file_path is None:
-                raise ManifestError(
-                    f"{entry.subject_id}/{entry.sequence_id}: manual AU source "
-                    "requested but no manual_au_file in manifest"
-                )
-            if profile is None:
-                raise ManifestError("manual AU source requires a profile")
             manual_path = base / entry.manual_au_file_path
             manual = parse_manual_au_file(manual_path, digests)
             try:

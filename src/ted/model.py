@@ -159,12 +159,11 @@ class FrameColumns:
 
 @dataclass(frozen=True)
 class TedConfig:
-    """Scoring configuration: window, profile and feature-stream selection."""
+    """Scoring configuration: window, orientation, profile and feature-stream selection."""
 
     window: int = 10
     window_orientation: str = "trailing"  # or "forward"
     profile: AuProfile = PAIN_PROFILE
-    au_source: str = "manual"  # or "predicted"
     feature_sets: frozenset[str] = frozenset(FEATURE_SETS)
 
     def __post_init__(self):
@@ -174,8 +173,6 @@ class TedConfig:
             raise ConfigError(
                 f"unknown window orientation {self.window_orientation!r}"
             )
-        if self.au_source not in ("manual", "predicted"):
-            raise ConfigError(f"unknown AU source {self.au_source!r}")
         fs = frozenset(self.feature_sets)
         if not fs:
             raise ConfigError("at least one feature set must be enabled")
@@ -183,11 +180,6 @@ class TedConfig:
         if unknown:
             raise ConfigError(f"unknown feature sets: {sorted(unknown)}")
         object.__setattr__(self, "feature_sets", fs)
-        if self.au_source == "predicted" and 43 in self.profile.au_ids:
-            raise ConfigError(
-                "predicted AU source cannot score AU 43; "
-                "use the pain_predicted profile"
-            )
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,16 @@ class TestPearson:
         with pytest.raises(ComputeError, match="constant"):
             pearson([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_series_rejected(self, bad, position, side):
+        series = [1.0, 2.0, 4.0]
+        series[position] = bad
+        x, y = (series, [1.0, 2.0, 3.0]) if side == "x" else ([1.0, 2.0, 3.0], series)
+        with pytest.raises(ComputeError, match="non-finite"):
+            pearson(x, y)
+
     def test_too_short_rejected(self):
         with pytest.raises(ComputeError, match="at least 3"):
             pearson([1, 2], [1, 2])

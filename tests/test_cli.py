@@ -196,6 +196,58 @@ class TestExitCodes:
         code, _ = run(dataset, tmp_path, "score", "--au-source", "predicted")
         assert code == 2
 
+    def test_overall_profile_with_predicted_source_keeps_au43(self, dataset, tmp_path):
+        """`overall` holds only AUs the files have a column for, so the AU 43 rule skips it."""
+        code, out = run(dataset, tmp_path, "score", "--au-source", "predicted",
+                        "--profile", "overall")
+        assert code == 0
+        config = json.loads((out / "run_metadata.json").read_text())["config"]
+        assert config["au_source"] == "predicted"
+        assert config["profile"] == {"name": "overall", "au_ids": [4, 6, 9, 10, 25, 43]}
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("score", "--w", "0"), "window must be >= 1, got 0"),
+            (("score", "--feature-sets", "X"), "unknown feature sets: ['X']"),
+            (("score", "--au-source", "predicted"),
+             "predicted AU source cannot score AU 43; use the pain_predicted profile"),
+            (("score", "--profile", "overall"),
+             "the overall profile requires --au-source predicted"),
+            (("sweep", "--windows", "0"), "--windows: window must be >= 1, got '0'"),
+            (("interpret", "--seed", "-1"), "--seed must be >= 0, got -1"),
+            (("interpret", "--trees", "0"), "n_trees must be >= 1, got 0"),
+            (("interpret", "--max-depth", "-1"), "max_depth must be >= 0, got -1"),
+            (("interpret", "--min-samples-leaf", "0"), "min_samples_leaf must be >= 1, got 0"),
+        ],
+        ids=["w", "feature-sets", "predicted-au43", "overall-manual", "windows", "seed",
+             "trees", "max-depth", "min-samples-leaf"],
+    )
+    def test_config_error_reads_no_data_file(
+        self, dataset, tmp_path, capsys, open_recorder, args, message
+    ):
+        with open_recorder.recording() as opened:
+            code, out = run(dataset, tmp_path, *args)
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+        assert _data_files_opened(dataset, opened) == []
+
+    def test_missing_manual_au_file_reads_no_data_file(self, tmp_path, capsys, open_recorder):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        del payload["entries"][-1]["manual_au_file"]
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+        with open_recorder.recording() as opened:
+            code, out = run(manifest, tmp_path, "score")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "input error: P003/01: manual AU source requested but no manual_au_file in manifest\n"
+        )
+        assert not out.exists()
+        assert _data_files_opened(manifest, opened) == []
+
     def test_missing_manifest_is_3(self, tmp_path):
         code = main(
             ["score", "--manifest", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -244,6 +296,9 @@ class TestExitCodes:
             ("landmark_x", ["x_0", 1], "a list of strings"),
             ("au_intensity", {"4": 5}, "an object of strings"),
             ("au_intensity", {"x": "AU04_r"}, "keyed by integers, got 'x'"),
+            ("au_intensity", {"4": "AU04_r", "04": "AU06_r"}, "keyed by integers, got '04'"),
+            ("au_intensity", {"6_0": "AU04_r"}, "keyed by integers, got '6_0'"),
+            ("au_intensity", {" 7": "AU04_r"}, "keyed by integers, got ' 7'"),
         ],
     )
     def test_schema_value_of_wrong_json_type_is_3(
@@ -758,6 +813,12 @@ class TestOneRunPath:
         assert not any("manual" in path for path in opened)
 
 
+def _data_files_opened(manifest, opened):
+    """The feature, manual-AU and PSPI files among the `opened` paths."""
+    data = {str(path) for path in manifest.parent.iterdir() if path.suffix == ".csv"}
+    return [path for path in opened if path in data]
+
+
 class _OpenRecorder:
     """Paths of the files this process opens while recording.
 
@@ -856,14 +917,17 @@ class TestRunFullAnalysis:
             assert _artifacts(tmp_path / "all" / command) == _artifacts(alone), command
         assert len(loads) == 1 + len(stages)
 
-    def test_negative_seed_is_2(self, tmp_path, capsys):
+    def test_negative_seed_is_2(self, tmp_path, capsys, open_recorder):
         records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=3)
         manifest = write_dataset(records, tmp_path / "ds")
         args = [str(manifest), str(tmp_path / "all"), "--seed", "-1"]
-        assert _run_full_analysis().main(args) == 2
-        err = capsys.readouterr().err
-        assert "config error: --seed must be >= 0, got -1" in err
-        assert "interpret failed with exit code 2" in err
+        with open_recorder.recording() as opened:
+            assert _run_full_analysis().main(args) == 2
+        assert capsys.readouterr().err == (
+            "config error: --seed must be >= 0, got -1\ninterpret failed with exit code 2\n"
+        )
+        assert not (tmp_path / "all").exists()
+        assert _data_files_opened(manifest, opened) == []
 
 
 def _artifacts(out_dir):

@@ -25,6 +25,7 @@ from ted.model import (
     DatasetManifest,
     FrameColumns,
     ManifestEntry,
+    PAIN_PREDICTED_PROFILE,
     PAIN_PROFILE,
     SequenceLabels,
 )
@@ -891,6 +892,39 @@ class TestLoadDataset:
                 au_source="manual",
                 profile=PAIN_PROFILE,
             )
+
+    def test_predicted_source_cannot_score_eye_closure(self, dataset_dir):
+        out, records = dataset_dir
+        manifest = load_manifest(out / "manifest.json")
+        with pytest.raises(ConfigError, match="cannot score AU 43"):
+            load_dataset(manifest, au_source="predicted", profile=PAIN_PROFILE)
+        loaded, _ = load_dataset(manifest, au_source="predicted", profile=PAIN_PREDICTED_PROFILE)
+        assert [r.key for r in loaded] == [r.key for r in records]
+
+    @pytest.mark.parametrize("au_source, profile, error, message", [
+        ("guessed", None, ConfigError, "unknown AU source 'guessed'"),
+        ("predicted", PAIN_PROFILE, ConfigError,
+         "predicted AU source cannot score AU 43; use the pain_predicted profile"),
+        ("manual", None, ConfigError, "manual AU source requires a profile"),
+        ("manual", PAIN_PROFILE, ManifestError,
+         "S2/01: manual AU source requested but no manual_au_file in manifest"),
+    ], ids=["unknown-source", "predicted-au43", "manual-no-profile", "manual-no-file"])
+    def test_au_source_rules_come_before_any_read(
+        self, tmp_path, au_source, profile, error, message
+    ):
+        entries = [
+            {"subject_id": s, "sequence_id": "01", "feature_file": f"{s}.csv",
+             "manual_au_file": f"{s}_manual.csv", "pspi_file": f"{s}_pspi.csv"}
+            for s in ("S1", "S2")
+        ]
+        del entries[-1]["manual_au_file"]  # only the last entry lacks its manual codings
+        (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}), "utf-8")
+        manifest = load_manifest(tmp_path / "manifest.json")
+        with mock.patch.object(ingestion, "parse_feature_csv") as parse:
+            with pytest.raises(error) as info:
+                load_dataset(manifest, au_source=au_source, profile=profile)
+        assert str(info.value) == message
+        parse.assert_not_called()
 
     def test_missing_feature_file(self, tmp_path):
         (tmp_path / "manifest.json").write_text(

@@ -157,10 +157,6 @@ class TestTedConfig:
         with pytest.raises(ConfigError):
             TedConfig(window_orientation="centered")
 
-    def test_rejects_unknown_au_source(self):
-        with pytest.raises(ConfigError):
-            TedConfig(au_source="guessed")
-
     def test_rejects_empty_feature_sets(self):
         with pytest.raises(ConfigError):
             TedConfig(feature_sets=frozenset())
@@ -169,10 +165,10 @@ class TestTedConfig:
         with pytest.raises(ConfigError):
             TedConfig(feature_sets=frozenset({"L", "Z"}))
 
-    def test_predicted_source_cannot_score_eye_closure(self):
-        with pytest.raises(ConfigError):
-            TedConfig(au_source="predicted", profile=PAIN_PROFILE)
-        TedConfig(au_source="predicted", profile=PAIN_PREDICTED_PROFILE)
+    def test_fields_are_what_scoring_reads(self):
+        assert [f.name for f in dataclasses.fields(TedConfig)] == [
+            "window", "window_orientation", "profile", "feature_sets"
+        ]
 
 
 class TestSequenceLabels:
