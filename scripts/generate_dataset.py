@@ -10,6 +10,7 @@ interpretation pipeline).
 import argparse
 import sys
 
+from ted.ingestion import integer
 from ted.synthetic import make_correlated_dataset, make_separable_dataset, write_dataset
 
 
@@ -19,10 +20,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
     parser.add_argument("out", help="output directory")
     parser.add_argument("--preset", choices=list(presets), default="correlated")
-    parser.add_argument("--subjects", dest="n_subjects", type=int)
-    parser.add_argument("--sequences", dest="n_sequences", type=int)
-    parser.add_argument("--frames", dest="n_frames", type=int)
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--subjects", dest="n_subjects", type=integer)
+    parser.add_argument("--sequences", dest="n_sequences", type=integer)
+    parser.add_argument("--frames", dest="n_frames", type=integer)
+    parser.add_argument("--seed", type=integer)
     args = vars(parser.parse_args(argv))
 
     out = args.pop("out")

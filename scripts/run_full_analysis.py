@@ -13,13 +13,14 @@ import argparse
 import sys
 
 from ted.cli import build_parser, check_arguments, exit_code, load_inputs, run_command
+from ted.ingestion import integer
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("manifest", help="dataset manifest JSON")
     parser.add_argument("out", help="output directory")
-    parser.add_argument("--w", type=int, default=10)
+    parser.add_argument("--w", type=integer, default=10)
     parser.add_argument("--profile", default="pain")
     parser.add_argument("--au-source", choices=["manual", "predicted"], default="manual")
     parser.add_argument("--scale", choices=["VAS", "OPI"], default="VAS")
@@ -28,8 +29,8 @@ def main(argv=None) -> int:
         action="store_true",
         help="summarize raw scores instead of natural-log scores",
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--seed", type=integer, default=0)
+    parser.add_argument("--jobs", type=integer, default=1)
     args = parser.parse_args(argv)
 
     common = [

@@ -22,7 +22,7 @@ from .analytics import (
 )
 from .engine import score_dataset, write_scores_csv
 from .errors import ComputeError, ConfigError, ParseError
-from .ingestion import FeatureCsvSchema, load_dataset, load_manifest
+from .ingestion import FeatureCsvSchema, integer, load_dataset, load_manifest
 from .interpret import AgreementThresholds, build_frame_table, write_predictions_csv
 from .forest import ForestHyperparams
 from .model import BUILTIN_PROFILES, FEATURE_SETS, PAIN_PROFILE, AuProfile, TedConfig
@@ -44,7 +44,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="output directory (default: $TED_OUTPUT_DIR or ./ted-out)",
     )
-    parser.add_argument("--w", type=int, default=10, help="dynamics window length")
+    parser.add_argument("--w", type=integer, default=10, help="dynamics window length")
     parser.add_argument(
         "--orientation",
         choices=["trailing", "forward"],
@@ -65,7 +65,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         default=",".join(FEATURE_SETS),
         help="comma-separated subset of L,Ho,Hr,Gl,Gr,I",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="workers (stages run serially)")
+    parser.add_argument("--jobs", type=integer, default=1, help="workers (stages run serially)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interpret", help="pain classifier LOSO + agreement analysis")
     _add_common_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-samples-leaf", type=int, default=1)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--trees", type=integer, default=100)
+    p.add_argument("--max-depth", type=integer, default=None)
+    p.add_argument("--min-samples-leaf", type=integer, default=1)
     p.add_argument("--stratified-bootstrap", action="store_true")
     p.add_argument("--pspi-threshold", type=float, default=0.0)
     p.add_argument("--ted-high", type=float, default=100.0)
@@ -134,7 +134,7 @@ def _resolve_profile(name: str) -> AuProfile:
     if name in BUILTIN_PROFILES:
         return BUILTIN_PROFILES[name]
     try:
-        au_ids = tuple(int(tok) for tok in name.split(",") if tok.strip())
+        au_ids = tuple(integer(tok.strip()) for tok in name.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"unknown profile {name!r}") from None
     if not au_ids:
@@ -163,7 +163,7 @@ def check_arguments(args) -> TedConfig:
         args.window_lengths = []
         for tok in filter(str.strip, args.windows.split(",")):
             try:
-                window = int(tok)
+                window = integer(tok.strip())
             except ValueError:
                 window = 0  # not a window length either: the same message names it
             if window < 1:
@@ -171,9 +171,16 @@ def check_arguments(args) -> TedConfig:
             args.window_lengths.append(window)
         if not args.window_lengths:
             raise ConfigError(f"--windows: no window length in {args.windows!r}")
+    elif args.command == "summarize" and args.plot_data is not None:
+        # written into --out, so a name only: a directory part could point anywhere
+        if args.plot_data in ("", ".", "..") or os.path.basename(args.plot_data) != args.plot_data:
+            raise ConfigError(f"--plot-data must be a file name, got {args.plot_data!r}")
     elif args.command == "interpret":
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        for flag in ("pspi_threshold", "ted_high", "conf_low", "ted_low", "conf_high"):
+            if np.isnan(getattr(args, flag)):  # inf stays: --ted-high inf flags nothing
+                raise ConfigError(f"--{flag.replace('_', '-')} must be a number, got nan")
         args.hyperparams = ForestHyperparams(
             args.trees, args.max_depth, args.min_samples_leaf, args.stratified_bootstrap
         )

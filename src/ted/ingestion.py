@@ -41,6 +41,14 @@ _JSON_KINDS = {str: "a string", list: "a list of strings", dict: "an object of s
 _PLAIN_BYTES = bytes(c for c in range(32, 127) if c != 34) + b"\t\n\v\f\r"
 
 
+def integer(text: str) -> int:
+    """The integer `text` spells in the one form str(int) writes: "04", "6_0", "+5" and
+    " 7" would misread silently. A ValueError otherwise, so argparse can name the flag."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> io.TextIOWrapper:
     """The file as `open(path, encoding="utf-8", newline=newline)` reads it, from one
     read of its bytes; their SHA-256 goes into `digests` (if given) under the path."""
@@ -63,7 +71,8 @@ def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> 
 def csv_errors(path, reader):
     """`reader`, a csv reader (a DictReader's is its `.reader`), with a line it cannot
     split (a cell over its size limit, say) reported as a ParseError naming the file
-    and line. Its `line_num` counts physical lines, blank ones included."""
+    and line. Its `line_num` counts physical lines, blank ones included. Readers are
+    strict: a quote left open is an error, not a cell holding every line after it."""
     try:
         yield reader
     except csv.Error as exc:
@@ -132,10 +141,10 @@ class FeatureCsvSchema:
                 fields[key] = tuple(value) if kind is list else value
             au_intensity = fields["au_intensity"] = {}
             for key, column in raw["au_intensity"].items():
-                # only the form str(int) writes: "04", "6_0" or " 7" would misread silently
-                if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+                try:
+                    au_intensity[integer(key)] = column
+                except ValueError:
                     raise SchemaError(f"au_intensity must be keyed by integers, got {key!r}")
-                au_intensity[int(key)] = column
             return cls(**fields)
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from None
@@ -211,7 +220,7 @@ def parse_feature_csv(
     """Parse one tracker-export CSV into frame columns, in file order. numpy parses the
     rows; the row-wise reader reruns wherever it fails or could read a row differently."""
     with read_input(path, digests, newline="") as fh:
-        with csv_errors(path, csv.reader(fh)) as reader:
+        with csv_errors(path, csv.reader(fh, strict=True)) as reader:
             header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: empty file")
@@ -231,7 +240,8 @@ def parse_feature_csv(
         values = _bulk_rows(fh, [*cols, len(header) - 1], np.float64)
         if values is None:
             fh.seek(0)
-            values, lines = _read_feature_rows(path, csv.reader(fh), bound, cols, len(header))
+            reader = csv.reader(fh, strict=True)
+            values, lines = _read_feature_rows(path, reader, bound, cols, len(header))
         else:  # numpy reads one line a row, after the header
             values, lines = values[:, :-1], range(2, len(values) + 2)
 
@@ -312,7 +322,7 @@ def _read_manual_rows(path, fh) -> ManualCodes:
     au_ids: list[int] = []
     levels: list[float] = []
     seen: set[tuple[int, int]] = set()
-    reader = csv.DictReader(fh)
+    reader = csv.DictReader(fh, strict=True)
     with csv_errors(path, reader.reader) as lines:
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file")
@@ -457,33 +467,9 @@ def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetMani
         except ConfigError as exc:  # a label out of range
             raise ConfigError(f"manifest {path}: entry {i}: {exc}") from None
     try:
-        return DatasetManifest(entries, base_dir=path.parent)
+        return DatasetManifest(entries, path)
     except Exception as exc:
         raise ManifestError(f"manifest {path}: {exc}") from None
-
-
-def manifest_to_json(manifest: DatasetManifest) -> dict:
-    entries = []
-    for e in manifest.entries:
-        item: dict = {
-            "subject_id": e.subject_id,
-            "sequence_id": e.sequence_id,
-            "feature_file": e.feature_file_path,
-        }
-        if e.pspi_file_path:
-            item["pspi_file"] = e.pspi_file_path
-        if e.manual_au_file_path:
-            item["manual_au_file"] = e.manual_au_file_path
-        if e.labels is not None:
-            item["labels"] = {
-                k: getattr(e.labels, k)
-                for k in ("vas", "sen", "aff", "opi")
-                if getattr(e.labels, k) is not None
-            }
-        if e.gender != "unspecified":
-            item["gender"] = e.gender
-        entries.append(item)
-    return {"entries": entries}
 
 
 def load_dataset(
@@ -505,10 +491,10 @@ def load_dataset(
         for entry in manifest.entries:
             if entry.manual_au_file_path is None:
                 raise ManifestError(
-                    f"{entry.subject_id}/{entry.sequence_id}: manual AU source "
-                    "requested but no manual_au_file in manifest"
+                    f"manifest {manifest.path}: {entry.subject_id}/{entry.sequence_id}: "
+                    "manual AU source requested but no manual_au_file"
                 )
-    base = manifest.base_dir
+    base = manifest.path.parent
     records: list[SequenceRecord] = []
     findings: list[str] = []
     for entry in manifest.entries:

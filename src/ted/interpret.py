@@ -49,7 +49,7 @@ class Prediction:
     @property
     def scenario(self) -> str:
         if self.label_pain is None:
-            raise ComputeError(f"prediction {self.key} has no ground truth")
+            raise ComputeError("prediction {}/{} frame {} has no ground truth".format(*self.key))
         pain = self.confidence_pain >= CONFIDENCE_THRESHOLD
         if self.label_pain:
             return "TP" if pain else "type2"
@@ -87,7 +87,8 @@ def build_frame_table(
             raise ComputeError(f"sequence {'/'.join(rec.key)} repeats frame {repeat}")
         keys += [(rec.subject_id, rec.sequence_id, frame) for frame in frames.tolist()]
     if not keys:
-        raise ComputeError("no labeled frames")
+        # an empty dataset names no subject, so the message names the cause
+        raise ComputeError("no labeled frames" + ("" if records else ": dataset has no sequences"))
     return FrameTable(
         keys=keys,
         X=np.concatenate([rec.frames.stream("I", profile.au_ids) for rec in records]),
@@ -229,7 +230,9 @@ def agreement_analysis(
     if not isinstance(predictions, Predictions):
         for pred in predictions:
             if pred.key not in ted:
-                raise ComputeError(f"prediction {pred.key} has no expressiveness score")
+                raise ComputeError(
+                    "prediction {}/{} frame {} has no expressiveness score".format(*pred.key)
+                )
         ted = np.array([ted[p.key] for p in predictions], dtype=float)
         predictions = Predictions(
             [p.key for p in predictions],
@@ -284,7 +287,7 @@ def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> Pred
     confidences = []
     first_line: dict[FrameKey, int] = {}  # the keys in file order
     with read_input(path, digests, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, strict=True)
         with csv_errors(path, reader.reader) as lines:
             required = {"subject", "sequence", "frame", "confidence_pain"}
             if reader.fieldnames is None or not required <= set(reader.fieldnames):

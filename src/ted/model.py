@@ -267,7 +267,7 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
-    base_dir: Path = Path(".")  # manifest file paths are relative to this
+    path: Path = Path("manifest.json")  # entry file paths are relative to its directory
 
     def __post_init__(self):
         keys = [(e.subject_id, e.sequence_id) for e in self.entries]

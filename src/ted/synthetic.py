@@ -10,19 +10,12 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ingestion import FeatureCsvSchema, manifest_to_json
-from .model import (
-    DatasetManifest,
-    FrameColumns,
-    ManifestEntry,
-    PAIN_PROFILE,
-    SequenceLabels,
-    SequenceRecord,
-)
+from .ingestion import FeatureCsvSchema
+from .model import FrameColumns, PAIN_PROFILE, SequenceLabels, SequenceRecord
 
 
 def burst_envelope(n_frames: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,6 +46,19 @@ def _motion_stream(rng: np.random.Generator, env: np.ndarray, dim: int) -> np.nd
     noise = rng.normal(0.0, 1.0, (n, dim)) * sigma[:, None]
     ramp = np.cumsum(env * sigma * 3.0 * np.sqrt(2.0 / dim))
     return base[None, :] + noise + ramp[:, None]
+
+
+def _sequence(subject, q, geometry, levels, pspi, labels, gender) -> SequenceRecord:
+    """Sequence q (from 0) of a subject: frames numbered from 1, all tracked, pain-profile AUs."""
+    n_frames = len(geometry)
+    frames = FrameColumns(
+        frame_index=np.arange(1, n_frames + 1),
+        tracking_ok=np.ones(n_frames, dtype=bool),
+        geometry=geometry,
+        au_ids=PAIN_PROFILE.au_ids,
+        au_levels=levels,
+    )
+    return SequenceRecord(subject, f"{q + 1:02d}", frames, pspi, labels, gender)
 
 
 def make_correlated_dataset(
@@ -88,31 +94,16 @@ def make_correlated_dataset(
                 0.0,
                 5.0,
             )
-            frames = FrameColumns(
-                frame_index=np.arange(1, n_frames + 1),
-                tracking_ok=np.ones(n_frames, dtype=bool),
-                # the L, Ho, Hr, Gl and Gr streams, drawn in that order
-                geometry=np.concatenate(
-                    [_motion_stream(rng, env, d) for d in (2 * n_landmarks, 3, 3, 3, 3)], axis=1
-                ),
-                au_ids=PAIN_PROFILE.au_ids,
-                au_levels=levels,
+            # the L, Ho, Hr, Gl and Gr streams, drawn in that order
+            geometry = np.concatenate(
+                [_motion_stream(rng, env, d) for d in (2 * n_landmarks, 3, 3, 3, 3)], axis=1
             )
             peak = float(env.max())
             labels = SequenceLabels(
                 vas=min(10, int(round(peak * 10))),
                 opi=min(5, int(round(peak * 5))),
             )
-            records.append(
-                SequenceRecord(
-                    subject_id=subject,
-                    sequence_id=f"{q + 1:02d}",
-                    frames=frames,
-                    pspi=pspi,
-                    labels=labels,
-                    gender=gender,
-                )
-            )
+            records.append(_sequence(subject, q, geometry, levels, pspi, labels, gender))
     return records
 
 
@@ -144,26 +135,14 @@ def make_separable_dataset(
                 landmarks[t] = rng.normal(0.0, 1.0, (n_landmarks, 2))
                 for v, scale in enumerate((1.0, 0.1, 0.2, 0.2)):
                     vectors[v, t] = rng.normal(0.0, scale, 3)
-            frames = FrameColumns(
-                frame_index=np.arange(1, n_frames + 1),
-                tracking_ok=np.ones(n_frames, dtype=bool),
-                # x coordinates, then y coordinates, then the four 3-vectors
-                geometry=np.concatenate(
-                    [landmarks.transpose(0, 2, 1).reshape(n_frames, 2 * n_landmarks), *vectors],
-                    axis=1,
-                ),
-                au_ids=PAIN_PROFILE.au_ids,
-                au_levels=levels,
+            # x coordinates, then y coordinates, then the four 3-vectors
+            geometry = np.concatenate(
+                [landmarks.transpose(0, 2, 1).reshape(n_frames, 2 * n_landmarks), *vectors],
+                axis=1,
             )
+            gender = "female" if s % 2 == 0 else "male"
             records.append(
-                SequenceRecord(
-                    subject_id=subject,
-                    sequence_id=f"{q + 1:02d}",
-                    frames=frames,
-                    pspi=pspi,
-                    labels=SequenceLabels(vas=5, opi=3),
-                    gender="female" if s % 2 == 0 else "male",
-                )
+                _sequence(subject, q, geometry, levels, pspi, SequenceLabels(vas=5, opi=3), gender)
             )
     return records
 
@@ -208,28 +187,21 @@ def write_dataset(records: Sequence[SequenceRecord], out_dir) -> Path:
                 for au, level in zip(au_ids, row)
             ))
 
-        pspi_file = None
+        # the entry load_manifest reads, with only the fields this record sets
+        entry = {"subject_id": rec.subject_id, "sequence_id": rec.sequence_id,
+                 "feature_file": feature_file, "manual_au_file": manual_file}
         if rec.pspi is not None:
-            pspi_file = f"{stem}_pspi.csv"
-            with open(out_dir / pspi_file, "w", encoding="utf-8") as fh:
+            entry["pspi_file"] = f"{stem}_pspi.csv"
+            with open(out_dir / entry["pspi_file"], "w", encoding="utf-8") as fh:
                 fh.write("pspi\n" + "".join(map("%.17g\n".__mod__, rec.pspi.tolist())))
-
-        entries.append(
-            ManifestEntry(
-                subject_id=rec.subject_id,
-                sequence_id=rec.sequence_id,
-                feature_file_path=feature_file,
-                pspi_file_path=pspi_file,
-                manual_au_file_path=manual_file,
-                labels=rec.labels,
-                gender=rec.gender,
-            )
-        )
+        if rec.labels is not None:
+            entry["labels"] = {k: v for k, v in vars(rec.labels).items() if v is not None}
+        if rec.gender != "unspecified":
+            entry["gender"] = rec.gender
+        entries.append(entry)
 
     manifest_path = out_dir / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            manifest_to_json(DatasetManifest(entries)), fh, indent=2, sort_keys=True
-        )
+        json.dump({"entries": entries}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest_path

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -219,9 +220,34 @@ class TestExitCodes:
             (("interpret", "--trees", "0"), "n_trees must be >= 1, got 0"),
             (("interpret", "--max-depth", "-1"), "max_depth must be >= 0, got -1"),
             (("interpret", "--min-samples-leaf", "0"), "min_samples_leaf must be >= 1, got 0"),
+            # a list entry is an integer as str(int) writes it, blanks around it aside
+            (("sweep", "--windows", "3_0,+5"), "--windows: window must be >= 1, got '3_0'"),
+            (("sweep", "--windows", "3, +5"), "--windows: window must be >= 1, got '+5'"),
+            (("score", "--au-source", "predicted", "--profile", "4,6_0"),
+             "unknown profile '4,6_0'"),
+            (("score", "--au-source", "predicted", "--profile", "04, 6"),
+             "unknown profile '04, 6'"),
+            (("interpret", "--pspi-threshold", "nan"),
+             "--pspi-threshold must be a number, got nan"),
+            (("interpret", "--ted-high", "nan", "--conf-low", "nan"),
+             "--ted-high must be a number, got nan"),
+            (("interpret", "--conf-low", "nan"), "--conf-low must be a number, got nan"),
+            (("interpret", "--ted-low", "NaN"), "--ted-low must be a number, got nan"),
+            (("interpret", "--conf-high", "NAN"), "--conf-high must be a number, got nan"),
+            (("summarize", "--plot-data", "sub/x.csv"),
+             "--plot-data must be a file name, got 'sub/x.csv'"),
+            (("summarize", "--plot-data", "x.csv/"),
+             "--plot-data must be a file name, got 'x.csv/'"),
+            (("summarize", "--plot-data", ""), "--plot-data must be a file name, got ''"),
+            (("summarize", "--plot-data", "."), "--plot-data must be a file name, got '.'"),
+            (("summarize", "--plot-data", ".."), "--plot-data must be a file name, got '..'"),
         ],
         ids=["w", "feature-sets", "predicted-au43", "overall-manual", "windows", "seed",
-             "trees", "max-depth", "min-samples-leaf"],
+             "trees", "max-depth", "min-samples-leaf", "windows-underscore", "windows-plus",
+             "profile-underscore", "profile-leading-zero", "pspi-threshold-nan",
+             "ted-high-and-conf-low-nan", "conf-low-nan", "ted-low-nan", "conf-high-nan",
+             "plot-data-subdir", "plot-data-trailing-slash", "plot-data-empty", "plot-data-dot",
+             "plot-data-dotdot"],
     )
     def test_config_error_reads_no_data_file(
         self, dataset, tmp_path, capsys, open_recorder, args, message
@@ -233,6 +259,60 @@ class TestExitCodes:
         assert not out.exists()
         assert _data_files_opened(dataset, opened) == []
 
+    def test_absolute_plot_data_path_is_2(self, dataset, tmp_path, capsys, open_recorder):
+        target = tmp_path / "elsewhere.csv"
+        with open_recorder.recording() as opened:
+            code, out = run(dataset, tmp_path, "summarize", "--plot-data", str(target))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --plot-data must be a file name, got {str(target)!r}\n"
+        )
+        assert not out.exists() and not target.exists()
+        assert _data_files_opened(dataset, opened) == []
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("score", "--w"), ("score", "--jobs"), ("interpret", "--seed"), ("interpret", "--trees"),
+         ("interpret", "--max-depth"), ("interpret", "--min-samples-leaf")],
+    )
+    @pytest.mark.parametrize("value", ["1_0", "+5", " 7", "04"])
+    def test_integer_flag_spelled_otherwise_is_2(
+        self, dataset, tmp_path, capsys, open_recorder, command, flag, value
+    ):
+        """int() reads each value (as 10, 5, 7 and 4); a flag takes only the form it writes."""
+        with open_recorder.recording() as opened, pytest.raises(SystemExit) as exc:
+            run(dataset, tmp_path, command, flag, value)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ted {command}: error: argument {flag}: invalid integer value: {value!r}"
+        )
+        assert not (tmp_path / "out").exists()
+        assert _data_files_opened(dataset, opened) == []
+
+    def test_blanks_around_list_entries_are_read(self, dataset, tmp_path):
+        code, out = run(dataset, tmp_path / "sweep", "sweep", "--windows", " 3, 5 ")
+        assert code == 0
+        metadata = json.loads((out / "run_metadata.json").read_text())
+        assert metadata["config"]["windows"] == [3, 5]
+        code, out = run(dataset, tmp_path / "score", "score", "--au-source", "predicted",
+                        "--profile", "4, 6")
+        assert code == 0
+        metadata = json.loads((out / "run_metadata.json").read_text())
+        assert metadata["config"]["profile"] == {"name": "custom", "au_ids": [4, 6]}
+
+    def test_infinite_threshold_is_a_number(self, dataset, tmp_path):
+        """--ted-high inf flags no frame for a high score, where 0 flags some."""
+
+        def high_flags(ted_high):
+            code, out = run(dataset, tmp_path / ted_high, "interpret", "--trees", "5",
+                            "--ted-high", ted_high, "--conf-low", "1")
+            assert code == 0
+            flags = json.loads((out / "interpret.json").read_text())["flags"]
+            return sum(flag["reason"] == "high score, low confidence" for flag in flags)
+
+        assert high_flags("0") > 0
+        assert high_flags("inf") == 0
+
     def test_missing_manual_au_file_reads_no_data_file(self, tmp_path, capsys, open_recorder):
         records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
         manifest = write_dataset(records, tmp_path / "ds")
@@ -243,7 +323,8 @@ class TestExitCodes:
             code, out = run(manifest, tmp_path, "score")
         assert code == 3
         assert capsys.readouterr().err == (
-            "input error: P003/01: manual AU source requested but no manual_au_file in manifest\n"
+            f"input error: manifest {manifest}: P003/01: manual AU source requested but no "
+            "manual_au_file\n"
         )
         assert not out.exists()
         assert _data_files_opened(manifest, opened) == []
@@ -929,6 +1010,18 @@ class TestRunFullAnalysis:
         assert not (tmp_path / "all").exists()
         assert _data_files_opened(manifest, opened) == []
 
+    @pytest.mark.parametrize("flag", ["--w", "--seed", "--jobs"])
+    def test_integer_flag_spelled_otherwise_is_2(self, tmp_path, capsys, flag):
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=3)
+        manifest = write_dataset(records, tmp_path / "ds")
+        with pytest.raises(SystemExit) as exc:
+            _run_full_analysis().main([str(manifest), str(tmp_path / "all"), flag, "1_0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument {flag}: invalid integer value: '1_0'"
+        )
+        assert not (tmp_path / "all").exists()
+
 
 def _artifacts(out_dir):
     """Every output file's bytes; run_metadata.json without its timestamp."""
@@ -1053,14 +1146,29 @@ class TestInputFuzz:
     @settings(deadline=None, max_examples=150)
     @given(mutation=input_file_mutations())
     def test_exit_code_is_documented(self, clean, mutation):
+        """An exit 3's last stderr line names the mutated file; an exit 4's names a file,
+        a subject or a sequence. stderr is redirected, since hypothesis refuses the
+        function-scoped capsys."""
         target, *edit = mutation
         with tempfile.TemporaryDirectory() as tmp:
             ds = Path(tmp) / "ds"
             shutil.copytree(clean, ds)
             path = ds / _FUZZ_FILES[target]
             path.write_bytes(_mutate(path.read_bytes(), *edit))
-            code = self.run_interpret(ds, Path(tmp) / "out")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = self.run_interpret(ds, Path(tmp) / "out")
         assert code in (0, 2, 3, 4)
+        last = (stderr.getvalue().splitlines() or [""])[-1]
+        if code == 3:
+            # a manifest entry's own file path may be what is wrong: then the path it
+            # names, under the dataset's directory, is the file the message names
+            assert str(ds if target == "manifest" else path) in last, last
+        elif code == 4:
+            # a file, a subject or a sequence (its key starts with the subject), or the
+            # cause when the dataset has no subject to name
+            named = [str(ds), "P001", "P002", "P003", "dataset has no sequences"]
+            assert any(name in last for name in named), last
 
 
 class TestUndefinedCorrelation:

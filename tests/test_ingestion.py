@@ -14,15 +14,14 @@ from ted.ingestion import (
     FeatureCsvSchema,
     ManualCodes,
     load_dataset,
+    integer,
     load_manifest,
-    manifest_to_json,
     merge_au_source,
     parse_feature_csv,
     parse_manual_au_file,
     parse_pspi_file,
 )
 from ted.model import (
-    DatasetManifest,
     FrameColumns,
     ManifestEntry,
     PAIN_PREDICTED_PROFILE,
@@ -48,6 +47,21 @@ def write_feature_csv(path, rows, n_landmarks=2, au_ids=(4, 6)):
 def feature_row(frame=1, success=1, au=(1.0, 2.0)):
     return [frame, success, 0.1, 0.2, 0.3, 0.4, 1, 2, 3, 0.01, 0.02, 0.03,
             0.5, 0.6, 0.7, 0.8, 0.9, 1.0, *au]
+
+
+class TestInteger:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("-3", -3), ("120", 120)])
+    def test_reads_the_form_int_writes(self, text, value):
+        assert integer(text) == value
+        assert str(value) == text
+
+    # int() reads the first seven, as 4, 60, 5, 7, 7, 0 and 3 (an Arabic-Indic digit)
+    @pytest.mark.parametrize(
+        "text", ["04", "6_0", "+5", " 7", "7\n", "-0", "\u0663", "", "1.0", "0x1"]
+    )
+    def test_refuses_every_other_spelling(self, text):
+        with pytest.raises(ValueError):
+            integer(text)
 
 
 class TestFeatureCsvSchema:
@@ -456,6 +470,26 @@ def _same_result(a, b):
 _COLUMN_FIELDS = ("frame_index", "tracking_ok", "geometry", "au_levels")
 
 
+class TestOpenQuote:
+    """A quote left open in a trailing cell would read every later line into that
+    cell, and the file as its first two rows, with no error."""
+
+    @pytest.mark.parametrize(
+        "name, parse, last_line",
+        [("P001_01_features.csv", parse_feature_csv, 13),
+         ("P001_01_manual_aus.csv", parse_manual_au_file, 73)],
+    )
+    def test_is_an_error_naming_the_file(self, tmp_path, name, parse, last_line):
+        write_dataset(make_separable_dataset(n_subjects=1, n_sequences=1, n_frames=12), tmp_path)
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] += ',"'
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse(path)
+        assert str(info.value) == f"{path}: line {last_line}: unexpected end of data"
+
+
 class TestFastPathsMatchRowWise:
     """numpy's bulk path accepts only what the row-wise readers accept, with the
     same values bit for bit, and leaves every rejection and its message to them.
@@ -719,24 +753,30 @@ class TestParsePspiFile:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        manifest = DatasetManifest(
-            [
-                ManifestEntry(
-                    subject_id="S1",
-                    sequence_id="01",
-                    feature_file_path="s1.csv",
-                    pspi_file_path="s1_pspi.txt",
-                    manual_au_file_path="s1_aus.csv",
-                    labels=SequenceLabels(vas=4, opi=2),
-                    gender="female",
-                )
-            ]
-        )
+        entry = {
+            "subject_id": "S1",
+            "sequence_id": "01",
+            "feature_file": "s1.csv",
+            "pspi_file": "s1_pspi.txt",
+            "manual_au_file": "s1_aus.csv",
+            "labels": {"vas": 4, "opi": 2},
+            "gender": "female",
+        }
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest_to_json(manifest)), encoding="utf-8")
+        path.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
         loaded = load_manifest(path)
-        assert loaded.entries == manifest.entries
-        assert loaded.base_dir == tmp_path
+        assert loaded.entries == [
+            ManifestEntry(
+                subject_id="S1",
+                sequence_id="01",
+                feature_file_path="s1.csv",
+                pspi_file_path="s1_pspi.txt",
+                manual_au_file_path="s1_aus.csv",
+                labels=SequenceLabels(vas=4, opi=2),
+                gender="female",
+            )
+        ]
+        assert loaded.path == path
 
     def test_missing_entries_key(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -907,7 +947,7 @@ class TestLoadDataset:
          "predicted AU source cannot score AU 43; use the pain_predicted profile"),
         ("manual", None, ConfigError, "manual AU source requires a profile"),
         ("manual", PAIN_PROFILE, ManifestError,
-         "S2/01: manual AU source requested but no manual_au_file in manifest"),
+         "manifest {}: S2/01: manual AU source requested but no manual_au_file"),
     ], ids=["unknown-source", "predicted-au43", "manual-no-profile", "manual-no-file"])
     def test_au_source_rules_come_before_any_read(
         self, tmp_path, au_source, profile, error, message
@@ -923,7 +963,7 @@ class TestLoadDataset:
         with mock.patch.object(ingestion, "parse_feature_csv") as parse:
             with pytest.raises(error) as info:
                 load_dataset(manifest, au_source=au_source, profile=profile)
-        assert str(info.value) == message
+        assert str(info.value) == message.format(tmp_path / "manifest.json")
         parse.assert_not_called()
 
     def test_missing_feature_file(self, tmp_path):

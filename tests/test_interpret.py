@@ -96,6 +96,11 @@ class TestScenarios:
         with pytest.raises(ComputeError):
             Prediction(("S", "1", 1), 0.9).scenario
 
+    def test_unlabeled_prediction_names_its_frame(self):
+        with pytest.raises(ComputeError) as exc:
+            Prediction(("P1", "01", 3), 0.9).scenario
+        assert str(exc.value) == "prediction P1/01 frame 3 has no ground truth"
+
     @given(
         st.lists(
             st.tuples(st.floats(0, 1), st.booleans()), min_size=0, max_size=80
@@ -312,6 +317,13 @@ class TestAgreement:
         with pytest.raises(ComputeError, match="no expressiveness score"):
             agreement_analysis(preds, ted)
 
+    def test_missing_score_names_its_frame(self):
+        preds, ted = planted_predictions()
+        del ted[("S1", "01", 3)]
+        with pytest.raises(ComputeError) as exc:
+            agreement_analysis(preds, ted)
+        assert str(exc.value) == "prediction S1/01 frame 3 has no expressiveness score"
+
 
 class TestJoinLabels:
     def test_ground_truth_comes_from_the_table(self, separable):
@@ -378,6 +390,17 @@ class TestPredictionsCsv:
         with pytest.raises(ParseError) as info:
             read_predictions_csv(path)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_open_quote_rejected(self, tmp_path):
+        """A quote left open would read every later row into one trailing cell."""
+        path = tmp_path / "p.csv"
+        path.write_text(
+            'subject,sequence,frame,confidence_pain\nS1,01,1,0.5,"\nS1,01,2,0.5\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as info:
+            read_predictions_csv(path)
+        assert str(info.value) == f"{path}: line 3: unexpected end of data"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "p.csv"

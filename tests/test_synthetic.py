@@ -53,12 +53,17 @@ def test_write_dataset_matches_csv_writer_reference(tmp_path, preset):
         assert (tmp_path / "got" / want.name).read_bytes() == want.read_bytes(), want.name
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_generate_dataset_passes_its_flags_on(tmp_path, preset):
+def _generate_dataset():
     script = Path(__file__).parent.parent / "scripts" / "generate_dataset.py"
     spec = importlib.util.spec_from_file_location("generate_dataset", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_generate_dataset_passes_its_flags_on(tmp_path, preset):
+    module = _generate_dataset()
     flags = ["--subjects", "2", "--sequences", "1", "--frames", "25", "--seed", "5"]
     assert module.main([str(tmp_path / "script"), "--preset", preset, *flags]) == 0
     make = make_correlated_dataset if preset == "correlated" else make_separable_dataset
@@ -69,3 +74,14 @@ def test_generate_dataset_passes_its_flags_on(tmp_path, preset):
         assert (tmp_path / "script" / name).read_bytes() == (
             tmp_path / "direct" / name
         ).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag", ["--subjects", "--sequences", "--frames", "--seed"])
+def test_generate_dataset_integer_flag_spelled_otherwise_is_2(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        _generate_dataset().main([str(tmp_path / "out"), flag, "4_0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {flag}: invalid integer value: '4_0'"
+    )
+    assert not (tmp_path / "out").exists()
