@@ -13,7 +13,7 @@ import io
 import json
 import re
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -33,20 +33,44 @@ from .model import (
 )
 
 _AU_COLUMN = re.compile(r"^AU(\d+)_r$")
-_LETTER_LEVELS = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0, "E": 5.0}
 _JSON_KINDS = {str: "a string", list: "a list of strings", dict: "an object of strings"}
-# the bytes numpy reads as the csv module, int() and float() do: printable ASCII but
-# the quote, and the blanks all of them strip (numpy also strips \x1c-\x1f, and its
-# int parser reads some non-ASCII letters as digits: 'Ǿ2' as 4622)
-_PLAIN_BYTES = bytes(c for c in range(32, 127) if c != 34) + b"\t\n\v\f\r"
+_INTEGER = r"0|-?[1-9][0-9]*"  # the form str(int) writes
+# the forms repr and C's %f and %g write ('5.' and '.5' too, as strtod reads them)
+_NUMBER = r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[nN][aA][nN]|[iI][nN][fF])"
+# each cell kind: its cells' pattern (blanks around them aside), reader and name
+_KINDS = {
+    "number": (re.compile(_NUMBER), float, "a number"),
+    "integer": (re.compile(_INTEGER), int, "an integer"),
+    "level": (re.compile(f"{_INTEGER}|[A-Ea-e]"),
+              lambda c: "ABCDE".find(c.strip(" \t").upper()) + 1 or int(c), "a level"),
+    "text": (re.compile(".*", re.S), str, "text"),
+}
+_NUMBER_BYTES = b"0123456789.-+eEnNaAiIfF, \t\r\n"  # of numbers, blanks, commas, line ends
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # an integer |v| >= 10**k is k + 1 digits wide
 
 
 def integer(text: str) -> int:
     """The integer `text` spells in the one form str(int) writes: "04", "6_0", "+5" and
     " 7" would misread silently. A ValueError otherwise, so argparse can name the flag."""
-    if not re.fullmatch(r"0|-?[1-9][0-9]*", text):
+    if not re.fullmatch(_INTEGER, text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def _cell(path, line: int, column: str, kind: str, cell: str):
+    """`cell` as its kind reads it, or an error naming the file, line and column."""
+    grammar, read, name = _KINDS[kind]
+    if not grammar.fullmatch(cell.strip(" \t")):
+        raise ParseError(f"{path}: line {line}, column {column!r}: {cell!r} is not {name}")
+    return read(cell)
+
+
+def _plain(text: bytes) -> bool:
+    """Whether `text` is all `_NUMBER_BYTES`, with a '+' only after 'e' or 'E': then what
+    numpy's loadtxt or float() reads of it as a number is a number cell."""
+    return not text.translate(None, _NUMBER_BYTES) and (
+        b"+" not in text or text.count(b"+") == text.count(b"e+") + text.count(b"E+")
+    )
 
 
 def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> io.TextIOWrapper:
@@ -54,8 +78,8 @@ def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> 
     read of its bytes; their SHA-256 goes into `digests` (if given) under the path."""
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except OSError as exc:  # the cause tells load_dataset that the path itself is wrong
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
@@ -67,16 +91,89 @@ def read_input(path, digests: Optional[dict], newline: Optional[str] = None) -> 
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
 
 
-@contextmanager
-def csv_errors(path, reader):
-    """`reader`, a csv reader (a DictReader's is its `.reader`), with a line it cannot
-    split (a cell over its size limit, say) reported as a ParseError naming the file
-    and line. Its `line_num` counts physical lines, blank ones included. Readers are
-    strict: a quote left open is an error, not a cell holding every line after it."""
+def _rows(path, fh):
+    """The rows of the csv file `fh`, each with its physical line. A row on more than one
+    line (tracker CSVs put no line break inside a cell), or one the csv module cannot split
+    (a quote left open, a cell over its size limit), is an error naming its first line."""
+    reader = csv.reader(fh, strict=True)
+    line = 0
     try:
-        yield reader
+        for line, cells in enumerate(reader, start=1):
+            if (last := reader.line_num) != line:
+                raise ParseError(f"{path}: line {line}: a quoted cell spans lines {line}-{last}")
+            yield line, cells
     except csv.Error as exc:
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise ParseError(f"{path}: line {line + 1}: {exc}") from None
+
+
+def read_table(path, fh, kinds: Mapping[str, str], skip_blank: bool = False):
+    """The `kinds` columns (`_KINDS` kinds) of the csv file `fh`, read by `read_input` with
+    newline="", as arrays, and the physical line of each row; the header names each once, and
+    a row has the header's cells (a blank line is skipped if `skip_blank`) of their kinds."""
+    rows = _rows(path, fh)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    header = [c.strip() for c in header]
+    first = {column: i for i, column in reversed(list(enumerate(header)))}
+    for column in kinds:  # the first column that is missing or repeated fails
+        if column not in first:
+            raise SchemaError(f"{path}: missing column {column!r}")
+        if len(first) < len(header) and (count := header.count(column)) > 1:
+            raise SchemaError(f"{path}: column {column!r} appears {count} times")
+    cols = [first[column] for column in kinds]
+    used = set(kinds.values())
+    # integer cells are checked by their width, so numpy must read every cell of a row
+    if used == {"number"} or used <= {"integer", "level"} and len(cols) == len(header):
+        table = _bulk(fh.buffer.getvalue(), cols, len(header), used == {"number"})
+        if table is not None:
+            return list(table.T), range(2, len(table) + 2)
+    return _read_rows(path, rows, kinds, cols, len(header), skip_blank)
+
+
+def _bulk(data: bytes, cols: list[int], width: int, numbers: bool) -> Optional[np.ndarray]:
+    """The cells `cols` after the header line of `data` (a file's bytes) as one `np.loadtxt`
+    reads them, into float64 (`numbers`) or int64; None where `_read_rows` might read otherwise:
+    text not `_plain`, a lone CR, a blank or too long line, or a longer integer than `integer`'s."""
+    body = data[data.find(b"\n") + 1 :]
+    if not _plain(body) or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    lines = body.decode().split("\n")[: -1 if body.endswith(b"\n") else None]
+    if len(body) > (limit := csv.field_size_limit()) and max(map(len, lines)) > limit:
+        return None  # a line over the csv field limit
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.24 only warns on an int cell '2.0'
+            # no comment character; the header's last column too, so that a short row fails
+            usecols = cols + [width - 1] * (width - 1 not in cols)
+            rows = np.loadtxt(lines, np.float64 if numbers else np.int64, delimiter=",",
+                              comments=None, ndmin=2, usecols=usecols)[:, : len(cols)]
+    except Exception:  # any failure: read row-wise
+        return None
+    if len(rows) != len(lines):  # loadtxt skips a blank line
+        return None
+    if not numbers:
+        size = np.abs(rows)  # str(int) is a value's shortest spelling; each power <= size a digit
+        widths = rows.size + np.count_nonzero(rows < 0) + sum(
+            np.count_nonzero(size >= power) for power in _POWERS[_POWERS <= size.max()])
+        if len(body) - body.count(b"\n") - body.count(b"\r") != widths + (width - 1) * len(rows):
+            return None
+    return rows
+
+
+def _read_rows(path, rows, kinds: Mapping[str, str], cols: list[int], width: int, skip_blank: bool):
+    """`read_table`'s result, read row by row from the `_rows` after the header."""
+    columns, lines = [[] for _ in cols], []
+    for line, cells in rows:
+        if len(cells) < width:
+            if skip_blank and not cells:
+                continue
+            raise ParseError(f"{path}: line {line} has {len(cells)} cells, the header has {width}")
+        for column, (name, kind), i in zip(columns, kinds.items(), cols):
+            column.append(_cell(path, line, name, kind, cells[i]))
+        lines.append(line)
+    dtypes = [object if kind == "text" else None for kind in kinds.values()]
+    return [np.array(column, dtype) for column, dtype in zip(columns, dtypes)], lines
 
 
 @dataclass(frozen=True)
@@ -155,102 +252,25 @@ class FeatureCsvSchema:
             raise SchemaError(f"schema file {path} is malformed: {exc}") from None
 
 
-def _bulk_rows(fh, usecols: Sequence[int], dtype) -> Optional[np.ndarray]:
-    """The rows after the header of `fh`, a `read_input` wrapper, as `np.loadtxt` reads
-    their `usecols` into `dtype`; None where it fails, or where the file has a quote
-    (it can hide commas), a byte outside `_PLAIN_BYTES`, a CR outside a CRLF line end,
-    a line over the csv field limit or a blank line: the row-wise readers read those."""
-    data = fh.buffer.getvalue()  # the bytes read_input read
-    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-    if lone_cr or data.translate(None, _PLAIN_BYTES):
-        return None
-    text = fh.read()
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the file's last line end
-    limit = csv.field_size_limit()  # no line is longer than the text
-    if not lines or len(text) > limit and max(map(len, lines)) > limit:
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.24 only warns on an int cell '2.0'
-            # no comment character; a structured dtype reads an (n, 1) array of records
-            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=2,
-                              usecols=usecols)
-    except Exception:  # any failure (float() takes '1_000', loadtxt does not): read row-wise
-        return None
-    return rows if len(rows) == len(lines) else None  # loadtxt skips a blank line
-
-
-def _read_feature_rows(
-    path, reader, bound: list[str], cols: list[int], width: int
-) -> tuple[np.ndarray, list[int]]:
-    """The bound columns of the rows after the header, read row-wise, and the
-    physical line each row ends on."""
-    next(reader)
-    rows: list[list[float]] = []
-    lines: list[int] = []
-    with csv_errors(path, reader):
-        for cells in reader:
-            line = reader.line_num
-            lines.append(line)
-            if len(cells) < width:
-                raise ParseError(
-                    f"{path}: line {line} has {len(cells)} cells, the header has {width}"
-                )
-            try:
-                rows.append([float(cells[i]) for i in cols])
-            except ValueError:
-                for column, i in zip(bound, cols):
-                    try:
-                        float(cells[i])
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: non-numeric value {cells[i]!r} in column {column!r}, "
-                            f"line {line}"
-                        ) from None
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.array(rows), lines
-
-
 def parse_feature_csv(
     path, schema: Optional[FeatureCsvSchema] = None, digests: Optional[dict[str, str]] = None
 ) -> FrameColumns:
-    """Parse one tracker-export CSV into frame columns, in file order. numpy parses the
-    rows; the row-wise reader reruns wherever it fails or could read a row differently."""
+    """Parse one tracker-export CSV into frame columns, in file order: every bound cell is
+    a number, and every frame number a whole one."""
     with read_input(path, digests, newline="") as fh:
-        with csv_errors(path, csv.reader(fh, strict=True)) as reader:
-            header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        header = [c.strip() for c in header]
         if schema is None:
-            schema = FeatureCsvSchema.infer(header)
-        bound = schema.bound_columns()
-        first = {column: i for i, column in reversed(list(enumerate(header)))}
-        cols = []
-        for column in bound:  # the first bound column that is missing or repeated fails
-            if column not in first:
-                raise SchemaError(f"{path}: missing bound column {column!r}")
-            if len(first) < len(header) and (count := header.count(column)) > 1:
-                raise SchemaError(f"{path}: column {column!r} appears {count} times")
-            cols.append(first[column])
-        # the header's last column too, so that a short row fails
-        values = _bulk_rows(fh, [*cols, len(header) - 1], np.float64)
-        if values is None:
+            schema = FeatureCsvSchema.infer(next(_rows(path, fh), (0, []))[1])
             fh.seek(0)
-            reader = csv.reader(fh, strict=True)
-            values, lines = _read_feature_rows(path, reader, bound, cols, len(header))
-        else:  # numpy reads one line a row, after the header
-            values, lines = values[:, :-1], range(2, len(values) + 2)
+        kinds = dict.fromkeys(schema.bound_columns(), "number")
+        columns, lines = read_table(path, fh, kinds)
+    if not lines:
+        raise ParseError(f"{path}: no data rows")
+    column = dict(zip(kinds, columns))
 
-    position = {column: j for j, column in enumerate(bound)}
+    def block(names: Sequence[str]) -> np.ndarray:
+        return np.column_stack([column[c] for c in names] or [np.empty((len(lines), 0))])
 
-    def block(columns: Sequence[str]) -> np.ndarray:
-        return values[:, [position[c] for c in columns]]
-
-    frame = values[:, position[schema.frame]]
+    frame = column[schema.frame]
     bad = np.flatnonzero(~(np.abs(frame) < 2.0**63) | (np.floor(frame) != frame))
     if bad.size:
         value = frame[bad[0]]
@@ -271,7 +291,7 @@ def parse_feature_csv(
     try:
         return FrameColumns(
             frame_index=frame,
-            tracking_ok=values[:, position[schema.success]] != 0.0,
+            tracking_ok=column[schema.success] != 0.0,
             geometry=block([
                 *schema.landmark_x[:n_landmarks], *schema.landmark_y[:n_landmarks],
                 *schema.pose_translation, *schema.pose_rotation,
@@ -294,76 +314,32 @@ class ManualCodes(NamedTuple):
     level: np.ndarray  # (r,) float64, each in 0..5
 
 
-# a manual-AU row as numpy reads it: ids the way int() does, the level as float() does
-_MANUAL_ROW = np.dtype([("frame", np.int64), ("au", np.int64), ("level", np.float64)])
-
-
 def parse_manual_au_file(path, digests: Optional[dict[str, str]] = None) -> ManualCodes:
     """Parse frame,au,level rows into columns, in file order; letter grades A-E map
-    to 1-5. numpy reads a file with the exact header, AUs in 1..64, whole-number levels
-    in 0..5 and no repeated (frame, AU) pair; the row-wise reader reads any other."""
+    to 1-5. The first row, in file order, with an AU outside 1..64, a level outside 0-5
+    or an earlier row's (frame, AU) pair fails."""
     with read_input(path, digests, newline="") as fh:
-        if fh.readline().rstrip("\r\n") == "frame,au,level" and (
-            rows := _bulk_rows(fh, (0, 1, 2), _MANUAL_ROW)
-        ) is not None:
-            codes = ManualCodes(*(rows[name].ravel() for name in ManualCodes._fields))
-            order = np.lexsort((codes.au, codes.frame))
-            f, a = codes.frame[order], codes.au[order]
-            if (1 <= a.min() <= a.max() <= 64 and np.isin(codes.level, np.arange(6.0)).all()
-                    and not ((f[1:] == f[:-1]) & (a[1:] == a[:-1])).any()):
-                return codes
-        fh.seek(0)
-        return _read_manual_rows(path, fh)
-
-
-def _read_manual_rows(path, fh) -> ManualCodes:
-    """The codings of a manual-AU file, read row-wise from `fh`."""
-    frames: list[int] = []
-    au_ids: list[int] = []
-    levels: list[float] = []
-    seen: set[tuple[int, int]] = set()
-    reader = csv.DictReader(fh, strict=True)
-    with csv_errors(path, reader.reader) as lines:
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file")
-        for column in ("frame", "au", "level"):
-            if column not in reader.fieldnames:
-                raise SchemaError(f"{path}: missing column {column!r}")
-        for row in reader:
-            line = lines.line_num
-            try:
-                frame = int(row["frame"])
-                au_id = int(row["au"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: bad frame/au on line {line}") from None
-            if not 1 <= au_id <= 64:
-                raise ConfigError(
-                    f"{path}: au_id {au_id} outside FACS range 1..64 on line {line}"
-                )
-            raw = (row["level"] or "").strip().upper()
-            if raw in _LETTER_LEVELS:
-                level = _LETTER_LEVELS[raw]
-            else:
-                try:
-                    level = float(raw)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: unknown intensity {row['level']!r} on line {line}"
-                    ) from None
-                if level not in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
-                    raise ParseError(f"{path}: manual level {raw} not in 0-5 (line {line})")
-            if (frame, au_id) in seen:
-                raise ParseError(f"{path}: duplicate entry for frame {frame}, AU {au_id}")
-            seen.add((frame, au_id))
-            # feature files hold int64 frame numbers, so a coding past int64 matches none
-            if -(2**63) <= frame < 2**63:
-                frames.append(frame)
-                au_ids.append(au_id)
-                levels.append(level)
+        (frame, au, level), lines = read_table(
+            path, fh, {"frame": "integer", "au": "integer", "level": "level"}, skip_blank=True
+        )
+    bad_au, bad_level = (au < 1) | (au > 64), (level < 0) | (level > 5)
+    ids = np.where(bad_au, 0, au).astype(np.int64)  # a repeat of a bad AU comes after it
+    repeat = np.zeros(len(ids), dtype=bool)  # ascending (frame, AU) pairs repeat none
+    if not ((frame[1:] > frame[:-1]) | (frame[1:] == frame[:-1]) & (ids[1:] > ids[:-1])).all():
+        # a pair's first row in file order; a frame past int64 is coded by its rank
+        pair = np.unique(frame, return_inverse=True)[1] * 65 + ids
+        repeat[np.setdiff1d(np.arange(len(ids)), np.unique(pair, return_index=True)[1])] = True
+    if (bad := np.flatnonzero(bad_au | bad_level | repeat)).size:  # the first failing row
+        row, line = bad[0], lines[bad[0]]
+        if bad_au[row]:
+            raise ConfigError(f"{path}: au_id {au[row]} outside FACS range 1..64 on line {line}")
+        if bad_level[row]:
+            raise ParseError(f"{path}: manual level {level[row]} not in 0-5 (line {line})")
+        raise ParseError(f"{path}: duplicate entry for frame {frame[row]}, AU {au[row]}")
+    # a coding past int64 matches no feature frame
+    keep = [-(2**63) <= f < 2**63 for f in frame] if frame.dtype == object else slice(None)
     return ManualCodes(
-        np.array(frames, dtype=np.int64),
-        np.array(au_ids, dtype=np.int64),
-        np.array(levels, dtype=np.float64),
+        frame[keep].astype(np.int64), au[keep].astype(np.int64), level[keep].astype(np.float64)
     )
 
 
@@ -397,30 +373,26 @@ def merge_au_source(
 
 def parse_pspi_file(path, digests: Optional[dict[str, str]] = None) -> np.ndarray:
     """One pain-intensity value in [0, 16] per non-blank line, after an optional
-    `pspi` header in any case, as a float64 array; whitespace around a value is
-    ignored. Line numbers in messages are physical, blank lines included."""
-    with read_input(path, digests) as fh:
-        lines = fh.read().split("\n")  # \r\n and \r line ends read as \n
-    cells = list(filter(None, map(str.strip, lines)))
+    `pspi` header in any case, as a float64 array; each value is a number cell.
+    Line numbers in messages are physical, blank lines included."""
+    with read_input(path, digests) as fh:  # \r\n and \r line ends read as \n
+        lines, data = fh.read().split("\n"), fh.buffer.getvalue()
+    cells = list(filter(None, map(str.strip, lines)))  # the grammar's, in a `_plain` file
     if cells and cells[0].lower() == "pspi":
-        del cells[0]
-    if not cells:
-        raise ParseError(f"{path}: empty file")
-    try:
+        data = data.replace(cells.pop(0).encode(), b"", 1)
+    with suppress(ValueError):  # in a `_plain` file, float() reads only number cells
         values = np.fromiter(map(float, cells), np.float64, len(cells))
-        if ((values >= 0.0) & (values <= 16.0)).all():
+        if cells and _plain(data) and ((values >= 0.0) & (values <= 16.0)).all():
             return values
-    except ValueError:
-        pass
-    # the first line that fails; the values are the last len(cells) non-blank lines
-    numbers = [number for number, line in enumerate(lines, start=1) if line.strip()]
-    for number, raw in zip(numbers[-len(cells):], cells):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric value {raw!r} on line {number}") from None
-        if not 0.0 <= value <= 16.0:
-            raise ParseError(f"{path}: value {value} outside [0, 16] on line {number}")
+    # the first line that fails, with only spaces and tabs stripped as blanks
+    numbered = [(n, cell) for n, line in enumerate(lines, start=1) if (cell := line.strip(" \t"))]
+    if numbered and numbered[0][1].lower() == "pspi":
+        del numbered[0]
+    if not numbered:
+        raise ParseError(f"{path}: empty file")
+    values = np.array([_cell(path, n, "pspi", "number", cell) for n, cell in numbered])
+    row = np.argmin((values >= 0.0) & (values <= 16.0))  # all numbers, so one is outside
+    raise ParseError(f"{path}: value {values[row]} outside [0, 16] on line {numbered[row][0]}")
 
 
 def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetManifest:
@@ -472,6 +444,18 @@ def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetMani
         raise ManifestError(f"manifest {path}: {exc}") from None
 
 
+@contextmanager
+def _entry_file(manifest: DatasetManifest, i: int, entry: ManifestEntry, field: str):
+    """Entry `i`'s `field` path; that it cannot be read names the manifest and entry too."""
+    try:
+        yield manifest.path.parent / getattr(entry, f"{field}_path")
+    except ParseError as exc:
+        if isinstance(exc.__cause__, OSError):
+            raise ParseError(f"manifest {manifest.path}: entry {i} ({entry.subject_id}/"
+                             f"{entry.sequence_id}) {field}: {exc}") from None
+        raise
+
+
 def load_dataset(
     manifest: DatasetManifest,
     schema: Optional[FeatureCsvSchema] = None,
@@ -494,14 +478,14 @@ def load_dataset(
                     f"manifest {manifest.path}: {entry.subject_id}/{entry.sequence_id}: "
                     "manual AU source requested but no manual_au_file"
                 )
-    base = manifest.path.parent
     records: list[SequenceRecord] = []
     findings: list[str] = []
-    for entry in manifest.entries:
-        frames = parse_feature_csv(base / entry.feature_file_path, schema, digests)
+    for i, entry in enumerate(manifest.entries):
+        with _entry_file(manifest, i, entry, "feature_file") as path:
+            frames = parse_feature_csv(path, schema, digests)
         if au_source == "manual":
-            manual_path = base / entry.manual_au_file_path
-            manual = parse_manual_au_file(manual_path, digests)
+            with _entry_file(manifest, i, entry, "manual_au_file") as manual_path:
+                manual = parse_manual_au_file(manual_path, digests)
             try:
                 frames = merge_au_source(frames, manual, profile)
             except ParseError as exc:  # it names the frame; this names the file and sequence
@@ -510,8 +494,8 @@ def load_dataset(
                 ) from None
         pspi = None
         if entry.pspi_file_path is not None:
-            pspi_path = base / entry.pspi_file_path
-            pspi = parse_pspi_file(pspi_path, digests)
+            with _entry_file(manifest, i, entry, "pspi_file") as pspi_path:
+                pspi = parse_pspi_file(pspi_path, digests)
             if len(pspi) != len(frames):
                 raise ParseError(
                     f"{pspi_path}: {len(pspi)} PSPI values for {len(frames)} frames"

@@ -22,7 +22,7 @@ import numpy as np
 from .analytics import pearson
 from .errors import ComputeError, ParseError
 from .forest import ForestHyperparams, RandomForest
-from .ingestion import csv_errors, read_input
+from .ingestion import read_input, read_table
 from .model import AuProfile, PAIN_PROFILE, SequenceRecord
 
 FrameKey = tuple[str, str, int]
@@ -284,32 +284,18 @@ def write_predictions_csv(predictions: Predictions, path) -> None:
 
 
 def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> Predictions:
-    confidences = []
-    first_line: dict[FrameKey, int] = {}  # the keys in file order
+    """The predictions of a CSV, in file order. The first row with a confidence outside
+    [0, 1], or with an earlier row's (subject, sequence, frame) key, fails."""
+    kinds = {"subject": "text", "sequence": "text", "frame": "integer", "confidence_pain": "number"}
     with read_input(path, digests, newline="") as fh:
-        reader = csv.DictReader(fh, strict=True)
-        with csv_errors(path, reader.reader) as lines:
-            required = {"subject", "sequence", "frame", "confidence_pain"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
-                raise ParseError(f"{path}: predictions CSV needs columns {sorted(required)}")
-            for row in reader:
-                line = lines.line_num
-                try:
-                    confidence = float(row["confidence_pain"])
-                except (TypeError, ValueError):
-                    raise ParseError(f"{path}: bad confidence on line {line}") from None
-                if not 0.0 <= confidence <= 1.0:
-                    raise ParseError(f"{path}: confidence outside [0, 1] on line {line}")
-                try:
-                    frame = int(row["frame"])
-                except (TypeError, ValueError):
-                    raise ParseError(
-                        f"{path}: frame {row['frame']!r} on line {line} is not an integer"
-                    ) from None
-                key = (row["subject"], row["sequence"], frame)
-                first = first_line.setdefault(key, line)
-                if first != line:
-                    raise ParseError("{}: line {} repeats {}/{} frame {} of line {}".format(
-                        path, line, *key, first))
-                confidences.append(confidence)
-    return Predictions(list(first_line), np.array(confidences, dtype=float))
+        (subject, sequence, frame, conf), lines = read_table(path, fh, kinds, skip_blank=True)
+    first_line: dict[FrameKey, int] = {}  # the keys in file order
+    keys = zip(subject.tolist(), sequence.tolist(), frame.tolist())
+    for key, line, confidence in zip(keys, lines, conf.tolist()):
+        if not 0.0 <= confidence <= 1.0:
+            raise ParseError(f"{path}: confidence outside [0, 1] on line {line}")
+        first = first_line.setdefault(key, line)
+        if first != line:
+            raise ParseError("{}: line {} repeats {}/{} frame {} of line {}".format(
+                path, line, *key, first))
+    return Predictions(list(first_line), conf)

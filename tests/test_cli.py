@@ -429,9 +429,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("P001,01,1.5,0.5", "frame '1.5' on line 3 is not an integer"),
-            ("P001,01,,0.5", "frame '' on line 3 is not an integer"),
-            ("P001,01", "bad confidence on line 3"),
+            ("P001,01,1.5,0.5", "line 3, column 'frame': '1.5' is not an integer"),
+            ("P001,01,,0.5", "line 3, column 'frame': '' is not an integer"),
+            ("P001,01,0_1,0.5", "line 3, column 'frame': '0_1' is not an integer"),
+            ("P001,01,2,+0.5", "line 3, column 'confidence_pain': '+0.5' is not a number"),
+            ("P001,01", "line 3 has 2 cells, the header has 4"),
         ],
     )
     def test_bad_predictions_row_is_3(self, dataset, tmp_path, capsys, row, message):
@@ -489,8 +491,12 @@ class TestExitCodes:
             manifest, tmp_path, "interpret", "--schema", str(schema), "--predictions", str(preds)
         )
         assert code == 3
+        # a manifest entry's own file is named by the manifest and the entry too
+        field = {"P002_01_features.csv": "feature_file", "P002_01_manual_aus.csv": "manual_au_file",
+                 "P002_01_pspi.csv": "pspi_file"}.get(name)
+        entry = f"manifest {manifest}: entry 1 (P002/01) {field}: " if field else ""
         assert capsys.readouterr().err == (
-            f"input error: cannot read {path}: No such file or directory\n"
+            f"input error: {entry}cannot read {path}: No such file or directory\n"
         )
 
     @pytest.mark.parametrize(
@@ -1050,14 +1056,17 @@ _JSON_VALUES = st.one_of(
 _TEXT_MUTATIONS = [
     "blank", "truncate", "extra", "non_numeric", "duplicate_header", "repeat_row", "byte_ff"
 ]
-# every input of one `interpret --predictions` run with manually coded AUs
+# every input of one `interpret --predictions` run with manually coded AUs and a schema
 _FUZZ_FILES = {
     "features": "P001_01_features.csv",
     "manual_au": "P002_01_manual_aus.csv",
     "pspi": "P003_01_pspi.csv",
     "manifest": "manifest.json",
     "predictions": "predictions.csv",
+    "schema": "schema.json",
 }
+# each command with exit-4 paths of its own, on those inputs
+_FUZZ_COMMANDS = ["score", "sweep", "evaluate", "summarize", "interpret"]
 
 
 def _is_float(text):
@@ -1069,16 +1078,15 @@ def _is_float(text):
 
 
 @st.composite
-def input_file_mutations(draw):
-    """One malformed edit to one input file: (file, kind, row, column, text, value)."""
-    target = draw(st.sampled_from(sorted(_FUZZ_FILES)))
-    kinds = _TEXT_MUTATIONS + (["json_value"] if target == "manifest" else [])
+def input_file_mutations(draw, target):
+    """One malformed edit to the `target` input file: (kind, row, column, text, value)."""
+    kinds = _TEXT_MUTATIONS + (["json_value"] if target in ("manifest", "schema") else [])
     kind = draw(st.sampled_from(kinds))
     row = draw(st.integers(1, 10_000))
     col = draw(st.integers(0, 10_000))
     text = draw(_FUZZ_TEXT.filter(lambda t: not _is_float(t)))
     value = draw(_JSON_VALUES)
-    return target, kind, row, col, text, value
+    return kind, row, col, text, value
 
 
 def _mutate(data: bytes, kind, row, col, text, value) -> bytes:
@@ -1086,18 +1094,20 @@ def _mutate(data: bytes, kind, row, col, text, value) -> bytes:
         at = col % (len(data) + 1)
         return data[:at] + b"\xff" + data[at:]
     if kind == "json_value":
-        manifest = json.loads(data)
-        if row % 5 == 0:
-            manifest["entries"] = value
+        raw = json.loads(data)
+        if "entries" not in raw:  # a schema: one of its keys
+            raw[sorted(raw)[col % len(raw)]] = value
+        elif row % 5 == 0:
+            raw["entries"] = value
         else:
-            entry = manifest["entries"][row % len(manifest["entries"])]
+            entry = raw["entries"][row % len(raw["entries"])]
             keys = sorted(entry) + ["labels.vas"]
             key = keys[col % len(keys)]
             if key == "labels.vas":
                 entry["labels"]["vas"] = value
             else:
                 entry[key] = value
-        return json.dumps(manifest).encode()
+        return json.dumps(raw).encode()
     lines = data.decode().splitlines()
     cells = [line.split(",") for line in lines]
     row = 1 + row % (len(lines) - 1)  # a data row, never the header
@@ -1130,26 +1140,33 @@ class TestInputFuzz:
         lines = [lines[0] + ",confidence"] + [line + ",0.98" for line in lines[1:]]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         _write_predictions(records, manifest.parent / _FUZZ_FILES["predictions"])
+        schema = dataclasses.asdict(FeatureCsvSchema.default(n_landmarks=5, au_ids=(4, 6)))
+        schema_path = manifest.parent / _FUZZ_FILES["schema"]
+        schema_path.write_text(json.dumps(schema, indent=2), encoding="utf-8")  # lines to edit
         return manifest.parent
 
-    def run_interpret(self, ds, out):
-        return main(
-            [
-                "interpret", "--manifest", str(ds / "manifest.json"), "--out", str(out),
-                "--predictions", str(ds / _FUZZ_FILES["predictions"]),
-            ]
-        )
+    def run(self, command, ds, out):
+        args = [command, "--manifest", str(ds / "manifest.json"), "--out", str(out),
+                "--schema", str(ds / _FUZZ_FILES["schema"])]
+        if command == "interpret":
+            args += ["--predictions", str(ds / _FUZZ_FILES["predictions"])]
+        elif command == "summarize":
+            args.append("--no-log")  # some separable-set scores are 0
+        return main(args)
 
-    def test_clean_inputs_pass(self, clean, tmp_path):
-        assert self.run_interpret(clean, tmp_path / "out") == 0
+    @pytest.mark.parametrize("command", _FUZZ_COMMANDS)
+    def test_clean_inputs_pass(self, clean, tmp_path, command):
+        assert self.run(command, clean, tmp_path / "out") == 0
 
+    @pytest.mark.parametrize("target", sorted(_FUZZ_FILES))
     @settings(deadline=None, max_examples=150)
-    @given(mutation=input_file_mutations())
-    def test_exit_code_is_documented(self, clean, mutation):
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, clean, target, data):
         """An exit 3's last stderr line names the mutated file; an exit 4's names a file,
         a subject or a sequence. stderr is redirected, since hypothesis refuses the
         function-scoped capsys."""
-        target, *edit = mutation
+        edit = data.draw(input_file_mutations(target))
+        command = data.draw(st.sampled_from(_FUZZ_COMMANDS))
         with tempfile.TemporaryDirectory() as tmp:
             ds = Path(tmp) / "ds"
             shutil.copytree(clean, ds)
@@ -1157,13 +1174,14 @@ class TestInputFuzz:
             path.write_bytes(_mutate(path.read_bytes(), *edit))
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
-                code = self.run_interpret(ds, Path(tmp) / "out")
+                code = self.run(command, ds, Path(tmp) / "out")
         assert code in (0, 2, 3, 4)
         last = (stderr.getvalue().splitlines() or [""])[-1]
         if code == 3:
-            # a manifest entry's own file path may be what is wrong: then the path it
-            # names, under the dataset's directory, is the file the message names
-            assert str(ds if target == "manifest" else path) in last, last
+            # a manifest entry whose own path is wrong is named by the manifest too; a
+            # schema column that a feature file lacks is named by that file
+            named = [path] + ([ds / _FUZZ_FILES["features"]] if target == "schema" else [])
+            assert any(str(name) in last for name in named), last
         elif code == 4:
             # a file, a subject or a sequence (its key starts with the subject), or the
             # cause when the dataset has no subject to name

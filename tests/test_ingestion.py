@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -157,7 +158,7 @@ class TestParseFeatureCsv:
     )
     def test_bad_frame_number(self, tmp_path, value, what):
         path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(value)])
-        with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError):
+        with mock.patch.object(ingestion, "_read_rows", side_effect=AssertionError):
             with pytest.raises(ParseError) as info:
                 parse_feature_csv(path)
         assert str(info.value) == (
@@ -167,7 +168,7 @@ class TestParseFeatureCsv:
     def test_repeated_frame_names_both_lines(self, tmp_path):
         rows = [feature_row(frame) for frame in (2, 1, 2, 1)]
         path = write_feature_csv(tmp_path / "f.csv", rows)
-        with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError):
+        with mock.patch.object(ingestion, "_read_rows", side_effect=AssertionError):
             with pytest.raises(ParseError) as info:
                 parse_feature_csv(path)
         # the first row, in file order, that repeats an earlier row's frame
@@ -202,7 +203,7 @@ class TestParseFeatureCsv:
             # x_1 goes missing too, but x_0 comes first in bound order
             ("x_1", "x_0", "column 'x_0' appears 2 times"),
             # AU06_r now appears twice, but x_0 comes first in bound order
-            ("x_0", "AU06_r", "missing bound column 'x_0'"),
+            ("x_0", "AU06_r", "missing column 'x_0'"),
             ("pose_Rz,", "pose_Ry,", "column 'pose_Ry' appears 2 times"),
             ("gaze_1_z", "frame", "column 'frame' appears 2 times"),
         ],
@@ -223,27 +224,21 @@ class TestParseFeatureCsv:
             write_feature_csv(tmp_path / "g.csv", [feature_row()])
         )[0]
 
-    # float() rejects '\x1c2', though str.strip() and numpy take '\x1c' as a blank
-    @pytest.mark.parametrize("value", ["oops", "\x1c2"])
+    # str.strip() and numpy take '\x1c' as a blank; float() reads the other five
+    @pytest.mark.parametrize(
+        "value", ["oops", "\x1c2", "1_000", "+2", "infinity", "-Infinity", "\u0663", "2\x0c"]
+    )
     def test_non_numeric_cell_names_location(self, tmp_path, value):
         row = feature_row(frame=2)
         row[2] = value
         path = write_feature_csv(tmp_path / "f.csv", [feature_row(), row, feature_row(frame=3)])
         with pytest.raises(ParseError) as info:
             parse_feature_csv(path)
-        assert str(info.value) == f"{path}: non-numeric value {value!r} in column 'x_0', line 3"
+        assert str(info.value) == f"{path}: line 3, column 'x_0': {value!r} is not a number"
 
-    @pytest.mark.parametrize(
-        "column, value, message",
-        [
-            (3, "oops", "non-numeric value 'oops' in column 'x_0', line 4"),
-            (1, "nan", "frame number nan in column 'frame', line 4 is not finite"),
-            (1, "2.5", "frame number 2.5 in column 'frame', line 4 is not an integer"),
-            (1, "1", "line 4 repeats frame 1 of line 3"),
-        ],
-    )
-    def test_line_numbers_count_physical_lines(self, tmp_path, column, value, message):
-        """A quoted cell that holds a line break makes one row of two lines."""
+    @pytest.mark.parametrize("column, value", [(3, "oops"), (1, "nan"), (1, "2.5"), (1, "1")])
+    def test_quoted_line_break_is_an_error_before_later_faults(self, tmp_path, column, value):
+        """A quoted cell that holds a line break would make one row of two lines."""
         path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(2)])
         header, first, second = path.read_text(encoding="utf-8").splitlines()
         second = ["", *second.split(",")]
@@ -252,7 +247,7 @@ class TestParseFeatureCsv:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as info:
             parse_feature_csv(path)
-        assert str(info.value) == f"{path}: {message}"
+        assert str(info.value) == f"{path}: line 2: a quoted cell spans lines 2-3"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -284,17 +279,34 @@ class TestParseManualAuFile:
         with pytest.raises(ParseError, match="duplicate"):
             parse_manual_au_file(path)
 
-    def test_fractional_level_rejected(self, tmp_path):
+    @pytest.mark.parametrize("level, message", [
+        ("2.5", "line 2, column 'level': '2.5' is not a level"),
+        ("3.0", "line 2, column 'level': '3.0' is not a level"),
+        ("7", "manual level 7 not in 0-5 (line 2)"),
+    ])
+    def test_fractional_level_rejected(self, tmp_path, level, message):
         path = tmp_path / "aus.csv"
-        path.write_text("frame,au,level\n1,4,2.5\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="not in 0-5"):
+        path.write_text(f"frame,au,level\n1,4,{level}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
             parse_manual_au_file(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_unknown_grade_rejected(self, tmp_path):
         path = tmp_path / "aus.csv"
         path.write_text("frame,au,level\n1,4,F\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="unknown intensity"):
+        with pytest.raises(ParseError, match="line 2, column 'level': 'F' is not a level$"):
             parse_manual_au_file(path)
+
+    # int() reads each of these ids; only the form str(int) writes is an integer cell
+    @pytest.mark.parametrize("column", ["frame", "au"])
+    @pytest.mark.parametrize("cell", ["04", "+4", "4_0", "4.0", "-0", "0_1", "\u0664"])
+    def test_id_spelled_otherwise_rejected(self, tmp_path, column, cell):
+        path = tmp_path / "aus.csv"
+        row = "4,6,2" if column == "frame" else "6,4,2"
+        path.write_text(f"frame,au,level\n1,4,2\n{row.replace('4', cell, 1)}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_manual_au_file(path)
+        assert str(info.value) == f"{path}: line 3, column {column!r}: {cell!r} is not an integer"
 
     def test_au_outside_facs_range(self, tmp_path):
         path = tmp_path / "aus.csv"
@@ -320,8 +332,8 @@ class TestParseManualAuFile:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ("1,4,2\n\n1,6,X\n", "unknown intensity 'X' on line 4"),
-            ("\n1,4,2\n\n\n1,x,2\n", "bad frame/au on line 6"),
+            ("1,4,2\n\n1,6,X\n", "line 4, column 'level': 'X' is not a level"),
+            ("\n1,4,2\n\n\n1,x,2\n", "line 6, column 'au': 'x' is not an integer"),
         ],
     )
     def test_line_numbers_count_blank_lines(self, tmp_path, rows, message):
@@ -354,11 +366,13 @@ _PSPI_TEXT = "pspi\n" + "".join(
 )
 
 
-# cells that float(), int() and the two readers may take differently
+# cells that float(), int() and the two readers may take differently; the cell grammar
+# refuses '_', a leading '+', 'infinity' and an id spelled otherwise than str(int) writes
 _TRAP_CELLS = [
     "", " ", "abc", "1_000", "١", "nan", "-nan", "inf", "-Infinity", "1e400", "0x1p3",
     "#", "1#2", '"', '"1,2"', '"0,0,0"', " 7 ", "3.0", "2.5", "F", "e", "70", "0", "-1",
-    "99999999999999999999", " 1", "1\x0c", "A", "c", "\x1c1",
+    "99999999999999999999", " 1", "1\x0c", "A", "c", "\x1c1", "+1", "+nan",
+    "infinity", "INF", "04", "4.0", "4_0", "-0", "1e+2", "1E+2", "e+2", ".5", "5.", "\t2", "\x0c",
 ]
 _EDITS = ["blank", "short", "long", "cell", "duplicate_header", "lone_cr", "crlf",
           "repeat_row", "no_final_newline"]
@@ -369,7 +383,7 @@ def text_mutations(draw):
     """One to three edits: (kind, row, column, cell text)."""
     cell = st.one_of(
         st.sampled_from(_TRAP_CELLS),
-        st.text(alphabet='0123456789.,-+eE#"\r aF', max_size=5),
+        st.text(alphabet='0123456789.,-+_eE#"\r aFinfty', max_size=5),
     )
     edit = st.tuples(st.sampled_from(_EDITS), st.integers(0, 99), st.integers(0, 99), cell)
     return draw(st.lists(edit, min_size=1, max_size=3))
@@ -414,24 +428,31 @@ def _outcome(parse, path):
 
 def _rowwise(parse, path):
     """`parse` with its numpy bulk path switched off: the row-wise reader alone."""
-    with mock.patch.object(ingestion, "_bulk_rows", return_value=None):
+    with mock.patch.object(ingestion, "_bulk", return_value=None):
         return _outcome(parse, path)
+
+
+# the number cell grammar, spelled out: an optional '-', then digits with an optional
+# fraction and exponent, or nan or inf in any case
+_NUMBER_CELL = re.compile(
+    r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|-?([nN][aA][nN]|[iI][nN][fF])"
+)
 
 
 def _read_pspi_lines(path, text: str) -> list[float]:
     """The values of a PSPI file, read line by line: the reference reader."""
     values: list[float] = []
-    lines = [(number, ln.strip()) for number, ln in enumerate(text.split("\n"), start=1)]
+    lines = [(number, ln.strip(" \t")) for number, ln in enumerate(text.split("\n"), start=1)]
     lines = [(number, ln) for number, ln in lines if ln]  # numbers stay physical
     if lines and lines[0][1].lower() == "pspi":
         lines = lines[1:]
     if not lines:
         raise ParseError(f"{path}: empty file")
     for number, raw in lines:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric value {raw!r} on line {number}") from None
+        if not _NUMBER_CELL.fullmatch(raw):
+            raise ParseError(f"{path}: line {number}, column 'pspi': {raw!r} is not a number")
+    for number, raw in lines:
+        value = float(raw)
         if not 0.0 <= value <= 16.0:
             raise ParseError(
                 f"{path}: value {value} outside [0, 16] on line {number}"
@@ -472,14 +493,14 @@ _COLUMN_FIELDS = ("frame_index", "tracking_ok", "geometry", "au_levels")
 
 class TestOpenQuote:
     """A quote left open in a trailing cell would read every later line into that
-    cell, and the file as its first two rows, with no error."""
+    cell, and the file as its first two rows, with no error. The error names the line
+    the quote opens on."""
 
     @pytest.mark.parametrize(
-        "name, parse, last_line",
-        [("P001_01_features.csv", parse_feature_csv, 13),
-         ("P001_01_manual_aus.csv", parse_manual_au_file, 73)],
+        "name, parse", [("P001_01_features.csv", parse_feature_csv),
+                        ("P001_01_manual_aus.csv", parse_manual_au_file)],
     )
-    def test_is_an_error_naming_the_file(self, tmp_path, name, parse, last_line):
+    def test_is_an_error_naming_the_file(self, tmp_path, name, parse):
         write_dataset(make_separable_dataset(n_subjects=1, n_sequences=1, n_frames=12), tmp_path)
         path = tmp_path / name
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -487,7 +508,25 @@ class TestOpenQuote:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as info:
             parse(path)
-        assert str(info.value) == f"{path}: line {last_line}: unexpected end of data"
+        assert str(info.value) == f"{path}: line 3: unexpected end of data"
+
+    @pytest.mark.parametrize(
+        "name, parse", [("P001_01_features.csv", parse_feature_csv),
+                        ("P001_01_manual_aus.csv", parse_manual_au_file)],
+    )
+    def test_a_quote_closed_lines_later_is_an_error(self, tmp_path, name, parse):
+        """A quote closed four lines later would merge five rows into one."""
+        write_dataset(make_separable_dataset(n_subjects=1, n_sequences=1, n_frames=12), tmp_path)
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] += ",note"
+        lines[1:] = [line + "," for line in lines[1:]]
+        lines[2] += '"a'
+        lines[6] += 'b"'
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse(path)
+        assert str(info.value) == f"{path}: line 3: a quoted cell spans lines 3-7"
 
 
 class TestFastPathsMatchRowWise:
@@ -504,8 +543,7 @@ class TestFastPathsMatchRowWise:
         features, manual = workdir / "clean.csv", workdir / "clean_aus.csv"
         features.write_text(_FEATURE_TEXTS[base], encoding="utf-8")
         manual.write_text(_MANUAL_TEXT, encoding="utf-8")
-        with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError), \
-                mock.patch.object(ingestion, "_read_manual_rows", side_effect=AssertionError):
+        with mock.patch.object(ingestion, "_read_rows", side_effect=AssertionError):
             assert len(parse_feature_csv(features)) == 5
             codes = parse_manual_au_file(manual)
         assert len(codes.frame) == 12
@@ -517,7 +555,7 @@ class TestFastPathsMatchRowWise:
             encoding="utf-8",
         )
         with mock.patch.object(
-            ingestion, "_read_manual_rows", wraps=ingestion._read_manual_rows
+            ingestion, "_read_rows", wraps=ingestion._read_rows
         ) as rowwise:
             assert _same_result(parse_manual_au_file(letters), codes)
         rowwise.assert_called_once()
@@ -534,35 +572,38 @@ class TestFastPathsMatchRowWise:
             "frame,au,level\n" + "".join(f"{t},4,{t % 6}\n" for t in range(1, n_rows + 1)),
             encoding="utf-8",
         )
-        for parse, path, reader in [(parse_feature_csv, features, "_read_feature_rows"),
-                                    (parse_manual_au_file, manual, "_read_manual_rows")]:
+        for parse, path in [(parse_feature_csv, features), (parse_manual_au_file, manual)]:
             lone_cr = workdir / f"cr_{path.name}"
             lone_cr.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
             want = parse(path)
-            with mock.patch.object(ingestion, reader, wraps=getattr(ingestion, reader)) as rowwise:
+            with mock.patch.object(ingestion, "_read_rows", wraps=ingestion._read_rows) as rowwise:
                 assert _same_result(parse(lone_cr), want)
             rowwise.assert_called_once()
 
     def test_crlf_manual_au_file_takes_the_fast_path(self, workdir):
         path = workdir / "crlf_aus.csv"
         path.write_bytes(_MANUAL_TEXT.replace("\n", "\r\n").encode())
-        with mock.patch.object(ingestion, "_read_manual_rows", side_effect=AssertionError):
+        with mock.patch.object(ingestion, "_read_rows", side_effect=AssertionError):
             assert len(parse_manual_au_file(path).frame) == 12
 
     def test_crlf_feature_file_takes_the_fast_path(self, workdir):
         path = workdir / "crlf.csv"
         path.write_bytes(_FEATURE_TEXTS[0].replace("\n", "\r\n").encode())
-        with mock.patch.object(ingestion, "_read_feature_rows", side_effect=AssertionError):
+        with mock.patch.object(ingestion, "_read_rows", side_effect=AssertionError):
             assert len(parse_feature_csv(path)) == 5
 
     def test_non_ascii_utf8_cells_read_as_before(self, workdir):
         ascii_path, path = workdir / "ascii.csv", workdir / "non_ascii.csv"
         ascii_path.write_text(_FEATURE_TEXTS[0], encoding="utf-8")
-        # the first row's face_id (unbound) and x_1 (bound; float() reads it as -1.5)
-        text = _FEATURE_TEXTS[0].replace("\n1,0,", "\n1,visage-é,", 1)
-        path.write_text(text.replace(",-1.5,", ",-١.٥,", 1), encoding="utf-8")
+        # the first row's face_id, which no schema binds
+        path.write_text(_FEATURE_TEXTS[0].replace("\n1,0,", "\n1,visage-é,", 1), encoding="utf-8")
         assert not path.read_bytes().isascii()
         assert _same_result(parse_feature_csv(path), parse_feature_csv(ascii_path))
+        # x_1, which float() reads as -1.5: its digits are not ASCII
+        path.write_text(_FEATURE_TEXTS[0].replace(",-1.5,", ",-١.٥,", 1), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_feature_csv(path)
+        assert str(info.value) == f"{path}: line 2, column 'x_1': '-١.٥' is not a number"
 
     @settings(deadline=None, max_examples=200)
     @given(base=st.sampled_from(range(len(_FEATURE_TEXTS))), edits=text_mutations())
@@ -582,6 +623,10 @@ class TestFastPathsMatchRowWise:
     @example(base=0, edits=[("cell", 2, 2, "1" * 140_000)])  # over the csv field limit
     @example(base=0, edits=[("repeat_row", 2, 0, "")])  # a repeated frame
     @example(base=0, edits=[("cell", 2, 5, "\x1c1")])  # a blank to numpy, not to float()
+    @example(base=0, edits=[("cell", 2, 5, "+1")])  # numpy and float() take a leading '+'
+    @example(base=0, edits=[("cell", 3, 21, "infinity")])  # and 'infinity'
+    @example(base=1, edits=[("cell", 2, 0, "+3"), ("cell", 3, 21, "1e+2")])
+    @example(base=0, edits=[("cell", 2, 8, "1_0")])
     def test_feature_csv(self, workdir, base, edits):
         path = workdir / "features.csv"
         path.write_bytes(mutate(_FEATURE_TEXTS[base], edits).encode())
@@ -612,8 +657,15 @@ class TestFastPathsMatchRowWise:
     )
     @example(edits=[("cell", 2, 0, " " * 140_000 + "1")])  # over the csv field limit
     @example(edits=[("cell", 2, 2, "-0"), ("cell", 3, 2, "A"), ("cell", 4, 2, "e")])
-    @example(edits=[("cell", 2, 2, "-0"), ("cell", 3, 2, "3.0")])  # whole numbers: bulk
+    @example(edits=[("cell", 2, 2, "-0"), ("cell", 3, 2, "3.0")])  # not integers: refused
     @example(edits=[("cell", 2, 0, "\x1c2")])  # a blank to numpy, not to int()
+    @example(edits=[("cell", 2, 0, "04")])  # numpy reads each of these ids, and int() too
+    @example(edits=[("cell", 3, 1, "+4")])
+    @example(edits=[("cell", 2, 0, "-0"), ("no_final_newline", 0, 0, "")])
+    @example(edits=[("cell", 12, 1, "04"), ("no_final_newline", 0, 0, "")])  # the last row
+    @example(edits=[("cell", 2, 2, " 3"), ("cell", 3, 2, "3 ")])  # blanks: read row-wise
+    @example(edits=[("cell", 2, 0, "4.0")])
+    @example(edits=[("cell", 2, 2, "+4")])
     def test_manual_au_file(self, workdir, edits):
         path = workdir / "aus.csv"
         path.write_bytes(mutate(_MANUAL_TEXT, edits).encode())
@@ -637,6 +689,11 @@ class TestFastPathsMatchRowWise:
     @example(edits=[("long", 2, 0, "3")])  # two numbers on one line
     @example(edits=[("cell", 2, 0, "1 2")])
     @example(edits=[("cell", 2, 0, "1_0"), ("cell", 3, 0, "١")])  # float() takes both
+    @example(edits=[("cell", 2, 0, "+1_0")])  # '+1_0' reads 10.0 to float()
+    @example(edits=[("cell", 2, 0, "infinity"), ("cell", 3, 0, "99")])
+    @example(edits=[("cell", 2, 0, "1e+1"), ("cell", 3, 0, "\x0c2")])
+    @example(edits=[("cell", 0, 0, "\x0cpspi")])  # str.strip() finds a header there
+    @example(edits=[("blank", 0, 0, ""), ("cell", 0, 0, "\x0c")])  # a blank line to str.strip()
     @example(edits=[("cell", 2, 0, "nan")])
     @example(edits=[("cell", 2, 0, "16.5")])
     @example(edits=[("cell", 2, 0, " 7 "), ("cell", 3, 0, "-0")])
@@ -726,16 +783,19 @@ class TestParsePspiFile:
         with pytest.raises(ParseError, match="outside"):
             parse_pspi_file(path)
 
-    def test_non_numeric(self, tmp_path):
+    # float() reads all but the first, '+1_0' as 10.0
+    @pytest.mark.parametrize("value", ["high", "+1_0", "+2", "1_0", "infinity", "\u0662", "2\x0c"])
+    def test_non_numeric(self, tmp_path, value):
         path = tmp_path / "p.txt"
-        path.write_text("1\nhigh\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 2"):
+        path.write_text(f"1\n{value}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
             parse_pspi_file(path)
+        assert str(info.value) == f"{path}: line 2, column 'pspi': {value!r} is not a number"
 
     def test_line_numbers_count_header_and_blank_lines(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("pspi\n1.0\n\nx\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"non-numeric value 'x' on line 4$"):
+        with pytest.raises(ParseError, match=r"line 4, column 'pspi': 'x' is not a number$"):
             parse_pspi_file(path)
 
     def test_line_numbers_count_blank_lines_without_header(self, tmp_path):
@@ -979,7 +1039,10 @@ class TestLoadDataset:
         )
         with pytest.raises(ParseError) as info:
             load_dataset(load_manifest(tmp_path / "manifest.json"))
-        assert str(info.value) == f"cannot read {tmp_path / 'gone.csv'}: No such file or directory"
+        assert str(info.value) == (
+            f"manifest {tmp_path / 'manifest.json'}: entry 0 (S1/01) feature_file: "
+            f"cannot read {tmp_path / 'gone.csv'}: No such file or directory"
+        )
 
     def test_validation_problems_surface_as_findings(self, tmp_path):
         write_feature_csv(tmp_path / "f.csv", [feature_row(2), feature_row(1)])

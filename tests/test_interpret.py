@@ -400,10 +400,10 @@ class TestPredictionsCsv:
         )
         with pytest.raises(ParseError) as info:
             read_predictions_csv(path)
-        assert str(info.value) == f"{path}: line 3: unexpected end of data"
+        assert str(info.value) == f"{path}: line 2: unexpected end of data"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("subject,sequence,frame\nS1,01,1\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="columns"):
+        with pytest.raises(ParseError, match="missing column 'confidence_pain'$"):
             read_predictions_csv(path)
