@@ -175,6 +175,8 @@ def check_arguments(args) -> TedConfig:
         # written into --out, so a name only: a directory part could point anywhere
         if args.plot_data in ("", ".", "..") or os.path.basename(args.plot_data) != args.plot_data:
             raise ConfigError(f"--plot-data must be a file name, got {args.plot_data!r}")
+        if args.plot_data in ("summary.json", "summary.txt", "run_metadata.json"):
+            raise ConfigError(f"--plot-data {args.plot_data!r} would overwrite a summarize output")
     elif args.command == "interpret":
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -286,6 +288,7 @@ def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
     else:
         loso = interpret.loso_validate(table, hyperparams=args.hyperparams, seed=args.seed)
     agreement = interpret.agreement_analysis(loso.predictions, ted[loso.rows], thresholds)
+    _warn(loso.findings + agreement.findings)
     payload = {
         "per_subject_f1": loso.per_subject_f1,
         "mean_f1": loso.mean_f1,
@@ -302,7 +305,7 @@ def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
     print(f"flagged disagreements: {len(agreement.flags)}")
     return {
         "seed": args.seed,
-        "trees": args.trees,
+        **dataclasses.asdict(args.hyperparams),
         "pspi_threshold": args.pspi_threshold,
         "thresholds": dataclasses.asdict(thresholds),
     }

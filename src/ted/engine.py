@@ -34,13 +34,9 @@ def _static_scores(levels: np.ndarray) -> np.ndarray:
 
 
 def _row_var(mat: np.ndarray) -> np.ndarray:
-    """Unbiased variance of each row of a 2-d matrix: `mat.var(axis=1, ddof=1)`,
-    computed as numpy computes it, without its Python wrapper."""
-    dev = mat - mat.sum(axis=1, keepdims=True) / mat.shape[1]
-    np.square(dev, out=dev)
-    var = dev.sum(axis=1) / (mat.shape[1] - 1)
-    # a constant row has variance exactly 0; the float computation can miss
-    # by an ulp of the mean, which would poison the guarded ratio below
+    """Unbiased variance of each row of a 2-d matrix, exactly 0 for a constant row: the
+    float computation can miss by an ulp of the mean and poison the guarded ratio below."""
+    var = mat.var(axis=1, ddof=1)
     var[mat.max(axis=1) == mat.min(axis=1)] = 0.0
     return var
 

@@ -13,7 +13,7 @@ import io
 import json
 import re
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -67,7 +67,7 @@ def _cell(path, line: int, column: str, kind: str, cell: str):
 
 def _plain(text: bytes) -> bool:
     """Whether `text` is all `_NUMBER_BYTES`, with a '+' only after 'e' or 'E': then what
-    numpy's loadtxt or float() reads of it as a number is a number cell."""
+    numpy's loadtxt reads of it as a number is a number cell."""
     return not text.translate(None, _NUMBER_BYTES) and (
         b"+" not in text or text.count(b"+") == text.count(b"e+") + text.count(b"E+")
     )
@@ -271,13 +271,14 @@ def parse_feature_csv(
         return np.column_stack([column[c] for c in names] or [np.empty((len(lines), 0))])
 
     frame = column[schema.frame]
-    bad = np.flatnonzero(~(np.abs(frame) < 2.0**63) | (np.floor(frame) != frame))
+    in_range = (frame >= -(2.0**63)) & (frame < 2.0**63)  # NaN is in no range
+    bad = np.flatnonzero(~in_range | (np.floor(frame) != frame))
     if bad.size:
         value = frame[bad[0]]
-        raise ParseError(
-            f"{path}: frame number {value} in column {schema.frame!r}, "
-            f"line {lines[bad[0]]} is not " + ("an integer" if abs(value) < 2.0**63 else "finite")
-        )
+        what = ("not an integer" if in_range[bad[0]] else "not finite" if not np.isfinite(value)
+                else "outside the 64-bit integer range")
+        raise ParseError(f"{path}: frame number {value} in column {schema.frame!r}, "
+                         f"line {lines[bad[0]]} is {what}")
     frame = frame.astype(np.int64)
     first = np.unique(frame, return_index=True)[1]  # the row where each frame number first shows
     if first.size < frame.size:
@@ -376,23 +377,17 @@ def parse_pspi_file(path, digests: Optional[dict[str, str]] = None) -> np.ndarra
     `pspi` header in any case, as a float64 array; each value is a number cell.
     Line numbers in messages are physical, blank lines included."""
     with read_input(path, digests) as fh:  # \r\n and \r line ends read as \n
-        lines, data = fh.read().split("\n"), fh.buffer.getvalue()
-    cells = list(filter(None, map(str.strip, lines)))  # the grammar's, in a `_plain` file
-    if cells and cells[0].lower() == "pspi":
-        data = data.replace(cells.pop(0).encode(), b"", 1)
-    with suppress(ValueError):  # in a `_plain` file, float() reads only number cells
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-        if cells and _plain(data) and ((values >= 0.0) & (values <= 16.0)).all():
-            return values
-    # the first line that fails, with only spaces and tabs stripped as blanks
+        lines = fh.read().split("\n")
     numbered = [(n, cell) for n, line in enumerate(lines, start=1) if (cell := line.strip(" \t"))]
     if numbered and numbered[0][1].lower() == "pspi":
         del numbered[0]
     if not numbered:
         raise ParseError(f"{path}: empty file")
     values = np.array([_cell(path, n, "pspi", "number", cell) for n, cell in numbered])
-    row = np.argmin((values >= 0.0) & (values <= 16.0))  # all numbers, so one is outside
-    raise ParseError(f"{path}: value {values[row]} outside [0, 16] on line {numbered[row][0]}")
+    row = np.argmin((values >= 0.0) & (values <= 16.0))  # the first value outside, if any
+    if not 0.0 <= values[row] <= 16.0:
+        raise ParseError(f"{path}: value {values[row]} outside [0, 16] on line {numbered[row][0]}")
+    return values
 
 
 def load_manifest(path, digests: Optional[dict[str, str]] = None) -> DatasetManifest:

@@ -179,6 +179,9 @@ class TedConfig:
         unknown = fs - set(FEATURE_SETS)
         if unknown:
             raise ConfigError(f"unknown feature sets: {sorted(unknown)}")
+        if "I" in fs and len(self.profile) < 2:  # relative change needs two components
+            raise ConfigError(f"feature set I needs at least 2 action units; "
+                              f"profile {self.profile.name!r} has {len(self.profile)}")
         object.__setattr__(self, "feature_sets", fs)
 
 
@@ -276,42 +279,29 @@ class DatasetManifest:
             raise ConfigError(f"duplicate (subject, sequence) entries: {dupes}")
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One validation problem; findings are reported, never raised."""
-
-    field: str
-    message: str
-    frame_index: Optional[int] = None
-
-    def __str__(self) -> str:
-        where = f" (frame {self.frame_index})" if self.frame_index is not None else ""
-        return f"{self.field}{where}: {self.message}"
-
-
-def validate_sequence(seq: SequenceRecord) -> list[Finding]:
-    """Check the frames' invariants; returns an empty list iff they hold. PSPI labels
-    are not checked here: `parse_pspi_file` checks their values, `pspi_array` their count."""
+def validate_sequence(seq: SequenceRecord) -> list[str]:
+    """One text per broken frame invariant, reported and never raised: an empty list iff they
+    hold. PSPI labels are checked by `parse_pspi_file` (values) and `pspi_array` (count)."""
     cols = seq.frames
     n = len(cols)
     if not n:
-        return [Finding("frames", "sequence has no frames")]
+        return ["frames: sequence has no frames"]
 
     idx = cols.frame_index.tolist()
     steps_back = cols.frame_index[1:] <= cols.frame_index[:-1]
     per_frame = [
-        (p + 1, Finding("frame_index", f"not strictly increasing after {idx[p]}", idx[p + 1]))
+        (p + 1, f"frame_index (frame {idx[p + 1]}): not strictly increasing after {idx[p]}")
         for p in np.flatnonzero(steps_back).tolist()
     ]
     finite = np.isfinite(cols.geometry).all(axis=1) & np.isfinite(cols.au_levels).all(axis=1)
     per_frame += [
-        (p, Finding("features", "non-finite value", idx[p]))
+        (p, f"features (frame {idx[p]}): non-finite value")
         for p in np.flatnonzero(cols.tracking_ok & ~finite).tolist()
     ]
     findings = [f for _, f in sorted(per_frame, key=lambda pf: pf[0])]
     # no valid frame precedes them, so the dynamics read the first frame's tracker output
     leading = int(np.append(cols.tracking_ok, True).argmax())
     if leading:
-        message = f"leading {leading} frame(s) failed tracking; dynamics use their tracker output"
-        findings.insert(0, Finding("tracking", message))
+        findings.insert(0, f"tracking: leading {leading} frame(s) failed tracking; "
+                           "dynamics use their tracker output")
     return findings

@@ -241,13 +241,25 @@ class TestExitCodes:
             (("summarize", "--plot-data", ""), "--plot-data must be a file name, got ''"),
             (("summarize", "--plot-data", "."), "--plot-data must be a file name, got '.'"),
             (("summarize", "--plot-data", ".."), "--plot-data must be a file name, got '..'"),
+            (("summarize", "--plot-data", "summary.json"),
+             "--plot-data 'summary.json' would overwrite a summarize output"),
+            (("summarize", "--plot-data", "summary.txt"),
+             "--plot-data 'summary.txt' would overwrite a summarize output"),
+            (("summarize", "--plot-data", "run_metadata.json"),
+             "--plot-data 'run_metadata.json' would overwrite a summarize output"),
+            # relative change over the I stream needs two action units
+            (("evaluate", "--profile", "4"),
+             "feature set I needs at least 2 action units; profile 'custom' has 1"),
+            (("score", "--au-source", "predicted", "--profile", "4", "--feature-sets", "L,I"),
+             "feature set I needs at least 2 action units; profile 'custom' has 1"),
         ],
         ids=["w", "feature-sets", "predicted-au43", "overall-manual", "windows", "seed",
              "trees", "max-depth", "min-samples-leaf", "windows-underscore", "windows-plus",
              "profile-underscore", "profile-leading-zero", "pspi-threshold-nan",
              "ted-high-and-conf-low-nan", "conf-low-nan", "ted-low-nan", "conf-high-nan",
              "plot-data-subdir", "plot-data-trailing-slash", "plot-data-empty", "plot-data-dot",
-             "plot-data-dotdot"],
+             "plot-data-dotdot", "plot-data-summary-json", "plot-data-summary-txt",
+             "plot-data-metadata", "one-au-profile", "one-au-profile-predicted"],
     )
     def test_config_error_reads_no_data_file(
         self, dataset, tmp_path, capsys, open_recorder, args, message
@@ -258,6 +270,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
         assert _data_files_opened(dataset, opened) == []
+
+    def test_one_au_overall_profile_is_2_once_known(self, tmp_path, capsys):
+        """`overall` takes its action units from the data: a file set binding one AU
+        fails once read, and scores without the I stream."""
+        records = make_separable_dataset(n_subjects=2, n_sequences=1, n_frames=20, seed=3)
+        manifest = write_dataset(records, tmp_path / "ds")
+        schema = dataclasses.asdict(FeatureCsvSchema.default(n_landmarks=5, au_ids=(4,)))
+        (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+        flags = ("--au-source", "predicted", "--profile", "overall",
+                 "--schema", str(tmp_path / "schema.json"))
+        code, out = run(manifest, tmp_path, "score", *flags)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: feature set I needs at least 2 action units; profile 'overall' has 1\n"
+        )
+        assert not out.exists()
+        code, _ = run(manifest, tmp_path / "without-i", "score", *flags,
+                      "--feature-sets", "L,Ho,Hr,Gl,Gr")
+        assert code == 0
 
     def test_absolute_plot_data_path_is_2(self, dataset, tmp_path, capsys, open_recorder):
         target = tmp_path / "elsewhere.csv"
@@ -765,6 +796,36 @@ class TestInterpret:
         code, _ = run(manifest, tmp_path, "interpret", "--trees", "5")
         assert code == 4
         assert "no fold ran" in capsys.readouterr().err
+
+    def test_findings_are_printed_as_warnings(self, dataset, tmp_path, capsys):
+        """A skipped fold or an undefined scenario correlation reaches stderr, as sweep's
+        and evaluate's findings do, in the order interpret.json lists them."""
+        code, out = run(dataset, tmp_path, "interpret", "--trees", "5", "--pspi-threshold", "10")
+        assert code == 0
+        findings = json.loads((out / "interpret.json").read_text())["findings"]
+        assert "scenario type1: need at least 3 points, got 1" in findings
+        err = capsys.readouterr().err
+        assert err == "".join(f"warning: {finding}\n" for finding in findings)
+        code, _ = run(dataset, tmp_path / "audit", "interpret",
+                      "--predictions", str(out / "predictions.csv"))
+        assert code == 0
+        assert "warning: external predictions: no LOSO F1 computed\n" in capsys.readouterr().err
+
+    def test_metadata_records_every_forest_flag(self, dataset, tmp_path):
+        """Two runs that differ only in a forest flag write different metadata."""
+        code, out = run(dataset, tmp_path, "interpret", "--trees", "5", "--max-depth", "1",
+                        "--min-samples-leaf", "3", "--stratified-bootstrap")
+        assert code == 0
+        config = json.loads((out / "run_metadata.json").read_text())["config"]
+        forest = ("n_trees", "max_depth", "min_samples_leaf", "stratified_bootstrap")
+        assert {key: config[key] for key in forest} == {
+            "n_trees": 5, "max_depth": 1, "min_samples_leaf": 3, "stratified_bootstrap": True
+        }
+        code, out = run(dataset, tmp_path / "default", "interpret", "--trees", "5")
+        config = json.loads((out / "run_metadata.json").read_text())["config"]
+        assert {key: config[key] for key in forest} == {
+            "n_trees": 5, "max_depth": None, "min_samples_leaf": 1, "stratified_bootstrap": False
+        }
 
     def test_external_predictions_audit(self, dataset, tmp_path):
         code, out = run(dataset, tmp_path, "interpret", "--trees", "5")

@@ -154,7 +154,12 @@ class TestParseFeatureCsv:
 
     @pytest.mark.parametrize(
         "value, what",
-        [("nan", "finite"), ("inf", "finite"), ("1e300", "finite"), ("2.5", "an integer")],
+        [("nan", "not finite"), ("inf", "not finite"), ("-inf", "not finite"),
+         ("2.5", "not an integer"),
+         # finite, but past int64: 2**63 is the first value above it
+         ("1e300", "outside the 64-bit integer range"),
+         ("-1e300", "outside the 64-bit integer range"),
+         ("9223372036854775808", "outside the 64-bit integer range")],
     )
     def test_bad_frame_number(self, tmp_path, value, what):
         path = write_feature_csv(tmp_path / "f.csv", [feature_row(1), feature_row(value)])
@@ -162,8 +167,13 @@ class TestParseFeatureCsv:
             with pytest.raises(ParseError) as info:
                 parse_feature_csv(path)
         assert str(info.value) == (
-            f"{path}: frame number {float(value)} in column 'frame', line 3 is not {what}"
+            f"{path}: frame number {float(value)} in column 'frame', line 3 is {what}"
         )
+
+    def test_int64_extremes_are_frame_numbers(self, tmp_path):
+        rows = [feature_row(-(2**63)), feature_row(2**63 - 1024)]  # 2**63 - 1 rounds to 2**63
+        frames = parse_feature_csv(write_feature_csv(tmp_path / "f.csv", rows)).frame_index
+        assert frames.tolist() == [-(2**63), 2**63 - 1024]
 
     def test_repeated_frame_names_both_lines(self, tmp_path):
         rows = [feature_row(frame) for frame in (2, 1, 2, 1)]

@@ -165,6 +165,14 @@ class TestTedConfig:
         with pytest.raises(ConfigError):
             TedConfig(feature_sets=frozenset({"L", "Z"}))
 
+    def test_i_stream_needs_two_action_units(self):
+        one = AuProfile("one", (4,))
+        with pytest.raises(ConfigError) as info:
+            TedConfig(profile=one)
+        assert str(info.value) == "feature set I needs at least 2 action units; profile 'one' has 1"
+        assert TedConfig(profile=one, feature_sets=frozenset({"L"})).profile is one
+        assert len(TedConfig(profile=AuProfile("two", (4, 6))).profile) == 2
+
     def test_fields_are_what_scoring_reads(self):
         assert [f.name for f in dataclasses.fields(TedConfig)] == [
             "window", "window_orientation", "profile", "feature_sets"
@@ -198,18 +206,18 @@ class TestValidateSequence:
 
     def test_empty_sequence(self):
         findings = validate_sequence(SequenceRecord("S1", "01", []))
-        assert [f.field for f in findings] == ["frames"]
+        assert findings == ["frames: sequence has no frames"]
 
     def test_non_increasing_frame_index(self):
         frames = [make_frame(1), make_frame(3), make_frame(2)]
         findings = validate_sequence(SequenceRecord("S1", "01", frames))
-        assert any(f.field == "frame_index" and f.frame_index == 2 for f in findings)
+        assert "frame_index (frame 2): not strictly increasing after 3" in findings
 
     def test_non_finite_feature_flagged_only_when_tracking_ok(self):
         seq = SequenceRecord("S1", "01", [make_frame(1), make_frame(2)])
         seq.frames.stream("Ho")[1, 0] = float("nan")
         findings = validate_sequence(seq)
-        assert any(f.field == "features" and f.frame_index == 2 for f in findings)
+        assert "features (frame 2): non-finite value" in findings
 
         seq.frames.tracking_ok[1] = False
         assert validate_sequence(seq) == []
@@ -219,12 +227,11 @@ class TestValidateSequence:
         seq.frames.stream("L")[1, 0] = float("inf")
         seq.frames.au_levels[3, 0] = float("nan")
         findings = validate_sequence(seq)
-        assert [(f.field, f.frame_index) for f in findings] == [
-            ("features", 3),
-            ("frame_index", 2),
-            ("features", 4),
+        assert findings == [
+            "features (frame 3): non-finite value",
+            "frame_index (frame 2): not strictly increasing after 3",
+            "features (frame 4): non-finite value",
         ]
-        assert str(findings[1]) == "frame_index (frame 2): not strictly increasing after 3"
 
     def test_leading_failed_tracking_frames_reported(self):
         seq = make_random_sequence(5)
