@@ -37,13 +37,13 @@ _JSON_KINDS = {str: "a string", list: "a list of strings", dict: "an object of s
 _INTEGER = r"0|-?[1-9][0-9]*"  # the form str(int) writes
 # the forms repr and C's %f and %g write ('5.' and '.5' too, as strtod reads them)
 _NUMBER = r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[nN][aA][nN]|[iI][nN][fF])"
-# each cell kind: its cells' pattern (blanks around them aside), reader and name
+# each cell kind: its cells' pattern (blanks around them aside), reader, name and dtype
 _KINDS = {
-    "number": (re.compile(_NUMBER), float, "a number"),
-    "integer": (re.compile(_INTEGER), int, "an integer"),
+    "number": (re.compile(_NUMBER), float, "a number", np.float64),
+    "integer": (re.compile(_INTEGER), int, "an integer", np.int64),
     "level": (re.compile(f"{_INTEGER}|[A-Ea-e]"),
-              lambda c: "ABCDE".find(c.strip(" \t").upper()) + 1 or int(c), "a level"),
-    "text": (re.compile(".*", re.S), str, "text"),
+              lambda c: "ABCDE".find(c.strip(" \t").upper()) + 1 or int(c), "a level", np.int64),
+    "text": (re.compile(".*", re.S), str, "text", object),
 }
 _NUMBER_BYTES = b"0123456789.-+eEnNaAiIfF, \t\r\n"  # of numbers, blanks, commas, line ends
 _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # an integer |v| >= 10**k is k + 1 digits wide
@@ -59,7 +59,7 @@ def integer(text: str) -> int:
 
 def _cell(path, line: int, column: str, kind: str, cell: str):
     """`cell` as its kind reads it, or an error naming the file, line and column."""
-    grammar, read, name = _KINDS[kind]
+    grammar, read, name, _ = _KINDS[kind]
     if not grammar.fullmatch(cell.strip(" \t")):
         raise ParseError(f"{path}: line {line}, column {column!r}: {cell!r} is not {name}")
     return read(cell)
@@ -106,10 +106,10 @@ def _rows(path, fh):
         raise ParseError(f"{path}: line {line + 1}: {exc}") from None
 
 
-def read_table(path, fh, kinds: Mapping[str, str], skip_blank: bool = False):
+def read_table(path, fh, kinds: Mapping[str, str], named: Mapping[str, str] = {}):
     """The `kinds` columns (`_KINDS` kinds) of the csv file `fh`, read by `read_input` with
-    newline="", as arrays, and the physical line of each row; the header names each once, and
-    a row has the header's cells (a blank line is skipped if `skip_blank`) of their kinds."""
+    newline="", as arrays (integers and levels int64), and the physical line of each row. The
+    header names each once (a missing one with its `named` text); every row has its cells."""
     rows = _rows(path, fh)
     _, header = next(rows, (0, None))
     if header is None:
@@ -118,7 +118,7 @@ def read_table(path, fh, kinds: Mapping[str, str], skip_blank: bool = False):
     first = {column: i for i, column in reversed(list(enumerate(header)))}
     for column in kinds:  # the first column that is missing or repeated fails
         if column not in first:
-            raise SchemaError(f"{path}: missing column {column!r}")
+            raise SchemaError(f"{path}: missing column {column!r}{named.get(column, '')}")
         if len(first) < len(header) and (count := header.count(column)) > 1:
             raise SchemaError(f"{path}: column {column!r} appears {count} times")
     cols = [first[column] for column in kinds]
@@ -128,7 +128,7 @@ def read_table(path, fh, kinds: Mapping[str, str], skip_blank: bool = False):
         table = _bulk(fh.buffer.getvalue(), cols, len(header), used == {"number"})
         if table is not None:
             return list(table.T), range(2, len(table) + 2)
-    return _read_rows(path, rows, kinds, cols, len(header), skip_blank)
+    return _read_rows(path, rows, kinds, cols, len(header))
 
 
 def _bulk(data: bytes, cols: list[int], width: int, numbers: bool) -> Optional[np.ndarray]:
@@ -161,24 +161,28 @@ def _bulk(data: bytes, cols: list[int], width: int, numbers: bool) -> Optional[n
     return rows
 
 
-def _read_rows(path, rows, kinds: Mapping[str, str], cols: list[int], width: int, skip_blank: bool):
+def _read_rows(path, rows, kinds: Mapping[str, str], cols: list[int], width: int):
     """`read_table`'s result, read row by row from the `_rows` after the header."""
     columns, lines = [[] for _ in cols], []
     for line, cells in rows:
         if len(cells) < width:
-            if skip_blank and not cells:
-                continue
             raise ParseError(f"{path}: line {line} has {len(cells)} cells, the header has {width}")
         for column, (name, kind), i in zip(columns, kinds.items(), cols):
             column.append(_cell(path, line, name, kind, cells[i]))
         lines.append(line)
-    dtypes = [object if kind == "text" else None for kind in kinds.values()]
-    return [np.array(column, dtype) for column, dtype in zip(columns, dtypes)], lines
+    for i, (column, (name, kind)) in enumerate(zip(columns, kinds.items())):
+        try:
+            columns[i] = np.array(column, _KINDS[kind][3])
+        except OverflowError:  # an integer cell past int64: the column's first
+            line, value = next((n, v) for n, v in zip(lines, column) if not -(2**63) <= v < 2**63)
+            raise ParseError(f"{path}: line {line}, column {name!r}: '{value}' "
+                             "is outside the 64-bit integer range") from None
+    return columns, lines
 
 
 @dataclass(frozen=True)
 class FeatureCsvSchema:
-    """Column bindings for one feature CSV layout."""
+    """Column bindings for one feature CSV layout, and the schema file they were read from."""
 
     frame: str = "frame"
     success: str = "success"
@@ -189,6 +193,7 @@ class FeatureCsvSchema:
     gaze_left: tuple[str, str, str] = ("gaze_0_x", "gaze_0_y", "gaze_0_z")
     gaze_right: tuple[str, str, str] = ("gaze_1_x", "gaze_1_y", "gaze_1_z")
     au_intensity: Mapping[int, str] = field(default_factory=dict)
+    path: Optional[str] = field(default=None, compare=False)  # the last field: no schema key
 
     def __post_init__(self):
         # parse_feature_csv lays these out as the last twelve columns of `geometry`
@@ -196,13 +201,12 @@ class FeatureCsvSchema:
             if len(getattr(self, key)) != 3:
                 raise SchemaError(f"{key} must name 3 columns, got {len(getattr(self, key))}")
 
-    def bound_columns(self) -> list[str]:
-        cols = [self.frame, self.success]
-        cols += list(self.landmark_x) + list(self.landmark_y)
-        cols += list(self.pose_translation) + list(self.pose_rotation)
-        cols += list(self.gaze_left) + list(self.gaze_right)
-        cols += [self.au_intensity[au] for au in sorted(self.au_intensity)]
-        return cols
+    def bound_columns(self) -> dict[str, str]:
+        """Each bound column, in bound order, and a schema key that binds it."""
+        keyed = {key: getattr(self, key) for key in list(self.__dataclass_fields__)[:-1]}
+        keyed.update(frame=[self.frame], success=[self.success],  # each key keeps its place
+                     au_intensity=[self.au_intensity[au] for au in sorted(self.au_intensity)])
+        return {column: key for key, columns in keyed.items() for column in columns}
 
     @classmethod
     def default(cls, n_landmarks: int = 68, au_ids: Sequence[int] = ()) -> "FeatureCsvSchema":
@@ -228,7 +232,7 @@ class FeatureCsvSchema:
             with read_input(path, digests) as fh:
                 raw = json.load(fh)
             fields = {}
-            for key in cls.__dataclass_fields__:
+            for key in list(cls.__dataclass_fields__)[:-1]:  # all but `path`
                 kind = {"frame": str, "success": str, "au_intensity": dict}.get(key, list)
                 value = raw[key]
                 if not isinstance(value, kind) or kind is not str and not all(
@@ -242,7 +246,7 @@ class FeatureCsvSchema:
                     au_intensity[integer(key)] = column
                 except ValueError:
                     raise SchemaError(f"au_intensity must be keyed by integers, got {key!r}")
-            return cls(**fields)
+            return cls(**fields, path=str(path))
         except KeyError as exc:
             raise SchemaError(f"schema file {path} missing key {exc}") from None
         except SchemaError as exc:
@@ -261,11 +265,13 @@ def parse_feature_csv(
         if schema is None:
             schema = FeatureCsvSchema.infer(next(_rows(path, fh), (0, []))[1])
             fh.seek(0)
-        kinds = dict.fromkeys(schema.bound_columns(), "number")
-        columns, lines = read_table(path, fh, kinds)
+        bound = schema.bound_columns()
+        named = {column: f", bound to {key!r} by schema file {schema.path}"
+                 for column, key in bound.items() if schema.path}
+        columns, lines = read_table(path, fh, dict.fromkeys(bound, "number"), named)
     if not lines:
         raise ParseError(f"{path}: no data rows")
-    column = dict(zip(kinds, columns))
+    column = dict(zip(bound, columns))
 
     def block(names: Sequence[str]) -> np.ndarray:
         return np.column_stack([column[c] for c in names] or [np.empty((len(lines), 0))])
@@ -319,15 +325,14 @@ def parse_manual_au_file(path, digests: Optional[dict[str, str]] = None) -> Manu
     """Parse frame,au,level rows into columns, in file order; letter grades A-E map
     to 1-5. The first row, in file order, with an AU outside 1..64, a level outside 0-5
     or an earlier row's (frame, AU) pair fails."""
+    kinds = {"frame": "integer", "au": "integer", "level": "level"}
     with read_input(path, digests, newline="") as fh:
-        (frame, au, level), lines = read_table(
-            path, fh, {"frame": "integer", "au": "integer", "level": "level"}, skip_blank=True
-        )
+        (frame, au, level), lines = read_table(path, fh, kinds)
     bad_au, bad_level = (au < 1) | (au > 64), (level < 0) | (level > 5)
-    ids = np.where(bad_au, 0, au).astype(np.int64)  # a repeat of a bad AU comes after it
+    ids = np.where(bad_au, 0, au)  # a repeat of a bad AU comes after it
     repeat = np.zeros(len(ids), dtype=bool)  # ascending (frame, AU) pairs repeat none
     if not ((frame[1:] > frame[:-1]) | (frame[1:] == frame[:-1]) & (ids[1:] > ids[:-1])).all():
-        # a pair's first row in file order; a frame past int64 is coded by its rank
+        # a pair's first row in file order; a frame is coded by its rank, so 65 * rank fits
         pair = np.unique(frame, return_inverse=True)[1] * 65 + ids
         repeat[np.setdiff1d(np.arange(len(ids)), np.unique(pair, return_index=True)[1])] = True
     if (bad := np.flatnonzero(bad_au | bad_level | repeat)).size:  # the first failing row
@@ -337,11 +342,7 @@ def parse_manual_au_file(path, digests: Optional[dict[str, str]] = None) -> Manu
         if bad_level[row]:
             raise ParseError(f"{path}: manual level {level[row]} not in 0-5 (line {line})")
         raise ParseError(f"{path}: duplicate entry for frame {frame[row]}, AU {au[row]}")
-    # a coding past int64 matches no feature frame
-    keep = [-(2**63) <= f < 2**63 for f in frame] if frame.dtype == object else slice(None)
-    return ManualCodes(
-        frame[keep].astype(np.int64), au[keep].astype(np.int64), level[keep].astype(np.float64)
-    )
+    return ManualCodes(frame, au, level.astype(np.float64))
 
 
 def merge_au_source(

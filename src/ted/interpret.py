@@ -288,7 +288,7 @@ def read_predictions_csv(path, digests: Optional[dict[str, str]] = None) -> Pred
     [0, 1], or with an earlier row's (subject, sequence, frame) key, fails."""
     kinds = {"subject": "text", "sequence": "text", "frame": "integer", "confidence_pain": "number"}
     with read_input(path, digests, newline="") as fh:
-        (subject, sequence, frame, conf), lines = read_table(path, fh, kinds, skip_blank=True)
+        (subject, sequence, frame, conf), lines = read_table(path, fh, kinds)
     first_line: dict[FrameKey, int] = {}  # the keys in file order
     keys = zip(subject.tolist(), sequence.tolist(), frame.tolist())
     for key, line, confidence in zip(keys, lines, conf.tolist()):

@@ -227,6 +227,7 @@ class TestExitCodes:
              "unknown profile '4,6_0'"),
             (("score", "--au-source", "predicted", "--profile", "04, 6"),
              "unknown profile '04, 6'"),
+            (("score", "--profile", ","), "unknown profile ','"),
             (("interpret", "--pspi-threshold", "nan"),
              "--pspi-threshold must be a number, got nan"),
             (("interpret", "--ted-high", "nan", "--conf-low", "nan"),
@@ -255,7 +256,8 @@ class TestExitCodes:
         ],
         ids=["w", "feature-sets", "predicted-au43", "overall-manual", "windows", "seed",
              "trees", "max-depth", "min-samples-leaf", "windows-underscore", "windows-plus",
-             "profile-underscore", "profile-leading-zero", "pspi-threshold-nan",
+             "profile-underscore", "profile-leading-zero", "profile-no-entry",
+             "pspi-threshold-nan",
              "ted-high-and-conf-low-nan", "conf-low-nan", "ted-low-nan", "conf-high-nan",
              "plot-data-subdir", "plot-data-trailing-slash", "plot-data-empty", "plot-data-dot",
              "plot-data-dotdot", "plot-data-summary-json", "plot-data-summary-txt",
@@ -427,6 +429,26 @@ class TestExitCodes:
             f"schema file {schema}: {key} must be {kind}"
         )
 
+    @pytest.mark.parametrize(
+        "key, value, column",
+        [("frame", "", ""), ("landmark_x", ["x_0", "x_1", "x_9"], "x_9"),
+         ("au_intensity", {"4": "AU4"}, "AU4")],
+    )
+    def test_schema_column_a_feature_file_lacks_is_named_by_the_schema(
+        self, dataset, tmp_path, capsys, key, value, column
+    ):
+        schema = _write_default_schema(tmp_path / "schema.json")
+        raw = json.loads(schema.read_text(encoding="utf-8"))
+        raw[key] = value
+        schema.write_text(json.dumps(raw), encoding="utf-8")
+        code, out = run(dataset, tmp_path, "score", "--schema", str(schema))
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"input error: {dataset.parent / 'P001_01_features.csv'}: missing column "
+            f"{column!r}, bound to {key!r} by schema file {schema}\n"
+        )
+
     @pytest.mark.parametrize("command", ["evaluate", "interpret"])
     @pytest.mark.parametrize("delta", [-5, 5])
     def test_pspi_length_mismatch_is_3(self, tmp_path, capsys, command, delta):
@@ -506,6 +528,37 @@ class TestExitCodes:
         )
         assert code == 3
         assert f"input error: {path}: not valid UTF-8 (byte 20)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["empty line", "past int64"])
+    @pytest.mark.parametrize(
+        "name", ["P002_01_features.csv", "P002_01_manual_aus.csv", "predictions.csv"]
+    )
+    def test_one_row_rule_and_one_integer_type_in_every_csv_kind(
+        self, tmp_path, capsys, name, edit
+    ):
+        """An empty line after the last row, or a last frame cell past int64, is exit 3
+        naming the file and line in each of the three CSV kinds."""
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        manifest = write_dataset(records, tmp_path / "ds")
+        preds = _write_predictions(records, manifest.parent / "predictions.csv")
+        path = manifest.parent / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if edit == "empty line":
+            lines.append("")
+            message = f"{path}: line {len(lines)} has 0 cells"
+        else:
+            cells = lines[-1].split(",")
+            cells[lines[0].split(",").index("frame")] = "99999999999999999999"
+            lines[-1] = ",".join(cells)
+            message = f"{path}: line {len(lines)}, column 'frame': '99999999999999999999' is"
+            if name.endswith("features.csv"):  # a frame number cell is a number cell
+                message = f"{path}: frame number 1e+20 in column 'frame', line {len(lines)} is"
+            message += " outside the 64-bit integer range"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out = run(manifest, tmp_path, "interpret", "--predictions", str(preds))
+        assert code == 3
+        assert not (out / "interpret.json").exists()
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name", ["manifest.json", "P002_01_features.csv", "P002_01_manual_aus.csv",
@@ -1239,10 +1292,8 @@ class TestInputFuzz:
         assert code in (0, 2, 3, 4)
         last = (stderr.getvalue().splitlines() or [""])[-1]
         if code == 3:
-            # a manifest entry whose own path is wrong is named by the manifest too; a
-            # schema column that a feature file lacks is named by that file
-            named = [path] + ([ds / _FUZZ_FILES["features"]] if target == "schema" else [])
-            assert any(str(name) in last for name in named), last
+            # a manifest entry whose own path is wrong is named by the manifest too
+            assert str(path) in last, last
         elif code == 4:
             # a file, a subject or a sequence (its key starts with the subject), or the
             # cause when the dataset has no subject to name

@@ -22,6 +22,7 @@ from ted.ingestion import (
     parse_manual_au_file,
     parse_pspi_file,
 )
+from ted.interpret import Predictions, read_predictions_csv
 from ted.model import (
     FrameColumns,
     ManifestEntry,
@@ -325,13 +326,29 @@ class TestParseManualAuFile:
             parse_manual_au_file(path)
         assert str(info.value) == f"{path}: au_id 70 outside FACS range 1..64 on line 3"
 
-    def test_frame_past_int64_is_accepted_and_never_matched(self, tmp_path):
+    @pytest.mark.parametrize("column", ["frame", "au", "level"])
+    @pytest.mark.parametrize(
+        "value", ["9223372036854775808", "-9223372036854775809", "99999999999999999999"]
+    )
+    def test_integer_past_int64_is_refused(self, tmp_path, column, value):
         path = tmp_path / "aus.csv"
-        path.write_text("frame,au,level\n1,4,2\n99999999999999999999,4,3\n", encoding="utf-8")
+        row = {"frame": f"{value},4,3", "au": f"2,{value},3", "level": f"2,4,{value}"}[column]
+        path.write_text(f"frame,au,level\n1,4,2\n{row}\n3,4,1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_manual_au_file(path)
+        assert str(info.value) == (
+            f"{path}: line 3, column {column!r}: {value!r} is outside the 64-bit integer range"
+        )
+
+    def test_int64_extremes_are_frame_numbers(self, tmp_path):
+        path = tmp_path / "aus.csv"
+        path.write_text(
+            "frame,au,level\n-9223372036854775808,4,2\n9223372036854775807,4,C\n",
+            encoding="utf-8",
+        )
         codes = parse_manual_au_file(path)
-        assert (codes.frame.tolist(), codes.au.tolist(), codes.level.tolist()) == ([1], [4], [2.0])
-        merged = merge_au_source(frame_columns(make_frame(1)), codes, PAIN_PROFILE)
-        assert merged.stream("I", (4,)).tolist() == [[2.0]]
+        assert codes.frame.tolist() == [-(2**63), 2**63 - 1]
+        assert [c.dtype for c in codes] == [np.int64, np.int64, np.float64]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "aus.csv"
@@ -339,18 +356,18 @@ class TestParseManualAuFile:
         with pytest.raises(SchemaError, match="level"):
             parse_manual_au_file(path)
 
+    # an empty line is a row of no cells, as in a feature file
     @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ("1,4,2\n\n1,6,X\n", "line 4, column 'level': 'X' is not a level"),
-            ("\n1,4,2\n\n\n1,x,2\n", "line 6, column 'au': 'x' is not an integer"),
-        ],
+        "rows, line",
+        [("1,4,2\n\n1,6,X\n", 3), ("\n1,4,2\n\n\n1,x,2\n", 2), ("1,4,2\n1,6,1\n\n", 4)],
+        ids=["between-rows", "after-header", "after-last-row"],
     )
-    def test_line_numbers_count_blank_lines(self, tmp_path, rows, message):
+    def test_empty_line_is_refused(self, tmp_path, rows, line):
         path = tmp_path / "aus.csv"
         path.write_text("frame,au,level\n" + rows, encoding="utf-8")
-        with pytest.raises(ParseError, match=f"{path}: {message}"):
+        with pytest.raises(ParseError) as info:
             parse_manual_au_file(path)
+        assert str(info.value) == f"{path}: line {line} has 0 cells, the header has 3"
 
 
 # Unbound columns lead the bound ones, as in tracker exports; the second
@@ -370,6 +387,10 @@ _FEATURE_TEXTS = tuple(
 # whole-number levels, so that edits reach the bulk path; letters are trap cells
 _MANUAL_TEXT = "frame,au,level\n" + "".join(
     f"{t},{au},{(t * au) % 6}\n" for t in range(1, 5) for au in (4, 6, 43)
+)
+# text columns keep a predictions file on the row-wise path
+_PREDICTIONS_TEXT = "subject,sequence,frame,confidence_pain\n" + "".join(
+    f"S{s},0{q},{t},{t / 8!r}\n" for s in (1, 2) for q in (1, 2) for t in range(1, 4)
 )
 _PSPI_TEXT = "pspi\n" + "".join(
     f"{v!r}\n" for v in (0.0, 16.0, 2.5, 1 / 3, 15.999999999999998, 7.0)
@@ -493,6 +514,8 @@ def _same_result(a, b):
         )
     if isinstance(a, ManualCodes) and isinstance(b, ManualCodes):
         return _same_arrays(a, b)
+    if isinstance(a, Predictions) and isinstance(b, Predictions):
+        return a.keys == b.keys and _same_arrays([a.confidence], [b.confidence])
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):  # PSPI values
         return _same_arrays([a], [b])
     return type(a) is type(b) is tuple and a == b
@@ -650,7 +673,13 @@ class TestFastPathsMatchRowWise:
     @example(edits=[("cell", 3, 2, "3.0"), ("cell", 4, 2, " e")])
     @example(edits=[("cell", 2, 1, "70")])  # outside the FACS range
     @example(edits=[("cell", 2, 1, "99999999999999999999")])
-    @example(edits=[("cell", 2, 0, "99999999999999999999")])  # past int64: never matched
+    @example(edits=[("cell", 2, 0, "99999999999999999999")])  # past int64: refused
+    @example(edits=[("cell", 2, 0, "9223372036854775808")])  # one past int64's ends
+    @example(edits=[("cell", 2, 0, "-9223372036854775809")])
+    @example(edits=[("cell", 2, 1, "9223372036854775808")])
+    @example(edits=[("cell", 2, 1, "-9223372036854775809")])
+    @example(edits=[("cell", 2, 0, "-9223372036854775808"), ("cell", 3, 0, "9223372036854775807")])
+    @example(edits=[("repeat_row", 0, 0, ""), ("short", 13, 0, "")])  # empty line after the last
     @example(edits=[("cell", 2, 0, "2.0")])  # int() rejects it; numpy 1.24 only warns
     @example(edits=[("cell", 2, 0, "1_0"), ("cell", 3, 0, "١")])  # int() takes both
     @example(edits=[("repeat_row", 5, 0, "")])  # a repeated (frame, AU) pair
@@ -682,6 +711,22 @@ class TestFastPathsMatchRowWise:
         assert _same_result(
             _outcome(parse_manual_au_file, path), _rowwise(parse_manual_au_file, path)
         )
+
+    @settings(deadline=None, max_examples=100)
+    @given(edits=text_mutations())
+    @example(edits=[("cell", 2, 2, "9223372036854775808")])  # one past int64's ends
+    @example(edits=[("cell", 2, 2, "-9223372036854775809")])
+    @example(edits=[("cell", 2, 2, "-9223372036854775808"), ("cell", 3, 2, "9223372036854775807")])
+    @example(edits=[("repeat_row", 0, 0, ""), ("short", 13, 0, "")])  # empty line after the last
+    @example(edits=[("blank", 3, 0, "")])
+    @example(edits=[("repeat_row", 4, 0, "")])  # a repeated key
+    def test_predictions_file(self, workdir, edits):
+        path = workdir / "predictions.csv"
+        path.write_bytes(mutate(_PREDICTIONS_TEXT, edits).encode())
+        got = _outcome(read_predictions_csv, path)
+        assert _same_result(got, _rowwise(read_predictions_csv, path))
+        if isinstance(got, Predictions):  # frames are int64 values, whichever path read them
+            assert all(type(frame) is int and -(2**63) <= frame < 2**63 for *_, frame in got.keys)
 
     @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"])
     def test_clean_pspi_files_read_with_every_line_end(self, workdir, ends):

@@ -64,6 +64,18 @@ class TestFrameTable:
         with pytest.raises(ComputeError):
             build_frame_table([], PAIN_PROFILE)
 
+    def test_repeated_frame_rejected(self, separable):
+        """A repeated frame would key two rows alike; no feature file can hold one."""
+        rec = separable[0]
+        frames = rec.frames.frame_index.copy()
+        frames[7] = 5
+        repeated = dataclasses.replace(rec.frames, frame_index=frames)
+        with pytest.raises(ComputeError) as info:
+            build_frame_table(
+                [dataclasses.replace(rec, frames=repeated), *separable[1:]], PAIN_PROFILE
+            )
+        assert str(info.value) == "sequence P001/01 repeats frame 5"
+
 
 class TestF1:
     def test_perfect_and_degenerate(self):
@@ -377,19 +389,32 @@ class TestPredictionsCsv:
         with pytest.raises(ParseError, match="outside"):
             read_predictions_csv(path)
 
+    # an empty line is a row of no cells, as in a feature file
     @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ("S1,01,1,0.5\n\nS1,01,2,1.5\n", "confidence outside [0, 1] on line 4"),
-            ("\nS1,01,1,0.5\n\nS1,01,1,0.6\n", "line 5 repeats S1/01 frame 1 of line 3"),
-        ],
+        "rows, line",
+        [("S1,01,1,0.5\n\nS1,01,2,1.5\n", 3), ("\nS1,01,1,0.5\n\nS1,01,1,0.6\n", 2),
+         ("S1,01,1,0.5\n\n", 3)],
+        ids=["between-rows", "after-header", "after-last-row"],
     )
-    def test_line_numbers_count_blank_lines(self, tmp_path, rows, message):
+    def test_empty_line_is_refused(self, tmp_path, rows, line):
         path = tmp_path / "p.csv"
         path.write_text("subject,sequence,frame,confidence_pain\n" + rows, encoding="utf-8")
         with pytest.raises(ParseError) as info:
             read_predictions_csv(path)
-        assert str(info.value) == f"{path}: {message}"
+        assert str(info.value) == f"{path}: line {line} has 0 cells, the header has 4"
+
+    @pytest.mark.parametrize("frame", ["9223372036854775808", "-9223372036854775809"])
+    def test_frame_past_int64_is_refused(self, tmp_path, frame):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            f"subject,sequence,frame,confidence_pain\nS1,01,1,0.5\nS1,01,{frame},0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as info:
+            read_predictions_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 3, column 'frame': '{frame}' is outside the 64-bit integer range"
+        )
 
     def test_open_quote_rejected(self, tmp_path):
         """A quote left open would read every later row into one trailing cell."""
