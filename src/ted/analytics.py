@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -214,7 +214,7 @@ def window_ablation(
         raise ComputeError("window sweep set is empty")
     dynamics = dataset_dynamics(records, cfg)
     results, findings = [], []
-    for window in sorted(set(windows)):
+    for window in (replace(cfg, window=w).window for w in sorted(set(windows))):  # refuses w < 1
         undefined: list[str] = []
         subjects = tuple(_subject_correlations(records, dynamics, window, undefined))
         findings += [f"window {window}: {finding}" for finding in undefined]

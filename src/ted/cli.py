@@ -190,7 +190,7 @@ def check_arguments(args) -> TedConfig:
 
 
 def load_inputs(args):
-    """Records, config and input digests (SHA-256 per path read) of one run."""
+    """Records, config and input digests (SHA-256 per path) of one run: its only file reads."""
     cfg = check_arguments(args)
     digests: dict[str, str] = {}
     schema = FeatureCsvSchema.from_json(args.schema, digests) if args.schema else None
@@ -200,6 +200,8 @@ def load_inputs(args):
         manifest, schema, args.au_source, None if overall else cfg.profile, digests
     )
     _warn(findings)
+    if getattr(args, "predictions", None):  # only interpret has --predictions
+        args.external = interpret.read_predictions_csv(args.predictions, digests)
     if overall:
         cfg = dataclasses.replace(cfg, profile=overall_profile(records))
     return records, cfg, digests
@@ -234,13 +236,13 @@ def _dump_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def cmd_score(args, records, cfg, out_dir, digests) -> dict:
+def cmd_score(args, records, cfg, out_dir) -> dict:
     write_scores_csv(score_dataset(records, cfg), out_dir / "scores.csv")
     print(f"wrote {out_dir / 'scores.csv'}")
     return {}
 
 
-def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
+def cmd_sweep(args, records, cfg, out_dir) -> dict:
     report = window_ablation(records, cfg, args.window_lengths)
     _warn(report.findings)
     _dump_json(report.to_dict(), out_dir / "ablation.json")
@@ -249,7 +251,7 @@ def cmd_sweep(args, records, cfg, out_dir, digests) -> dict:
     return {"windows": sorted(set(args.window_lengths))}
 
 
-def cmd_evaluate(args, records, cfg, out_dir, digests) -> dict:
+def cmd_evaluate(args, records, cfg, out_dir) -> dict:
     findings: list[str] = []
     correlations = evaluate_dataset(records, cfg, findings)
     _warn(findings)
@@ -263,7 +265,7 @@ def cmd_evaluate(args, records, cfg, out_dir, digests) -> dict:
     return {}
 
 
-def cmd_summarize(args, records, cfg, out_dir, digests) -> dict:
+def cmd_summarize(args, records, cfg, out_dir) -> dict:
     series = {key: scores.ted for key, scores in score_dataset(records, cfg).items()}
     report = summarize(records, series, scale=args.scale, transform=args.transform)
     _dump_json(dataclasses.asdict(report), out_dir / "summary.json")
@@ -274,15 +276,14 @@ def cmd_summarize(args, records, cfg, out_dir, digests) -> dict:
     return {"scale": args.scale, "transform": args.transform}
 
 
-def cmd_interpret(args, records, cfg, out_dir, digests) -> dict:
+def cmd_interpret(args, records, cfg, out_dir) -> dict:
     scores = score_dataset(records, cfg)
     table = build_frame_table(records, cfg.profile, pspi_threshold=args.pspi_threshold)
     ted = np.concatenate([s.ted for s in scores.values()])  # in the frame table's row order
     thresholds = AgreementThresholds(args.ted_high, args.conf_low, args.ted_low, args.conf_high)
     # loso_validate and agreement_analysis go through the module: perfbench wraps them there
     if args.predictions:
-        external = interpret.read_predictions_csv(args.predictions, digests)
-        predictions, rows = interpret.join_labels(table, external, args.predictions)
+        predictions, rows = interpret.join_labels(table, args.external, args.predictions)
         findings = ["external predictions: no LOSO F1 computed"]
         loso = interpret.LosoResult({}, float("nan"), predictions, rows, findings)
     else:
@@ -324,7 +325,7 @@ def run_command(args, records, cfg, digests) -> None:
     """Run `args.command` on checked arguments and loaded inputs; write its outputs."""
     out_dir = Path(args.out or os.environ.get("TED_OUTPUT_DIR") or "ted-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    extra = _COMMANDS[args.command](args, records, cfg, out_dir, digests)
+    extra = _COMMANDS[args.command](args, records, cfg, out_dir)
     _write_metadata(args, cfg, out_dir, extra, digests)
 
 

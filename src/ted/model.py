@@ -303,5 +303,5 @@ def validate_sequence(seq: SequenceRecord) -> list[str]:
     leading = int(np.append(cols.tracking_ok, True).argmax())
     if leading:
         findings.insert(0, f"tracking: leading {leading} frame(s) failed tracking; "
-                           "dynamics use their tracker output")
+                           "dynamics use the first frame's tracker output")
     return findings

@@ -21,7 +21,7 @@ from ted.analytics import (
     window_ablation,
 )
 from ted.engine import score_dataset
-from ted.errors import ComputeError
+from ted.errors import ComputeError, ConfigError
 from ted.model import SequenceLabels, SequenceRecord, TedConfig
 
 series = st.lists(
@@ -270,6 +270,11 @@ class TestWindowAblation:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ComputeError):
             window_ablation(_labeled_records(), TedConfig(), windows=())
+
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_window_below_one_refused_by_config_rule(self, bad):
+        with pytest.raises(ConfigError, match=f"^window must be >= 1, got {bad}$"):
+            window_ablation(_labeled_records(), TedConfig(), windows=(5, bad))
 
     def test_best_window_tie_prefers_smaller(self):
         def wr(window, mean):

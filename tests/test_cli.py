@@ -495,9 +495,25 @@ class TestExitCodes:
             f"subject,sequence,frame,confidence_pain\nP001,01,1,0.5\n{row}\n",
             encoding="utf-8",
         )
-        code, _ = run(dataset, tmp_path, "interpret", "--predictions", str(preds))
+        code, out = run(dataset, tmp_path, "interpret", "--predictions", str(preds))
         assert code == 3
+        assert not out.exists()
         assert f"{preds}: {message}" in capsys.readouterr().err
+
+    def test_bad_predictions_come_before_a_compute_error(self, tmp_path, capsys):
+        """Every input is read before anything is computed: exit 3, not 4, and no --out."""
+        records = make_separable_dataset(n_subjects=3, n_sequences=1, n_frames=40, seed=7)
+        records[0].frames.stream("L")[4, 1] = float("nan")
+        manifest = write_dataset(records, tmp_path / "ds")
+        preds = tmp_path / "preds.csv"
+        preds.write_text(
+            "subject,sequence,frame,confidence_pain\nP001,01,1,0.5\n\n", encoding="utf-8"
+        )
+        code, out = run(manifest, tmp_path, "interpret", "--predictions", str(preds))
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.endswith(f"input error: {preds}: line 3 has 0 cells, "
+                                                "the header has 4\n")
 
     def test_repeated_prediction_key_is_3(self, dataset, tmp_path, capsys):
         code, out = run(dataset, tmp_path, "interpret", "--trees", "5")
@@ -506,8 +522,9 @@ class TestExitCodes:
         lines = preds.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3 * 40 + 1
         preds.write_text("\n".join(lines + lines[1:3]) + "\n", encoding="utf-8")
-        code, _ = run(dataset, tmp_path / "audit", "interpret", "--predictions", str(preds))
+        code, out = run(dataset, tmp_path / "audit", "interpret", "--predictions", str(preds))
         assert code == 3
+        assert not out.exists()
         err = capsys.readouterr().err
         assert f"{preds}: line 122 repeats P001/01 frame 1 of line 2" in err
 
@@ -523,10 +540,11 @@ class TestExitCodes:
         path = manifest.parent / name
         data = path.read_bytes()
         path.write_bytes(data[:20] + b"\xff" + data[20:])
-        code, _ = run(
+        code, out = run(
             manifest, tmp_path, "interpret", "--schema", str(schema), "--predictions", str(preds)
         )
         assert code == 3
+        assert not out.exists()
         assert f"input error: {path}: not valid UTF-8 (byte 20)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["empty line", "past int64"])
@@ -557,7 +575,7 @@ class TestExitCodes:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, out = run(manifest, tmp_path, "interpret", "--predictions", str(preds))
         assert code == 3
-        assert not (out / "interpret.json").exists()
+        assert not out.exists()
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -571,10 +589,11 @@ class TestExitCodes:
         preds = _write_predictions(records, manifest.parent / "predictions.csv")
         path = manifest.parent / name
         path.unlink()
-        code, _ = run(
+        code, out = run(
             manifest, tmp_path, "interpret", "--schema", str(schema), "--predictions", str(preds)
         )
         assert code == 3
+        assert not out.exists()
         # a manifest entry's own file is named by the manifest and the entry too
         field = {"P002_01_features.csv": "feature_file", "P002_01_manual_aus.csv": "manual_au_file",
                  "P002_01_pspi.csv": "pspi_file"}.get(name)
@@ -1277,8 +1296,9 @@ class TestInputFuzz:
     @given(data=st.data())
     def test_exit_code_is_documented(self, clean, target, data):
         """An exit 3's last stderr line names the mutated file; an exit 4's names a file,
-        a subject or a sequence. stderr is redirected, since hypothesis refuses the
-        function-scoped capsys."""
+        a subject or a sequence. An exit 2 or 3 leaves no --out: every input is read before
+        it is made. stderr is redirected, since hypothesis refuses the function-scoped
+        capsys."""
         edit = data.draw(input_file_mutations(target))
         command = data.draw(st.sampled_from(_FUZZ_COMMANDS))
         with tempfile.TemporaryDirectory() as tmp:
@@ -1289,7 +1309,9 @@ class TestInputFuzz:
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
                 code = self.run(command, ds, Path(tmp) / "out")
+            wrote = (Path(tmp) / "out").exists()
         assert code in (0, 2, 3, 4)
+        assert not (code in (2, 3) and wrote), (code, command)
         last = (stderr.getvalue().splitlines() or [""])[-1]
         if code == 3:
             # a manifest entry whose own path is wrong is named by the manifest too

@@ -237,7 +237,8 @@ class TestValidateSequence:
         seq = make_random_sequence(5)
         seq.frames.tracking_ok[[0, 1, 3]] = False
         assert [str(f) for f in validate_sequence(seq)] == [
-            "tracking: leading 2 frame(s) failed tracking; dynamics use their tracker output"
+            "tracking: leading 2 frame(s) failed tracking; "
+            "dynamics use the first frame's tracker output"
         ]
         seq.frames.tracking_ok[:] = False
         assert "leading 5 frame(s)" in str(validate_sequence(seq)[0])
